@@ -61,7 +61,7 @@ fn main() {
             println!("\nAll artifacts written to {:?}", output_dir());
         }
         "figure" => {
-            let n: u32 = args.get(1).map(|s| s.parse().expect("figure number")).unwrap_or(6);
+            let n = number_arg(args.get(1), "figure number", "one of 4, 5, 6").unwrap_or(6);
             cmd_figure(n, true);
         }
         "partitions" => cmd_partitions(),
@@ -70,7 +70,7 @@ fn main() {
         "params" => cmd_params(),
         "contention" => cmd_contention(),
         "schedule-audit" => {
-            let d: u32 = args.get(1).map(|s| s.parse().expect("dimension")).unwrap_or(6);
+            let d = number_arg(args.get(1), "dimension", DIMENSION_FORM).unwrap_or(6);
             cmd_schedule_audit(d);
         }
         "ablation" => cmd_ablation(),
@@ -79,23 +79,11 @@ fn main() {
         "permutation" => cmd_permutation(),
         "ncube2" => cmd_ncube2(),
         "robustness" => {
-            let quick = args.iter().any(|a| a == "--quick");
-            let d: u32 = args
-                .iter()
-                .skip(1)
-                .find(|a| !a.starts_with("--"))
-                .map(|s| s.parse().expect("dimension"))
-                .unwrap_or(if quick { 4 } else { 6 });
+            let (d, quick) = study_args(&args);
             cmd_robustness(d, quick);
         }
         "interference" => {
-            let quick = args.iter().any(|a| a == "--quick");
-            let d: u32 = args
-                .iter()
-                .skip(1)
-                .find(|a| !a.starts_with("--"))
-                .map(|s| s.parse().expect("dimension"))
-                .unwrap_or(if quick { 4 } else { 6 });
+            let (d, quick) = study_args(&args);
             cmd_interference(d, quick);
         }
         "trace" => {
@@ -107,7 +95,7 @@ fn main() {
                 );
                 std::process::exit(2);
             }
-            let d: Option<u32> = args.get(2).map(|s| s.parse().expect("dimension"));
+            let d = number_arg(args.get(2), "dimension", DIMENSION_FORM);
             cmd_trace(scenario, d);
         }
         "plan" => {
@@ -119,6 +107,28 @@ fn main() {
             std::process::exit(2);
         }
     }
+}
+
+const DIMENSION_FORM: &str = "a cube dimension as a decimal integer, e.g. 6";
+
+/// Parse an optional numeric argument. Anything that is not a number
+/// names the expected form on stderr and exits 2, like the other
+/// bad-input paths — never a panic.
+fn number_arg(arg: Option<&String>, what: &str, form: &str) -> Option<u32> {
+    arg.map(|s| {
+        s.parse().unwrap_or_else(|_| {
+            eprintln!("invalid {what} {s:?}; expected {form}");
+            std::process::exit(2)
+        })
+    })
+}
+
+/// `[d] [--quick]` of the study subcommands: the first non-flag
+/// argument is the dimension (default 6, or 4 under `--quick`).
+fn study_args(args: &[String]) -> (u32, bool) {
+    let quick = args.iter().any(|a| a == "--quick");
+    let d = args.iter().skip(1).find(|a| !a.starts_with("--"));
+    (number_arg(d, "dimension", DIMENSION_FORM).unwrap_or(if quick { 4 } else { 6 }), quick)
 }
 
 fn banner(title: &str) {

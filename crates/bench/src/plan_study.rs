@@ -1,7 +1,11 @@
 //! Planner-as-a-service A/B study: warm [`mce_plan::PlanEngine`]
 //! queries against per-query `conditioned_best_partition` enumeration.
 //!
-//! Methodology matches the other `*_ab` harnesses: the shared
+//! This is the `repro plan` artifact, not the performance scoreboard:
+//! planner throughput is tracked by the perf ledger (`benchmark/`,
+//! workloads `plan_warm` · `work_per_s`, `plan.engine.memo_qps`,
+//! `plan.engine.shuffled_qps` and `plan_cold` · `plan.engine.miss_s`,
+//! `model.hull.search_s`). The study keeps an interleaved shape: the
 //! container's wall clock drifts between sessions, so each round runs
 //! **one** timed pass of every workload per side, alternating which
 //! side goes first, and the scoreboard is the per-side median over all
@@ -95,7 +99,7 @@ pub struct PlanSample {
     pub predicted_us: f64,
 }
 
-/// The study artifact (`target/repro/plan.json`, `BENCH_engine.json`).
+/// The study artifact (`target/repro/plan.json`).
 #[derive(Debug, Clone, Serialize)]
 pub struct PlanReport {
     /// Timed rounds behind every median.

@@ -37,3 +37,22 @@ fn known_trace_scenario_with_explicit_flag_is_not_rejected_up_front() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains('4') && err.contains('6'), "stderr names valid figures: {err}");
 }
+
+#[test]
+fn non_numeric_arguments_name_the_expected_form_and_exit_2() {
+    let cases: &[(&[&str], &str)] = &[
+        (&["figure", "x"], "4, 5, 6"),
+        (&["schedule-audit", "x"], "dimension"),
+        (&["robustness", "x"], "dimension"),
+        (&["interference", "x", "--quick"], "dimension"),
+        (&["trace", "hotspot", "x"], "dimension"),
+    ];
+    for (args, expected_form) in cases {
+        let out = repro(args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?} must exit 2: {err}");
+        assert!(err.contains("\"x\""), "{args:?}: stderr names the bad input: {err}");
+        assert!(err.contains(expected_form), "{args:?}: stderr names the expected form: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: validation, not a panic: {err}");
+    }
+}

@@ -28,24 +28,11 @@ pub struct BuildOptions {
     /// Insert `Mark` ops labelling phase boundaries for per-phase
     /// timing breakdowns.
     pub marks: bool,
-    /// Share one permutation `Arc` per phase across all nodes (the
-    /// inter-phase shuffle is node-independent). On by default: it cuts
-    /// program generation from O(4^d) to O(2^d) bytes at large `d` and
-    /// lets the compile pass validate each distinct permutation once.
-    /// `false` recomputes the table per node — the pre-sharing
-    /// behaviour, kept as the A-side of the `compile_ab` harness. The
-    /// generated programs are content-identical either way.
-    pub shared_perms: bool,
 }
 
 impl Default for BuildOptions {
     fn default() -> Self {
-        BuildOptions {
-            pairwise_sync: true,
-            barrier_per_phase: true,
-            marks: true,
-            shared_perms: true,
-        }
+        BuildOptions { pairwise_sync: true, barrier_per_phase: true, marks: true }
     }
 }
 
@@ -77,7 +64,9 @@ pub fn build_with_options(d: u32, dims: &[u32], m: usize, opts: BuildOptions) ->
     let n = 1usize << d;
     let schedule = multiphase_schedule(d, dims);
     // One shuffle table per phase, shared by every node's Permute op
-    // (`None` = identity shuffle, no op emitted).
+    // (`None` = identity shuffle, no op emitted): the shuffle is
+    // node-independent, so sharing keeps generation O(2^d) bytes and
+    // lets the compile pass validate each distinct permutation once.
     let phase_perms: Vec<Option<Arc<Vec<u32>>>> = schedule
         .iter()
         .map(|phase| {
@@ -121,12 +110,7 @@ pub fn build_with_options(d: u32, dims: &[u32], m: usize, opts: BuildOptions) ->
             }
             // Inter-phase shuffle.
             if let Some(perm) = phase_perm {
-                let perm = if opts.shared_perms {
-                    Arc::clone(perm)
-                } else {
-                    Arc::new(shuffle_permutation(d, phase.field.width()))
-                };
-                ops.push(Op::Permute { perm, block_bytes: m });
+                ops.push(Op::Permute { perm: Arc::clone(perm), block_bytes: m });
             }
         }
         if opts.marks {

@@ -10,12 +10,14 @@
 //!
 //! * [`SimBatch`] is a builder: one base [`SimConfig`] template plus a
 //!   list of variant runs — seed sweeps for jitter replicates
-//!   ([`SimBatch::seed_sweep`]), NIC concurrency-window sweeps
-//!   ([`SimBatch::window_sweep`]), circuit vs store-and-forward
-//!   comparisons ([`SimBatch::switching_comparison`]), block-size
-//!   ladders ([`SimBatch::block_ladder`]) or arbitrary
-//!   [`RunSpec`]s. [`SimBatch::run`] executes them rayon-parallel with
-//!   one [`SimArena`] per worker; results come back in push order.
+//!   ([`SimBatch::seed_sweep`]), block-size ladders
+//!   ([`SimBatch::block_ladder`]), co-tenancy sweeps
+//!   ([`SimBatch::stagger_sweep`], [`SimBatch::tenancy_ladder`],
+//!   [`SimBatch::policy_sweep`]), or one explicit config per run
+//!   ([`SimBatch::push_with_config`], how the robustness, switching
+//!   and interference studies build their scenario lists).
+//!   [`SimBatch::run`] executes them rayon-parallel with one
+//!   [`SimArena`] per worker; results come back in push order.
 //! * [`SimArena`] (re-exported from the engine) drives any number of
 //!   runs over reused allocations, plus a compiled-program cache for
 //!   program sets shared across runs via `Arc`.
@@ -29,7 +31,14 @@
 //!
 //! * One run, or a run whose memories you want moved (not cloned) into
 //!   the result: one-shot [`Simulator`](crate::Simulator).
-//! * N runs of *shared* programs (seed/window/switching sweeps): a
+//! * A handful of runs driven by hand on one thread:
+//!   [`SimArena::run`] (compile per run) or [`SimArena::run_shared`]
+//!   (`Arc`-shared set, compile cached); [`SimArena::run_spec`] takes
+//!   a whole [`RunSpec`] and picks between the two itself. These three
+//!   and `Simulator::run` are the only doors into the engine; tracing
+//!   is not a separate door but the [`RunSpec::trace`] field
+//!   ([`SimBatch::push_traced`]) or `Simulator::with_trace`.
+//! * N runs of *shared* programs (seed and config sweeps): a
 //!   [`SimBatch`] with `Arc`-shared programs and memories — compile
 //!   once, simulate N times.
 //! * N runs with per-run programs (figure grids, partition sweeps):
@@ -51,10 +60,10 @@
 //! counts; the arena and batch entry points report the same condition
 //! as `InvalidConfig`.)
 
-use crate::config::{SimConfig, SwitchingMode};
+use crate::config::SimConfig;
 pub use crate::engine::SimArena;
 use crate::engine::{SimError, SimResult};
-use crate::netcond::{BackgroundStream, Cable, LinkPolicy, NetCondition, SpeedProfile};
+use crate::netcond::{LinkPolicy, NetCondition};
 use crate::program::Program;
 use crate::trace::TraceConfig;
 use crate::traffic::JobSpec;
@@ -118,14 +127,12 @@ impl SimArena {
     /// Execute one batch spec on this arena.
     pub fn run_spec(&mut self, spec: RunSpec) -> Result<SimResult, SimError> {
         let RunSpec { cfg, programs, memories, trace } = spec;
-        if Arc::strong_count(&programs) == 1 {
-            // This spec owns the last Arc to its program set, so no
-            // later run can ever present the same set again: compile
-            // uncached instead of pinning a dead entry (run_cells
-            // grids and block ladders build unique programs per cell).
-            return self.run_traced(&cfg, &programs, memories.materialize(), trace.as_ref());
-        }
-        self.run_shared_traced(&cfg, &programs, memories.materialize(), trace.as_ref())
+        // A spec that owns the last Arc to its program set can never
+        // see that set again: compile uncached instead of pinning a
+        // dead cache entry (run_cells grids and block ladders build
+        // unique programs per cell).
+        let shared = (Arc::strong_count(&programs) > 1).then_some(&programs);
+        self.run_one(&cfg, &programs, shared, memories.materialize(), trace.as_ref())
     }
 }
 
@@ -243,121 +250,6 @@ impl SimBatch {
         start..self.runs.len()
     }
 
-    /// Queue one run per NIC concurrency window (ns), Section 7.2's
-    /// knob. Returns the result index range.
-    pub fn window_sweep(
-        &mut self,
-        windows_ns: impl IntoIterator<Item = u64>,
-        programs: &Arc<Vec<Program>>,
-        memories: &Arc<Vec<Vec<u8>>>,
-    ) -> Range<usize> {
-        let start = self.runs.len();
-        for window in windows_ns {
-            let mut cfg = self.base.clone();
-            cfg.concurrency_window_ns = window;
-            self.push_with_config(cfg, Arc::clone(programs), memories);
-        }
-        start..self.runs.len()
-    }
-
-    /// Queue the same workload under circuit switching and under
-    /// store-and-forward; returns `(circuit_index, saf_index)`.
-    pub fn switching_comparison(
-        &mut self,
-        programs: &Arc<Vec<Program>>,
-        memories: &Arc<Vec<Vec<u8>>>,
-    ) -> (usize, usize) {
-        let mut circuit = self.base.clone();
-        circuit.switching = SwitchingMode::Circuit;
-        let mut saf = self.base.clone();
-        saf.switching = SwitchingMode::StoreAndForward;
-        (
-            self.push_with_config(circuit, Arc::clone(programs), memories),
-            self.push_with_config(saf, Arc::clone(programs), memories),
-        )
-    }
-
-    /// Derive a run config with the base's netcond (or a fresh no-op
-    /// one) transformed by `f`.
-    fn conditioned_config(&self, f: impl FnOnce(&mut NetCondition)) -> SimConfig {
-        let mut cfg = self.base.clone();
-        let mut nc = cfg.netcond.take().unwrap_or_default();
-        f(&mut nc);
-        cfg.netcond = Some(nc);
-        cfg
-    }
-
-    /// Queue one run per fault count `0..=max_faults`: row `k` kills
-    /// the first `k` cables of a deterministic shuffle of all cables
-    /// (seeded by `fault_seed`), so fault sets are nested — each row
-    /// strictly extends the previous one's damage. Rows whose faults
-    /// cut every route of the workload come back as typed
-    /// [`SimError::Unroutable`] results, not panics (any fault makes a
-    /// complete exchange unroutable, since Hamming-distance-1 pairs
-    /// have a single xor-mask decomposition). Returns the result index
-    /// range.
-    pub fn fault_ladder(
-        &mut self,
-        max_faults: usize,
-        fault_seed: u64,
-        programs: &Arc<Vec<Program>>,
-        memories: &Arc<Vec<Vec<u8>>>,
-    ) -> Range<usize> {
-        let cables = shuffled_cables(self.base.dimension, fault_seed);
-        let max_faults = max_faults.min(cables.len());
-        let start = self.runs.len();
-        for k in 0..=max_faults {
-            let cfg = self.conditioned_config(|nc| nc.faults = cables[..k].to_vec());
-            self.push_with_config(cfg, Arc::clone(programs), memories);
-        }
-        start..self.runs.len()
-    }
-
-    /// Queue one run per degradation severity: severity `s` draws every
-    /// link's slowdown factor deterministically from `[1, s]`
-    /// ([`SpeedProfile::Seeded`] with `speed_seed`), so `1.0` is the
-    /// undegraded network and growing `s` stretches a heterogeneous
-    /// subset of links further and further. Returns the result index
-    /// range.
-    pub fn degradation_sweep(
-        &mut self,
-        severities: impl IntoIterator<Item = f64>,
-        speed_seed: u64,
-        programs: &Arc<Vec<Program>>,
-        memories: &Arc<Vec<Vec<u8>>>,
-    ) -> Range<usize> {
-        let start = self.runs.len();
-        for severity in severities {
-            let cfg = self.conditioned_config(|nc| {
-                nc.speed = SpeedProfile::Seeded { min: 1.0, max: severity, seed: speed_seed };
-            });
-            self.push_with_config(cfg, Arc::clone(programs), memories);
-        }
-        start..self.runs.len()
-    }
-
-    /// Queue one run per background-traffic level: level `l` injects
-    /// `l` copies of `stream`, phase-staggered across one period, so
-    /// growing levels pile more and more competing circuits onto the
-    /// stream's route (a hotspot). Level `0` is the quiet network.
-    /// Returns the result index range.
-    pub fn hotspot_sweep(
-        &mut self,
-        levels: impl IntoIterator<Item = u32>,
-        stream: BackgroundStream,
-        programs: &Arc<Vec<Program>>,
-        memories: &Arc<Vec<Vec<u8>>>,
-    ) -> Range<usize> {
-        let start = self.runs.len();
-        for level in levels {
-            let cfg = self.conditioned_config(|nc| {
-                nc.background = (0..level).map(|j| stream.staggered(j, level)).collect();
-            });
-            self.push_with_config(cfg, Arc::clone(programs), memories);
-        }
-        start..self.runs.len()
-    }
-
     /// Queue one co-tenant run per start stagger: run `i` keeps the
     /// given job shapes but spaces their start offsets `0, s_i, 2·s_i,
     /// ...` apart. The composed programs are stagger-independent (the
@@ -417,10 +309,10 @@ impl SimBatch {
     ) -> Range<usize> {
         let start = self.runs.len();
         for policy in policies {
-            let mut cfg = match policy {
-                Some(p) => self.conditioned_config(|nc| nc.link_policy = Some(p)),
-                None => self.base.clone(),
-            };
+            let mut cfg = self.base.clone();
+            if let Some(p) = policy {
+                cfg.netcond.get_or_insert_with(NetCondition::default).link_policy = Some(p);
+            }
             cfg.jobs = jobs.to_vec();
             self.push_with_config(cfg, Arc::clone(programs), memories);
         }
@@ -457,30 +349,6 @@ impl SimBatch {
     }
 }
 
-/// All cables of a `d`-cube in a deterministic seeded shuffle
-/// (Fisher-Yates over splitmix64 draws). Prefixes of the result give
-/// nested fault sets for [`SimBatch::fault_ladder`].
-fn shuffled_cables(d: u32, seed: u64) -> Vec<Cable> {
-    let n = 1u32 << d;
-    let mut cables: Vec<Cable> = (0..n)
-        .flat_map(|node| {
-            (0..d)
-                .filter(move |&dim| node & (1 << dim) == 0)
-                .map(move |dim| Cable { node: mce_hypercube::NodeId(node), dim })
-        })
-        .collect();
-    let mut state = seed;
-    let mut next = || {
-        state = state.wrapping_add(crate::fxhash::SPLITMIX64_GOLDEN);
-        crate::fxhash::splitmix64_mix(state)
-    };
-    for i in (1..cables.len()).rev() {
-        let j = (next() % (i as u64 + 1)) as usize;
-        cables.swap(i, j);
-    }
-    cables
-}
-
 /// Streaming fan-out over heterogeneous cells (figure grids, partition
 /// sweeps): `build` turns a cell into a [`RunSpec`] *on the worker
 /// thread* — so at most one cell's programs and memories per core are
@@ -502,6 +370,7 @@ pub fn run_cells<T: Send, U: Send>(
 mod tests {
     use super::*;
     use crate::message::Tag;
+    use crate::netcond::Cable;
     use crate::program::Op;
     use mce_hypercube::NodeId;
 
@@ -540,7 +409,7 @@ mod tests {
     }
 
     #[test]
-    fn window_sweep_serializes_below_the_stagger() {
+    fn narrow_nic_window_serializes_below_the_stagger() {
         // Two nodes exchange with a 50 µs stagger: a zero window
         // serializes, a huge window lets the transfers overlap.
         let bytes = 500usize;
@@ -556,8 +425,10 @@ mod tests {
         let programs = Arc::new(vec![mk(1, 0), mk(0, 50_000)]);
         let memories = Arc::new(vec![vec![1u8; bytes]; 2]);
         let mut batch = SimBatch::new(SimConfig::ipsc860(1));
-        let range = batch.window_sweep([0, 100_000_000], &programs, &memories);
-        assert_eq!(range, 0..2);
+        for window in [0, 100_000_000] {
+            let cfg = SimConfig { concurrency_window_ns: window, ..batch.base().clone() };
+            batch.push_with_config(cfg, Arc::clone(&programs), &memories);
+        }
         let results = batch.run();
         let narrow = results[0].as_ref().unwrap().finish_time;
         let wide = results[1].as_ref().unwrap().finish_time;
@@ -565,23 +436,13 @@ mod tests {
     }
 
     #[test]
-    fn switching_comparison_prices_saf_hops() {
-        let (programs, memories) = one_way(4, 400);
-        let mut batch = SimBatch::new(SimConfig::ipsc860(4));
-        let (ci, si) = batch.switching_comparison(&programs, &memories);
-        let results = batch.run();
-        let circuit = results[ci].as_ref().unwrap().finish_time;
-        let saf = results[si].as_ref().unwrap().finish_time;
-        // 4 hops: SAF pays λ + τm per hop, circuit pays it once.
-        assert!(saf > circuit, "{saf} vs {circuit}");
-    }
-
-    #[test]
     fn parallel_and_sequential_batches_agree() {
         let (programs, memories) = one_way(3, 64);
         let build = |batch: &mut SimBatch| {
             batch.seed_sweep(0.03, 1..6, &programs, &memories);
-            batch.window_sweep([0, 2_000], &programs, &memories);
+            let narrow = SimConfig { concurrency_window_ns: 0, ..batch.base().clone() };
+            batch.push_with_config(narrow, Arc::clone(&programs), &memories);
+            batch.push_run(Arc::clone(&programs), &memories);
         };
         let mut parallel = SimBatch::new(SimConfig::ipsc860(3));
         build(&mut parallel);
@@ -657,27 +518,26 @@ mod tests {
     }
 
     #[test]
-    fn shuffled_cables_cover_the_cube_and_are_seed_stable() {
-        let a = shuffled_cables(3, 7);
-        let b = shuffled_cables(3, 7);
-        assert_eq!(a, b, "same seed, same order");
-        assert_eq!(a.len(), 4 * 3, "2^(d-1) * d cables");
-        let mut sorted = a.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-        assert_eq!(sorted.len(), a.len(), "no duplicates");
-        assert_ne!(a, shuffled_cables(3, 8), "different seed, different order");
-    }
-
-    #[test]
-    fn fault_ladder_degrades_until_unroutable() {
-        // One-way 0 -> 7 (3-bit mask): survives light damage by
-        // rerouting, eventually becomes unroutable as the ladder cuts
-        // the whole neighbourhood.
+    fn nested_faults_degrade_until_unroutable() {
+        // One-way 0 -> 7 (3-bit mask) under nested dead-cable sets, row
+        // `k` killing the first `k` cables in node-major order: light
+        // damage reroutes, and once node 0 is cut off (its three
+        // cables lead the order) every later row is unroutable too.
         let (programs, memories) = one_way(3, 64);
+        let cables: Vec<Cable> = (0..8u32)
+            .flat_map(|node| {
+                (0..3)
+                    .filter(move |&dim| node & (1 << dim) == 0)
+                    .map(move |dim| Cable { node: NodeId(node), dim })
+            })
+            .collect();
+        assert_eq!(cables.len(), 12, "2^(d-1) * d cables");
         let mut batch = SimBatch::new(SimConfig::ipsc860(3));
-        let range = batch.fault_ladder(12, 0xFA017, &programs, &memories);
-        assert_eq!(range, 0..13);
+        for k in 0..=cables.len() {
+            let nc = NetCondition { faults: cables[..k].to_vec(), ..NetCondition::default() };
+            let cfg = batch.base().clone().with_netcond(nc);
+            batch.push_with_config(cfg, Arc::clone(&programs), &memories);
+        }
         let results = batch.run();
         // Row 0 is the undamaged network: identical to unconditioned.
         let clean = SimArena::new()
@@ -686,64 +546,34 @@ mod tests {
         let row0 = results[0].as_ref().unwrap();
         assert_eq!(row0.finish_time, clean.finish_time);
         assert_eq!(row0.memories, clean.memories);
-        // Feasibility is monotone along the nested ladder: once a row
-        // is unroutable, every later row (a superset of faults) is too.
-        let feasible: Vec<bool> = results.iter().map(Result::is_ok).collect();
-        let first_dead = feasible.iter().position(|&ok| !ok);
-        if let Some(k) = first_dead {
-            assert!(feasible[k..].iter().all(|&ok| !ok), "{feasible:?}");
-            assert!(matches!(results[k], Err(SimError::Unroutable { .. })));
+        // Rows 1-2 leave node 0 an exit: rerouted, data intact.
+        for row in &results[1..3] {
+            assert_eq!(row.as_ref().unwrap().memories[7], vec![9u8; 64]);
         }
-        // The full 12-fault row kills every cable: certainly dead.
-        assert!(results[12].is_err());
+        // Feasibility is monotone along the nested ladder: from the
+        // row that cuts node 0 off, every superset of faults is dead.
+        for row in &results[3..] {
+            assert!(matches!(row, Err(SimError::Unroutable { .. })), "{row:?}");
+        }
     }
 
     #[test]
-    fn degradation_sweep_slows_runs_down() {
+    fn seeded_degradation_ladder_slows_runs_down() {
+        // Severity `s` draws every link's slowdown from `[1, s]` under
+        // one seed: 1.0 is the nominal network, and stretching the same
+        // draw further can only slow the transfer down.
         let (programs, memories) = one_way(4, 300);
         let mut batch = SimBatch::new(SimConfig::ipsc860(4));
-        let range = batch.degradation_sweep([1.0, 2.0, 8.0], 11, &programs, &memories);
-        assert_eq!(range, 0..3);
-        let results = batch.run();
+        batch.push_run(Arc::clone(&programs), &memories);
+        for severity in [1.0, 2.0, 8.0] {
+            let cfg =
+                batch.base().clone().with_netcond(NetCondition::seeded_speeds(1.0, severity, 11));
+            batch.push_with_config(cfg, Arc::clone(&programs), &memories);
+        }
         let times: Vec<u64> =
-            results.iter().map(|r| r.as_ref().unwrap().finish_time.as_ns()).collect();
-        // Severity 1.0 is the nominal network.
-        let clean = SimArena::new()
-            .run_shared(&SimConfig::ipsc860(4), &programs, Vec::clone(&memories))
-            .unwrap();
-        assert_eq!(times[0], clean.finish_time.as_ns());
-        assert!(times[0] <= times[1] && times[1] < times[2], "{times:?}");
-    }
-
-    #[test]
-    fn hotspot_sweep_contends_with_the_workload() {
-        let (programs, memories) = one_way(3, 400);
-        let stream = BackgroundStream {
-            src: mce_hypercube::NodeId(0),
-            dst: mce_hypercube::NodeId(7),
-            bytes: 400,
-            start_ns: 0,
-            period_ns: 100_000,
-            count: 50,
-        };
-        let mut batch = SimBatch::new(SimConfig::ipsc860(3));
-        let range = batch.hotspot_sweep([0, 1, 4], stream, &programs, &memories);
-        assert_eq!(range, 0..3);
-        let results = batch.run();
-        let rows: Vec<(u64, u64)> = results
-            .iter()
-            .map(|r| {
-                let r = r.as_ref().unwrap();
-                (r.finish_time.as_ns(), r.stats.background_transmissions)
-            })
-            .collect();
-        assert_eq!(rows[0].1, 0, "level 0 injects nothing");
-        assert!(rows[1].1 > 0 && rows[2].1 > rows[1].1, "{rows:?}");
-        // The algorithm's transfer shares links with the hotspot:
-        // heavier traffic cannot make it finish earlier.
-        assert!(rows[0].0 <= rows[1].0 && rows[1].0 <= rows[2].0, "{rows:?}");
-        // And data still arrives intact under contention.
-        assert_eq!(results[2].as_ref().unwrap().memories[7], vec![9u8; 400]);
+            batch.run().into_iter().map(|r| r.unwrap().finish_time.as_ns()).collect();
+        assert_eq!(times[0], times[1], "severity 1.0 is the nominal network");
+        assert!(times[1] <= times[2] && times[2] < times[3], "{times:?}");
     }
 
     #[test]

@@ -556,15 +556,9 @@ pub(crate) fn compile_pipeline(
     memories: &[Vec<u8>],
 ) -> Result<Compiled, SimError> {
     debug_assert_eq!(programs.len(), memories.len());
-    let profile = std::env::var_os("MCE_COMPILE_PROFILE").is_some();
-    let t0 = std::time::Instant::now();
     // Stage 0: permutation dedup + one content validation per distinct
     // Arc (sequential; distinct permutations are few).
     let scan = scan_perms(programs);
-    if profile {
-        eprintln!("compile stage0 scan_perms: {:?}", t0.elapsed());
-    }
-    let t1 = std::time::Instant::now();
     // Stage 1: per-node lowering over contiguous node chunks, one
     // chunk per worker, with per-worker scratch. On the single-CPU
     // bench container this is one chunk lowered inline with zero
@@ -581,10 +575,6 @@ pub(crate) fn compile_pipeline(
             lower_chunk(first, count, programs, memories, &scan.ids, scratch)
         },
     );
-    if profile {
-        eprintln!("compile stage1 lower: {:?}", t1.elapsed());
-    }
-    let t2 = std::time::Instant::now();
     // Deterministic error selection: lowest (node, rank) wins, which
     // is exactly the first error the sequential reference encounters.
     let mut err: Option<(u32, i64, SimError)> =
@@ -635,10 +625,6 @@ pub(crate) fn compile_pipeline(
         }
         compiled = out;
     }
-    if profile {
-        eprintln!("compile stage2 concat: {:?}", t2.elapsed());
-    }
-    let t3 = std::time::Instant::now();
     // Stage 3: receiver-slot fixup. A `Send`'s receiver slot lives in
     // the *destination's* table; resolving inline would random-walk
     // between the nodes' tables in program order. Counting-sort the
@@ -695,9 +681,6 @@ pub(crate) fn compile_pipeline(
             }
         }
     }
-    if profile {
-        eprintln!("compile stage3 fixup: {:?}", t3.elapsed());
-    }
     Ok(Compiled {
         programs: compiled,
         ops: flat_ops,
@@ -725,20 +708,13 @@ fn slot_map(program: &Program) -> FxHashMap<u128, u32> {
 /// The retained sequential reference compiler: the pre-pipeline
 /// single-walk implementation, kept verbatim (hash slot maps, fused
 /// validation, inline error returns) so the differential suites can
-/// pin the parallel pipeline bit-identical to it — and so `compile_ab`
-/// can measure the pipeline against the real pre-change algorithm in
-/// the same binary.
+/// pin the parallel pipeline bit-identical to it. It is also the
+/// production path for small sets (see [`PIPELINE_MIN_OPS`]).
 pub(crate) fn compile_reference(
     programs: &[Program],
     memories: &[Vec<u8>],
 ) -> Result<Compiled, SimError> {
-    let profile = std::env::var_os("MCE_COMPILE_PROFILE").is_some();
-    let t0 = std::time::Instant::now();
     let keys: Vec<FxHashMap<u128, u32>> = programs.iter().map(slot_map).collect();
-    if profile {
-        eprintln!("reference slot_maps: {:?}", t0.elapsed());
-    }
-    let t1 = std::time::Instant::now();
     let slot_of =
         |node: usize, key: u128| -> u32 { keys[node].get(&key).copied().unwrap_or(NO_SLOT) };
     // Entries are `(dst, src, op_idx, tag)`.
@@ -886,10 +862,6 @@ pub(crate) fn compile_reference(
             segs_end: flat_segs.len() as u32,
         });
     }
-    if profile {
-        eprintln!("reference walk: {:?}", t1.elapsed());
-    }
-    let t2 = std::time::Instant::now();
     // Receiver-slot fixup pass: counting-sort the sends by destination
     // (O(sends + nodes)), then resolve each group against one hot slot
     // table.
@@ -915,9 +887,6 @@ pub(crate) fn compile_reference(
                 *dst_slot = slot;
             }
         }
-    }
-    if profile {
-        eprintln!("reference fixup: {:?}", t2.elapsed());
     }
     Ok(Compiled { programs: compiled, ops: flat_ops, total_sends, segs: flat_segs, perms })
 }
@@ -987,72 +956,6 @@ pub(crate) fn shared_compiled_for(
         stamp: SHARED_STAMP.fetch_add(1, Ordering::Relaxed),
     });
     Ok((compiled, false))
-}
-
-/// Size digest of one compiled program set — the stable public face of
-/// [`Compiled`] for benchmarks and black-box tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CompileDigest {
-    /// Flat compiled ops across all nodes.
-    pub ops: usize,
-    /// Total `Send` ops.
-    pub total_sends: usize,
-    /// Sum of per-node receive-slot counts.
-    pub slots: u64,
-    /// Flat barrier-delimited segments.
-    pub segs: usize,
-    /// Distinct shuffle permutations.
-    pub perms: usize,
-}
-
-fn digest(c: &Compiled) -> CompileDigest {
-    CompileDigest {
-        ops: c.ops.len(),
-        total_sends: c.total_sends,
-        slots: c.programs.iter().map(|p| p.num_slots as u64).sum(),
-        segs: c.segs.len(),
-        perms: c.perms.len(),
-    }
-}
-
-/// Cold-compile one program set through the parallel pipeline and
-/// return its digest (the `compile_ab` harness's B side — always the
-/// pipeline, bypassing the small-set fast path, so the A/B measures
-/// the pipeline at every size). `programs` and `memories` must be the
-/// same length.
-pub fn cold_pipeline(
-    programs: &[Program],
-    memories: &[Vec<u8>],
-) -> Result<CompileDigest, SimError> {
-    assert_eq!(programs.len(), memories.len(), "one memory per program required");
-    compile_pipeline(programs, memories).map(|c| digest(&c))
-}
-
-/// Cold-compile one program set through the retained sequential
-/// reference and return its digest (the `compile_ab` harness's A
-/// side).
-pub fn cold_reference(
-    programs: &[Program],
-    memories: &[Vec<u8>],
-) -> Result<CompileDigest, SimError> {
-    assert_eq!(programs.len(), memories.len(), "one memory per program required");
-    compile_reference(programs, memories).map(|c| digest(&c))
-}
-
-/// Resolve one shared set `arenas` times through the process-wide
-/// cache, as `SimBatch`'s per-worker arenas would: one compile, then
-/// hits (the `compile_ab` harness's shared-cache row).
-pub fn shared_cache_fanout(
-    programs: &Arc<Vec<Program>>,
-    memories: &[Vec<u8>],
-    arenas: usize,
-) -> Result<CompileDigest, SimError> {
-    assert!(arenas >= 1, "at least one arena required");
-    let mut last = None;
-    for _ in 0..arenas {
-        last = Some(shared_compiled_for(programs, memories)?.0);
-    }
-    Ok(digest(&last.expect("arenas >= 1")))
 }
 
 /// Run both compilers on one program set and describe their first
@@ -1218,7 +1121,7 @@ mod tests {
     }
 
     #[test]
-    fn compile_dedups_shared_perms_into_one_table_entry() {
+    fn compile_dedups_shared_perm_arcs_into_one_table_entry() {
         let shared = Arc::new(vec![1u32, 0]);
         let own = Arc::new(vec![1u32, 0]);
         let programs = vec![
@@ -1292,7 +1195,7 @@ mod tests {
         let mem_len = 32 + below(97) as usize;
         // A few shared permutation Arcs, some deliberately invalid.
         let perm_blocks = 4usize;
-        let shared_perms: Vec<Arc<Vec<u32>>> = (0..3)
+        let perm_pool: Vec<Arc<Vec<u32>>> = (0..3)
             .map(|_| {
                 let mut p: Vec<u32> = (0..perm_blocks as u32).collect();
                 for i in (1..p.len()).rev() {
@@ -1353,7 +1256,7 @@ mod tests {
                     7 => {
                         let perm = match below(4) {
                             0 => Arc::new((0..perm_blocks as u32).rev().collect()),
-                            i => Arc::clone(&shared_perms[i as usize - 1]),
+                            i => Arc::clone(&perm_pool[i as usize - 1]),
                         };
                         let block = 1 + below(if mostly_valid {
                             (mem_len / perm_blocks) as u64

@@ -421,10 +421,9 @@ pub fn candidate_partitions(
 
 /// A hotspot [`NetCondition`]: `level` phase-staggered background
 /// streams across the cube's main diagonals, the ladder shape shared
-/// by [`SimBatch::hotspot_sweep`], the robustness study and the
-/// conformance grids. Streams outlast any cell of a conformance run
-/// (`count` × `period_ns` covers the slowest Standard Exchange cell
-/// with margin).
+/// by the robustness study and the conformance grids. Streams
+/// outlast any cell of a conformance run (`count` × `period_ns` covers
+/// the slowest Standard Exchange cell with margin).
 pub fn hotspot_condition(d: u32, level: u32) -> NetCondition {
     let n = 1u32 << d;
     let mut nc = NetCondition::default();

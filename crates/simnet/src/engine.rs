@@ -578,9 +578,10 @@ impl Simulator {
         }
         self.ran = true;
         let mut arena = SimArena::new();
-        arena.run_traced(
+        arena.run_one(
             &self.cfg,
             &self.programs,
+            None,
             std::mem::take(&mut self.memories),
             self.trace.as_ref(),
         )
@@ -683,25 +684,7 @@ impl SimArena {
         programs: &[Program],
         memories: Vec<Vec<u8>>,
     ) -> Result<SimResult, SimError> {
-        self.run_traced(cfg, programs, memories, None)
-    }
-
-    /// [`SimArena::run`] with structured event tracing (`None` = off).
-    pub fn run_traced(
-        &mut self,
-        cfg: &SimConfig,
-        programs: &[Program],
-        memories: Vec<Vec<u8>>,
-        trace: Option<&TraceConfig>,
-    ) -> Result<SimResult, SimError> {
-        check_shape(cfg, programs.len(), memories.len())?;
-        let t0 = std::time::Instant::now();
-        let compiled = compile(programs, &memories)?;
-        let compile_ns = t0.elapsed().as_nanos() as u64;
-        let mut out = self.run_compiled(cfg, &compiled, memories, trace)?;
-        out.stats.compile_ns = compile_ns;
-        out.stats.compile_misses = 1;
-        Ok(out)
+        self.run_one(cfg, programs, None, memories, None)
     }
 
     /// Run a *shared* program set (identified by its `Arc`): the
@@ -713,21 +696,29 @@ impl SimArena {
         programs: &Arc<Vec<Program>>,
         memories: Vec<Vec<u8>>,
     ) -> Result<SimResult, SimError> {
-        self.run_shared_traced(cfg, programs, memories, None)
+        self.run_one(cfg, programs, Some(programs), memories, None)
     }
 
-    /// [`SimArena::run_shared`] with structured event tracing (`None`
-    /// = off).
-    pub fn run_shared_traced(
+    /// The one run path behind every public door ([`Simulator::run`],
+    /// [`SimArena::run`], [`SimArena::run_shared`] and
+    /// [`SimArena::run_spec`]). `shared` is the compile-cache key: the
+    /// `Arc` identity of `programs` when later runs may present the
+    /// same set again, `None` to compile for this run only. `trace`
+    /// enables structured event capture (`None` = off).
+    pub(crate) fn run_one(
         &mut self,
         cfg: &SimConfig,
-        programs: &Arc<Vec<Program>>,
+        programs: &[Program],
+        shared: Option<&Arc<Vec<Program>>>,
         memories: Vec<Vec<u8>>,
         trace: Option<&TraceConfig>,
     ) -> Result<SimResult, SimError> {
         check_shape(cfg, programs.len(), memories.len())?;
         let t0 = std::time::Instant::now();
-        let (compiled, source) = self.compiled_for(programs, &memories)?;
+        let (compiled, source) = match shared {
+            Some(set) => self.compiled_for(set, &memories)?,
+            None => (Arc::new(compile(programs, &memories)?), CompileSource::Miss),
+        };
         let compile_ns = t0.elapsed().as_nanos() as u64;
         let mut out = self.run_compiled(cfg, &compiled, memories, trace)?;
         out.stats.compile_ns = compile_ns;

@@ -164,9 +164,8 @@ pub struct BackgroundStream {
 impl BackgroundStream {
     /// The `j`-th phase-staggered copy out of `level`: the start time
     /// shifts by `j/level` of one period, so `level` copies spread
-    /// evenly across the injection interval. The shared constructor
-    /// behind hotspot ladders ([`crate::SimBatch::hotspot_sweep`] and
-    /// the robustness study).
+    /// evenly across the injection interval. The constructor behind
+    /// hotspot ladders ([`crate::conformance::hotspot_condition`]).
     pub fn staggered(self, j: u32, level: u32) -> BackgroundStream {
         BackgroundStream {
             start_ns: self.start_ns + j as u64 * self.period_ns / level.max(1) as u64,

@@ -9,17 +9,28 @@ use mce_core::builder::{
 };
 use mce_simnet::batch::SimBatch;
 use mce_simnet::compile::reference_divergence;
-use mce_simnet::{Program, SimArena, SimConfig};
+use mce_simnet::{Op, Program, SimArena, SimConfig};
 use std::sync::Arc;
 
 fn exchange_memories(d: u32, m: usize) -> Vec<Vec<u8>> {
     (0..1usize << d).map(|x| vec![x as u8; (1usize << d) * m]).collect()
 }
 
+/// Give every `Permute` op its own copy of its permutation table, so
+/// the compile prescan sees one distinct `Arc` per node and phase
+/// instead of the builder's one per phase. Content is unchanged.
+fn unshare_perms(programs: &mut [Program]) {
+    for op in programs.iter_mut().flat_map(|p| &mut p.ops) {
+        if let Op::Permute { perm, .. } = op {
+            *perm = Arc::new(perm.as_ref().clone());
+        }
+    }
+}
+
 /// The pipeline ↔ reference differential over real builder output:
 /// multiphase partitions (with their shared inter-phase shuffle
-/// permutations), the no-pairwise-sync ablation, the per-node-perm
-/// compatibility mode, and the naive all-to-all.
+/// permutations), the no-pairwise-sync ablation, per-node permutation
+/// `Arc`s, and the naive all-to-all.
 #[test]
 fn builder_programs_compile_identically_to_reference() {
     let cases: &[(u32, &[u32])] =
@@ -36,33 +47,17 @@ fn builder_programs_compile_identically_to_reference() {
         BuildOptions { pairwise_sync: false, ..BuildOptions::default() },
     );
     assert_eq!(reference_divergence(&nosync, &exchange_memories(6, 4)), None, "nosync");
-    // Per-node permutation Arcs (the pre-sharing builder behaviour):
-    // every node carries its own table, so the dedup prescan sees 2^d
-    // distinct Arcs per phase instead of one — and must still match.
-    let per_node = build_with_options(
-        5,
-        &[2, 3],
-        4,
-        BuildOptions { shared_perms: false, ..BuildOptions::default() },
-    );
+    // Per-node permutation Arcs: every node carries its own table, so
+    // the dedup prescan sees 2^d distinct Arcs per phase instead of
+    // one — and must still match.
+    let shared = build_multiphase_programs(5, &[2, 3], 4);
+    let mut per_node = shared.clone();
+    unshare_perms(&mut per_node);
+    assert_eq!(per_node, shared, "un-sharing must not change program content");
     assert_eq!(reference_divergence(&per_node, &exchange_memories(5, 4)), None, "per-node perms");
     let naive = build_naive_programs(4, 8);
     let memories = (0..16).map(|x| vec![x as u8; 2 * 16 * 8]).collect::<Vec<_>>();
     assert_eq!(reference_divergence(&naive, &memories), None, "naive all-to-all");
-}
-
-/// `shared_perms` changes allocation structure, not content: both
-/// builder modes must produce identical programs.
-#[test]
-fn builder_perm_sharing_is_content_invisible() {
-    let shared = build_multiphase_programs(5, &[2, 3], 8);
-    let per_node = build_with_options(
-        5,
-        &[2, 3],
-        8,
-        BuildOptions { shared_perms: false, ..BuildOptions::default() },
-    );
-    assert_eq!(shared, per_node);
 }
 
 fn tiny_set(stamp: u8) -> (Arc<Vec<Program>>, Vec<Vec<u8>>) {
@@ -127,8 +122,7 @@ fn shared_cache_serves_sets_across_arenas() {
 
 /// The acceptance pin: a `SimBatch` sweep performs exactly one compile
 /// per distinct shared program set, no matter how many replicates or
-/// worker arenas are involved. (A d11 version of this pin runs in the
-/// `compile_ab` harness behind `MCE_BENCH_LARGE=1`.)
+/// worker arenas are involved.
 #[test]
 fn batch_sweep_compiles_each_distinct_set_exactly_once() {
     let d = 7u32;
