@@ -1,7 +1,7 @@
 //! Benchmark harness: regenerates every table and figure of the paper.
 //!
-//! The `repro` binary (see `src/bin/repro.rs`) drives the experiment
-//! index of DESIGN.md:
+//! The `repro` binary (see `src/bin/repro.rs`) drives this experiment
+//! index:
 //!
 //! | id | artifact | subcommand |
 //! |----|----------|------------|

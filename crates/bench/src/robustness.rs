@@ -19,7 +19,7 @@
 //!
 //! Each (scenario, partition, block-size) cell runs `replicates`
 //! jitter-seeded replicates through one parallel
-//! [`SimBatch`](mce_simnet::batch::SimBatch) and is summarized with
+//! [`SimBatch`] and is summarized with
 //! [`mce_simnet::batch::agg`]. Every feasible cell also carries the
 //! netcond-aware analytic prediction (`mce_model::conditioned`, via
 //! [`mce_simnet::conformance`]) and its relative error against the

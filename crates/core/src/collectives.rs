@@ -17,6 +17,7 @@
 //! phases consume label fields LSB→MSB (incoming regions stay
 //! contiguous, no shuffles needed); rooted patterns consume MSB→LSB.
 
+use crate::verify::check_slot;
 use mce_hypercube::NodeId;
 use mce_simnet::{Op, Program, Tag};
 
@@ -212,13 +213,14 @@ pub fn allgather_memories(d: u32, m: usize) -> Vec<Vec<u8>> {
 }
 
 /// Verify allgather: every node holds block `(q -> q)` at slot `q`.
+/// A missing node or a short memory fails the check (as for the two
+/// verifiers below).
 pub fn verify_allgather(d: u32, m: usize, memories: &[Vec<u8>]) -> bool {
     let n = 1usize << d;
-    memories.iter().all(|mem| {
+    (0..n).all(|x| {
         (0..n).all(|q| {
-            mem[q * m..(q + 1) * m].iter().enumerate().all(|(k, &b)| {
-                b == crate::verify::stamp_byte(NodeId(q as u32), NodeId(q as u32), k)
-            })
+            let own = NodeId(q as u32);
+            check_slot(memories, x, q.saturating_mul(m), m, own, own).is_none()
         })
     })
 }
@@ -239,12 +241,9 @@ pub fn scatter_memories(d: u32, m: usize) -> Vec<Vec<u8>> {
 }
 
 /// Verify scatter: node `q` holds block `(0 -> q)` at slot `q`.
-pub fn verify_scatter(_d: u32, m: usize, memories: &[Vec<u8>]) -> bool {
-    memories.iter().enumerate().all(|(q, mem)| {
-        mem[q * m..(q + 1) * m]
-            .iter()
-            .enumerate()
-            .all(|(k, &b)| b == crate::verify::stamp_byte(NodeId(0), NodeId(q as u32), k))
+pub fn verify_scatter(d: u32, m: usize, memories: &[Vec<u8>]) -> bool {
+    (0..1usize << d).all(|q| {
+        check_slot(memories, q, q.saturating_mul(m), m, NodeId(0), NodeId(q as u32)).is_none()
     })
 }
 
@@ -256,13 +255,9 @@ pub fn broadcast_memories(d: u32, m: usize) -> Vec<Vec<u8>> {
     memories
 }
 
-/// Verify broadcast: every node holds the root's message.
-pub fn verify_broadcast(_d: u32, _m: usize, memories: &[Vec<u8>]) -> bool {
-    memories.iter().all(|mem| {
-        mem.iter()
-            .enumerate()
-            .all(|(k, &b)| b == crate::verify::stamp_byte(NodeId(0), NodeId(0), k))
-    })
+/// Verify broadcast: every node holds the root's `m`-byte message.
+pub fn verify_broadcast(d: u32, m: usize, memories: &[Vec<u8>]) -> bool {
+    (0..1usize << d).all(|x| check_slot(memories, x, 0, m, NodeId(0), NodeId(0)).is_none())
 }
 
 #[cfg(test)]
@@ -371,6 +366,28 @@ mod tests {
             let programs = build_allgather_programs(d, &dims, m);
             let via_exec = crate::exec_data::execute(&programs, allgather_memories(d, m)).unwrap();
             assert!(verify_allgather(d, m, &via_exec), "{dims:?}");
+        }
+    }
+
+    #[test]
+    fn verifiers_fail_on_missing_or_short_memories() {
+        let (d, m) = (2u32, 8usize);
+        let run = |programs: Vec<Program>, memories| {
+            crate::exec_data::execute(&programs, memories).unwrap()
+        };
+        type Verifier = fn(u32, usize, &[Vec<u8>]) -> bool;
+        let cases: [(Vec<Vec<u8>>, Verifier); 3] = [
+            (run(build_allgather_programs(d, &[2], m), allgather_memories(d, m)), verify_allgather),
+            (run(build_scatter_programs(d, &[2], m), scatter_memories(d, m)), verify_scatter),
+            (run(build_broadcast_programs(d, &[2], m), broadcast_memories(d, m)), verify_broadcast),
+        ];
+        for (i, (mems, verify)) in cases.into_iter().enumerate() {
+            assert!(verify(d, m, &mems), "case {i}");
+            let mut short = mems.clone();
+            short[3].pop(); // the last byte every pattern delivers to node 3
+            assert!(!verify(d, m, &short), "case {i}: truncated memory");
+            assert!(!verify(d, m, &mems[..3]), "case {i}: missing node");
+            assert!(verify(d, 0, &[]), "case {i}: nothing to deliver at m = 0");
         }
     }
 

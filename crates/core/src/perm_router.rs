@@ -21,6 +21,7 @@
 //! is full — which is exactly why the complete-exchange schedules
 //! (every step a full permutation) are the profitable case.
 
+use crate::verify::check_slot;
 use mce_hypercube::contention::analyze_permutation;
 use mce_hypercube::routing::{ecube_path, DirectedLink};
 use mce_hypercube::NodeId;
@@ -224,16 +225,12 @@ pub fn permutation_memories(d: u32, perm: &[NodeId], m: usize) -> Vec<Vec<u8>> {
 }
 
 /// Verify a permutation run: node `π(x)` holds block `(x -> π(x))` at
-/// offset `m`.
+/// offset `m`. A destination missing from `memories`, or one whose
+/// memory is shorter than `2m`, fails the check.
 pub fn verify_permutation(perm: &[NodeId], m: usize, memories: &[Vec<u8>]) -> bool {
     perm.iter().enumerate().all(|(x, &dst)| {
-        if NodeId(x as u32) == dst {
-            return true;
-        }
-        memories[dst.index()][m..2 * m]
-            .iter()
-            .enumerate()
-            .all(|(k, &b)| b == crate::verify::stamp_byte(NodeId(x as u32), dst, k))
+        let src = NodeId(x as u32);
+        src == dst || check_slot(memories, dst.index(), m, m, src, dst).is_none()
     })
 }
 
@@ -351,6 +348,22 @@ mod tests {
         // Without the barrier overhead the scheduled rounds would win:
         let transfer_only = rounds * (95.0 + 0.394 * m as f64 + 10.3 * 6.0);
         assert!(transfer_only < t_naive, "rounds at circuit speed beat serialization");
+    }
+
+    #[test]
+    fn verifier_fails_on_missing_or_short_memories() {
+        let m = 8usize;
+        let perm = xor_perm(2, 3); // every node moves
+        let mut mems = vec![vec![0u8; 2 * m]; 4];
+        for (x, &dst) in perm.iter().enumerate() {
+            crate::verify::fill_block(&mut mems[dst.index()][m..], NodeId(x as u32), dst);
+        }
+        assert!(verify_permutation(&perm, m, &mems));
+        let mut short = mems.clone();
+        short[2].pop();
+        assert!(!verify_permutation(&perm, m, &short));
+        assert!(!verify_permutation(&perm, m, &mems[..3]));
+        assert!(verify_permutation(&perm, 0, &[]), "nothing to deliver at m = 0");
     }
 
     #[test]

@@ -12,10 +12,10 @@ use mce_model::{multiphase_time, MachineParams};
 use mce_simnet::{SimConfig, Simulator};
 use proptest::prelude::*;
 
-/// Random partition of a random d in 1..=7.
-fn arb_partition() -> impl Strategy<Value = Vec<u32>> {
-    (1u32..=7).prop_flat_map(|d| {
-        proptest::collection::vec(1u32..=7, 1..=d as usize).prop_map(move |mut parts| {
+/// Random partition of a random d in 1..=max_d.
+fn arb_partition_up_to(max_d: u32) -> impl Strategy<Value = Vec<u32>> {
+    (1u32..=max_d).prop_flat_map(move |d| {
+        proptest::collection::vec(1u32..=max_d, 1..=d as usize).prop_map(move |mut parts| {
             // Trim / pad to sum exactly d.
             let mut out = Vec::new();
             let mut left = d;
@@ -34,6 +34,11 @@ fn arb_partition() -> impl Strategy<Value = Vec<u32>> {
             out
         })
     })
+}
+
+/// Random partition of a random d in 1..=7.
+fn arb_partition() -> impl Strategy<Value = Vec<u32>> {
+    arb_partition_up_to(7)
 }
 
 proptest! {
@@ -57,6 +62,39 @@ proptest! {
             "dims {:?} m {}: sim {} model {}", dims, m, sim_us, predicted);
         prop_assert_eq!(result.stats.edge_contention_events, 0);
         prop_assert_eq!(result.stats.forced_drops, 0);
+    }
+
+    /// After a correct simulated exchange, swapping the contents of
+    /// any two distinct slots — same node or not — is reported as
+    /// exactly those two slots. (Below 8 bytes two blocks share their
+    /// bytes with probability 2^-8m; the cases drawn here, fixed by
+    /// the test's name, include none.)
+    #[test]
+    fn any_slot_swap_is_reported_as_exactly_two_mismatches(
+        dims in arb_partition_up_to(4),
+        m in 1usize..=64,
+        pick_a in 0usize..256,
+        pick_b in 0usize..255,
+    ) {
+        let d: u32 = dims.iter().sum();
+        let n = 1usize << d;
+        let programs = build_multiphase_programs(d, &dims, m);
+        let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, stamped_memories(d, m));
+        let mut memories = sim.run().unwrap().memories;
+        prop_assert_eq!(verify_complete_exchange(d, m, &memories), vec![]);
+        // Two distinct (node, slot) indices out of n².
+        let a = pick_a % (n * n);
+        let b = (a + 1 + pick_b % (n * n - 1)) % (n * n);
+        let block = |mems: &[Vec<u8>], i: usize| mems[i / n][(i % n) * m..][..m].to_vec();
+        let (block_a, block_b) = (block(&memories, a), block(&memories, b));
+        memories[a / n][(a % n) * m..][..m].copy_from_slice(&block_b);
+        memories[b / n][(b % n) * m..][..m].copy_from_slice(&block_a);
+        let mut reported: Vec<usize> = verify_complete_exchange(d, m, &memories)
+            .iter()
+            .map(|mm| mm.node.index() * n + mm.slot)
+            .collect();
+        reported.sort_unstable();
+        prop_assert_eq!(reported, vec![a.min(b), a.max(b)], "dims {:?} m {}", dims, m);
     }
 
     /// The untimed data executor produces byte-identical final

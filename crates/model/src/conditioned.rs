@@ -294,7 +294,7 @@ impl ConditionSummary {
     /// crossing the dimensions of `mask`: both directions of the pair
     /// run concurrently and the pair completes at the slower one, so
     /// the bandwidth bottleneck is the worst of `2·|mask|` link draws
-    /// — plus [`tuning::GATING_DRAWS`] phantom draws, because the
+    /// — plus `tuning::GATING_DRAWS` phantom draws, because the
     /// coupled schedule is gated by the slowest of many concurrent
     /// pairs, not an average one. Deterministic profiles (zero spread)
     /// reduce to the exact maximum of the per-dimension factors;
@@ -347,7 +347,7 @@ impl ConditionSummary {
     /// own conditioned transfer duration (the backlog a long step
     /// accumulates behind its held links drains before the next step).
     ///
-    /// Mechanism (constants in [`tuning`], calibrated against the
+    /// Mechanism (constants in `tuning`, calibrated against the
     /// engine — see `crates/simnet/tests/contention_calibration.rs`):
     /// a pair's circuit is *hit* when some link of its path is a
     /// stream-routed link in its busy phase; the coupled schedule

@@ -10,7 +10,7 @@
 //! model into a service:
 //!
 //! 1. **Condition fingerprints** — a query's
-//!    [`ConditionSummary`](mce_model::ConditionSummary) is quantized
+//!    [`ConditionSummary`] is quantized
 //!    into a stable integer key
 //!    ([`ConditionSummary::fingerprint`](mce_model::ConditionSummary::fingerprint),
 //!    ≈ 0.2% buckets, an order of magnitude under the model's own

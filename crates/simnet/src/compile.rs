@@ -1,7 +1,7 @@
 //! The program → engine compile pipeline.
 //!
 //! Before a run, every node's [`Op`] list is lowered into the flat
-//! [`Compiled`] tables the event loop executes: `(src, tag)` message
+//! `Compiled` tables the event loop executes: `(src, tag)` message
 //! keys become dense per-node slot indices, memory ranges become `u32`
 //! bounds, shuffle permutations become indices into one shared side
 //! table, and every `Send` carries the receiver-side slot it will
@@ -20,7 +20,7 @@
 //!    `Arc`-shared shuffle permutations by pointer identity in
 //!    first-reference order and validate each distinct one's content
 //!    exactly once. Ops then store a `u32` index into the resulting
-//!    side table ([`Compiled::perms`]), keeping [`CompiledOp`] `Copy`
+//!    side table (`Compiled::perms`), keeping `CompiledOp` `Copy`
 //!    and 32 bytes.
 //! 1. **Chunked lowering** (rayon-parallel): the node range is split
 //!    into one contiguous chunk per worker, and each chunk lowers its
@@ -28,7 +28,7 @@
 //!    one pooled slot-key/val table, and parallel send-fixup arrays
 //!    for the whole chunk — instead of thousands of per-node `Vec`s.
 //!    Slot tables are sorted key arrays (binary-searched by
-//!    [`slot_get`]); each node's own `PostRecv`s additionally get a
+//!    `slot_get`); each node's own `PostRecv`s additionally get a
 //!    post-ordinal → slot array so lowering them never searches.
 //! 2. **Concatenation**: a prefix-sum over the chunk buffer lengths
 //!    builds the flat `ops`/`segs` allocations in node-index order —
@@ -44,7 +44,7 @@
 //!
 //! # Determinism and error selection
 //!
-//! The retained sequential reference ([`compile_reference`], the old
+//! The retained sequential reference (`compile_reference`, the old
 //! single-walk implementation) reports the *first* error in node-major,
 //! op-minor, check order. The parallel pipeline reproduces that choice
 //! exactly: every node reports its own earliest error, the prescan
@@ -61,7 +61,7 @@
 //!
 //! `SimBatch` runs one [`crate::SimArena`] per worker, and every worker
 //! used to compile a shared program set once per *arena*. The shared
-//! cache ([`shared_compiled_for`]) makes it once per *process*: a
+//! cache (`shared_compiled_for`) makes it once per *process*: a
 //! sharded `Mutex` map keyed on program-set `Arc` identity + memory
 //! lengths, holding the `Arc<Vec<Program>>` alive so pointer identity
 //! cannot be recycled while an entry lives. A miss compiles **under

@@ -12,7 +12,7 @@
 //! winner (best-partition) agreement.
 //!
 //! * [`condition_summary`] compresses a [`SimConfig`]'s
-//!   [`NetCondition`](crate::NetCondition) into the per-dimension
+//!   [`NetCondition`] into the per-dimension
 //!   [`ConditionSummary`] the model prices against: resolved link
 //!   speeds folded per dimension, background streams folded into
 //!   per-dimension contention loads (route, occupancy duration under
@@ -49,7 +49,7 @@ use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Extract the per-dimension [`ConditionSummary`] of a configuration:
-/// the model-side view of the config's [`NetCondition`](crate::NetCondition)
+/// the model-side view of the config's [`NetCondition`]
 /// (or a no-op summary when the config is unconditioned).
 ///
 /// Link-speed distributions come from

@@ -13,7 +13,7 @@
 //! property suite in this repository, so its inner loop avoids
 //! per-event allocation and rescanning:
 //!
-//! * **Compiled programs** — before the run, each node's [`Op`] list
+//! * **Compiled programs** — before the run, each node's [`Op`](crate::Op) list
 //!   is compiled once: every `(src, tag)` message key is resolved to a
 //!   dense per-node *slot index* (receives are posted at most once per
 //!   key, so a slot is a single-use cell holding the posted range, the

@@ -5,7 +5,7 @@
 //! (`bluecrab`, 32 nodes at ICASE, and `lagrange`, 128 nodes at
 //! NASA-Ames). That hardware is long gone, so this crate substitutes a
 //! simulator that reproduces the *mechanisms* the paper's timing model
-//! abstracts (see DESIGN.md):
+//! abstracts (the model itself is the `mce_model` crate):
 //!
 //! * **circuits**: a transmission holds every directed link of its
 //!   e-cube path for its entire duration (`λ + τm + δh` µs); a circuit

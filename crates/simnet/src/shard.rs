@@ -97,7 +97,7 @@
 //!
 //! Sharding engages only where that argument holds: circuit
 //! switching, zero jitter, no network conditions, tracing off (see
-//! [`eligible`]). Everything else — store-and-forward, jittered or
+//! `eligible`). Everything else — store-and-forward, jittered or
 //! conditioned runs — takes the sequential path unchanged. Two
 //! documented blemishes remain on *failed* runs: deadlock reports may
 //! name shard-local transmission ids, and when several shards fail in
