@@ -33,6 +33,13 @@
 //! / [`conditioned_optimality_hull`], and the store-and-forward
 //! variants.
 //!
+//! What a step contributes splits into *terms* that depend on its mask
+//! alone and the machine and block size that multiply them. One kernel
+//! computes the terms; a pricing reads them either straight from the
+//! summary, one pass per mask (a one-off evaluation), or from a
+//! [`StepTable`] that holds every mask's terms (anything that prices
+//! many partitions under one condition) — see [`StepSource`].
+//!
 //! Two contracts anchor the module (both enforced by the property and
 //! conformance suites):
 //!
@@ -277,17 +284,26 @@ impl ConditionSummary {
         ConditionFingerprint::new(self.dimension(), words)
     }
 
+    /// The m-independent terms of the schedule step with XOR mask
+    /// `mask` when `concurrency` pairs transmit at once: the one pass
+    /// over the mask's dimensions, in ascending order, behind the four
+    /// public accessors below and every conditioned pricing.
+    fn step_terms(&self, mask: u32, concurrency: u32) -> steps::StepTerms {
+        let mut acc = steps::StepAcc::EMPTY;
+        let mut m = mask;
+        while m != 0 {
+            let k = m.trailing_zeros() as usize;
+            m &= m - 1;
+            acc = acc.with_dim(&self.factors[k], &self.contention[k]);
+        }
+        acc.finish(concurrency)
+    }
+
     /// Expected `Σ f_i` over the links of one circuit crossing the
     /// dimensions of `mask` (the engine's per-hop switching-delay
     /// stretch; per-dimension means are exact in expectation).
     pub fn sum_factor(&self, mask: u32) -> f64 {
-        let mut sum = 0.0;
-        let mut m = mask;
-        while m != 0 {
-            sum += self.factors[m.trailing_zeros() as usize].mean;
-            m &= m - 1;
-        }
-        sum
+        self.step_terms(mask, 1).sum_factor
     }
 
     /// Expected `max f_i` over the links of a *pairwise exchange*
@@ -301,24 +317,7 @@ impl ConditionSummary {
     /// spread profiles add the uniform order-statistic correction
     /// `spread · j/(j+1)` above the pooled minimum.
     pub fn max_factor(&self, mask: u32) -> f64 {
-        let hops = mask.count_ones();
-        if hops == 0 {
-            return 1.0;
-        }
-        let (mut max_mean, mut pool_min, mut pool_max) = (0.0f64, 0.0f64, 0.0f64);
-        let mut m = mask;
-        while m != 0 {
-            let f = &self.factors[m.trailing_zeros() as usize];
-            m &= m - 1;
-            max_mean = max_mean.max(f.mean);
-            pool_min += f.min;
-            pool_max += f.max;
-        }
-        pool_min /= hops as f64;
-        pool_max /= hops as f64;
-        let draws = (2 * hops) as f64 + tuning::GATING_DRAWS;
-        let order_stat = pool_min + (pool_max - pool_min) * draws / (draws + 1.0);
-        order_stat.max(max_mean)
+        self.step_terms(mask, 1).max_factor
     }
 
     /// Scale of the factor spread along one circuit crossing the
@@ -326,18 +325,7 @@ impl ConditionSummary {
     /// `√hops`-scaled (per-direction sums of independent draws drift
     /// apart like a random walk). Zero for deterministic profiles.
     pub fn spread_scale(&self, mask: u32) -> f64 {
-        let hops = mask.count_ones();
-        if hops == 0 {
-            return 0.0;
-        }
-        let mut spread = 0.0f64;
-        let mut m = mask;
-        while m != 0 {
-            let f = &self.factors[m.trailing_zeros() as usize];
-            m &= m - 1;
-            spread += f.max - f.min;
-        }
-        spread / hops as f64 * (hops as f64).sqrt()
+        self.step_terms(mask, 1).spread_scale
     }
 
     /// Expected contention delay one schedule step adds, µs. `mask`
@@ -367,32 +355,7 @@ impl ConditionSummary {
     /// the summary deliberately does not model; see the accuracy
     /// envelope in `crates/model/README.md`.
     pub fn step_delay_us(&self, mask: u32, concurrency: u32, step_us: f64) -> f64 {
-        let mut miss_pair = 1.0f64; // P(one path sees no busy stream link)
-        let mut weight = 0.0f64;
-        let mut busy_weighted = 0.0f64;
-        let mut util_weighted = 0.0f64;
-        let mut m = mask;
-        while m != 0 {
-            let c = &self.contention[m.trailing_zeros() as usize];
-            m &= m - 1;
-            if c.is_idle() {
-                continue;
-            }
-            let duty = (c.util * tuning::UTIL_SATURATION).min(1.0);
-            let hit = c.touch * duty;
-            miss_pair *= 1.0 - hit;
-            weight += hit;
-            busy_weighted += hit * c.busy_us;
-            util_weighted += hit * c.util;
-        }
-        if weight == 0.0 {
-            return 0.0;
-        }
-        let busy = busy_weighted / weight;
-        let util = (util_weighted / weight).min(tuning::UTIL_CAP);
-        // P(at least one of `concurrency` independent paths is hit).
-        let any_hit = 1.0 - miss_pair.powi(concurrency as i32);
-        any_hit * (tuning::RESIDUAL * busy + tuning::BACKLOG * util / (1.0 - util) * step_us)
+        self.step_terms(mask, concurrency).delay_us(step_us)
     }
 }
 
@@ -486,23 +449,330 @@ impl ConditionFingerprint {
     }
 }
 
+/// The m-independent part of a schedule step — the step's *terms* —
+/// as a value computed once per `(condition, mask)`, and the two
+/// places a pricing can read it from.
+mod steps {
+    use super::{tuning, ConditionSummary, DimContention, DimFactor};
+
+    /// Everything pricing one step needs to know about its XOR mask;
+    /// the block size and the machine enter only when the terms are
+    /// priced. 56 bytes.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct StepTerms {
+        /// See [`ConditionSummary::max_factor`].
+        pub max_factor: f64,
+        /// See [`ConditionSummary::sum_factor`].
+        pub sum_factor: f64,
+        /// See [`ConditionSummary::spread_scale`].
+        pub spread_scale: f64,
+        /// `None` when no stream touches a dimension of the mask.
+        contention: Option<Contention>,
+    }
+
+    /// The contention triple of [`ConditionSummary::step_delay_us`].
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct Contention {
+        /// P(at least one of the concurrent paths is hit).
+        any_hit: f64,
+        /// Residual of the occupancy the step ran into, µs.
+        residual_us: f64,
+        /// Backlog drain per µs of the step's own duration.
+        backlog: f64,
+    }
+
+    impl StepTerms {
+        /// See [`ConditionSummary::step_delay_us`].
+        pub fn delay_us(&self, step_us: f64) -> f64 {
+            match self.contention {
+                None => 0.0,
+                Some(c) => c.any_hit * (c.residual_us + c.backlog * step_us),
+            }
+        }
+    }
+
+    /// Running sums over the dimensions of a mask, folded one
+    /// dimension at a time in ascending order. A mask's accumulator is
+    /// the accumulator of the mask without its top bit, folded with
+    /// that dimension — which is how [`StepTable`] fills itself, and
+    /// why a tabled term is bit-equal to one computed on the fly.
+    #[derive(Clone, Copy)]
+    pub struct StepAcc {
+        hops: u32,
+        max_mean: f64,
+        sum_mean: f64,
+        sum_min: f64,
+        sum_max: f64,
+        sum_spread: f64,
+        /// P(one path sees no busy stream link).
+        miss_pair: f64,
+        weight: f64,
+        busy_weighted: f64,
+        util_weighted: f64,
+    }
+
+    impl StepAcc {
+        /// The accumulator of the empty mask.
+        pub const EMPTY: StepAcc = StepAcc {
+            hops: 0,
+            max_mean: 0.0,
+            sum_mean: 0.0,
+            sum_min: 0.0,
+            sum_max: 0.0,
+            sum_spread: 0.0,
+            miss_pair: 1.0,
+            weight: 0.0,
+            busy_weighted: 0.0,
+            util_weighted: 0.0,
+        };
+
+        /// Fold one more dimension in.
+        pub fn with_dim(mut self, f: &DimFactor, c: &DimContention) -> StepAcc {
+            self.hops += 1;
+            self.max_mean = self.max_mean.max(f.mean);
+            self.sum_mean += f.mean;
+            self.sum_min += f.min;
+            self.sum_max += f.max;
+            self.sum_spread += f.max - f.min;
+            if !c.is_idle() {
+                let duty = (c.util * tuning::UTIL_SATURATION).min(1.0);
+                let hit = c.touch * duty;
+                self.miss_pair *= 1.0 - hit;
+                self.weight += hit;
+                self.busy_weighted += hit * c.busy_us;
+                self.util_weighted += hit * c.util;
+            }
+            self
+        }
+
+        /// Close the sums into terms for `concurrency` simultaneous
+        /// transmissions.
+        pub fn finish(&self, concurrency: u32) -> StepTerms {
+            if self.hops == 0 {
+                return StepTerms {
+                    max_factor: 1.0,
+                    sum_factor: 0.0,
+                    spread_scale: 0.0,
+                    contention: None,
+                };
+            }
+            let hops = self.hops as f64;
+            let pool_min = self.sum_min / hops;
+            let pool_max = self.sum_max / hops;
+            let draws = (2 * self.hops) as f64 + tuning::GATING_DRAWS;
+            let order_stat = pool_min + (pool_max - pool_min) * draws / (draws + 1.0);
+            let contention = (self.weight != 0.0).then(|| {
+                let busy = self.busy_weighted / self.weight;
+                let util = (self.util_weighted / self.weight).min(tuning::UTIL_CAP);
+                Contention {
+                    any_hit: 1.0 - self.miss_pair.powi(concurrency as i32),
+                    residual_us: tuning::RESIDUAL * busy,
+                    backlog: tuning::BACKLOG * util / (1.0 - util),
+                }
+            });
+            StepTerms {
+                max_factor: order_stat.max(self.max_mean),
+                sum_factor: self.sum_mean,
+                spread_scale: self.sum_spread / hops * hops.sqrt(),
+                contention,
+            }
+        }
+    }
+
+    /// Where a pricing reads step terms from (the methods behind the
+    /// public, sealed [`super::StepSource`]).
+    pub trait Source {
+        /// The condition being priced.
+        fn summary(&self) -> &ConditionSummary;
+        /// [`ConditionSummary::is_noop`] of that condition.
+        fn is_noop(&self) -> bool;
+        /// Terms of the step with XOR mask `mask`, all `2^d` nodes
+        /// transmitting.
+        fn step(&self, mask: u32) -> StepTerms;
+    }
+
+    impl Source for ConditionSummary {
+        fn summary(&self) -> &ConditionSummary {
+            self
+        }
+
+        fn is_noop(&self) -> bool {
+            ConditionSummary::is_noop(self)
+        }
+
+        fn step(&self, mask: u32) -> StepTerms {
+            self.step_terms(mask, 1 << self.dimension())
+        }
+    }
+
+    /// Every step's terms of one condition, priced once: `2^d` entries
+    /// of 56 bytes (57 KB at d10, 3.6 MB at d16), indexed by XOR mask.
+    ///
+    /// A single conditioned evaluation walks `Σ 2^di` masks and is
+    /// cheapest computing each on the fly from the
+    /// [`ConditionSummary`]. Anything that prices *many* partitions
+    /// under one condition — a best-partition fold, a hull — revisits
+    /// the same masks over and over (≈ 6 600 steps over 1 023 distinct
+    /// masks for a d10 hull); build a table once, pass it wherever a
+    /// summary is accepted ([`super::StepSource`]), drop it when done.
+    /// Every price is bit-equal to the one the summary itself yields.
+    #[derive(Debug, Clone)]
+    pub struct StepTable<'c> {
+        summary: &'c ConditionSummary,
+        /// Empty for a no-op summary, whose pricings short-circuit to
+        /// the unconditioned model and never ask for a step.
+        steps: Vec<StepTerms>,
+    }
+
+    impl<'c> StepTable<'c> {
+        /// Price every mask of `summary`'s cube. Allocates `56 · 2^d`
+        /// bytes: bound `d` first when it comes from outside (the
+        /// planner does, at `mce_hypercube::MAX_DIMENSION`).
+        pub fn new(summary: &'c ConditionSummary) -> StepTable<'c> {
+            let mut steps = Vec::new();
+            if !summary.is_noop() {
+                let d = summary.dimension();
+                steps.resize(1usize << d, StepAcc::EMPTY.finish(0));
+                fill(summary, 1 << d, StepAcc::EMPTY, 0, 0, &mut steps);
+            }
+            StepTable { summary, steps }
+        }
+    }
+
+    /// Write the terms of `mask` (accumulated in `acc`, all bits below
+    /// `from`) and of every mask that extends it upward: depth-first,
+    /// so each accumulator is folded once and lives on the stack.
+    fn fill(
+        summary: &ConditionSummary,
+        concurrency: u32,
+        acc: StepAcc,
+        mask: u32,
+        from: usize,
+        out: &mut [StepTerms],
+    ) {
+        out[mask as usize] = acc.finish(concurrency);
+        for k in from..summary.factors.len() {
+            let next = acc.with_dim(&summary.factors[k], &summary.contention[k]);
+            fill(summary, concurrency, next, mask | 1 << k, k + 1, out);
+        }
+    }
+
+    impl Source for StepTable<'_> {
+        fn summary(&self) -> &ConditionSummary {
+            self.summary
+        }
+
+        fn is_noop(&self) -> bool {
+            self.steps.is_empty()
+        }
+
+        fn step(&self, mask: u32) -> StepTerms {
+            self.steps[mask as usize]
+        }
+    }
+}
+
+pub use steps::StepTable;
+use steps::{Source as _, StepTerms};
+
+/// What a conditioned pricing accepts as its condition: the
+/// [`ConditionSummary`] itself, which computes each step's terms as
+/// the pricing reaches it (right for a one-off evaluation), or a
+/// [`StepTable`] built from it (right when many partitions are priced
+/// under one condition). Both yield bit-identical prices; the trait is
+/// sealed.
+pub trait StepSource: steps::Source {}
+
+impl StepSource for ConditionSummary {}
+impl StepSource for StepTable<'_> {}
+
 /// Price one circuit-switched schedule step: a pairwise exchange of
-/// `bytes` over the dimensions of `mask`, with pairwise-sync overhead
-/// when the machine uses it, plus the expected contention delay.
-fn conditioned_step_us(
+/// `bytes` over a mask with the given terms, with pairwise-sync
+/// overhead when the machine uses it, plus the expected contention
+/// delay.
+fn circuit_step_us(p: &MachineParams, bytes: f64, terms: &StepTerms) -> f64 {
+    let transfer = p.lambda_eff()
+        + p.tau * bytes * terms.max_factor
+        + p.delta_eff() * terms.sum_factor
+        + tuning::DESYNC * p.delta_eff() * terms.spread_scale;
+    // The sync and data acquisitions are back to back on the same
+    // links, so a step waits on the background at most once.
+    transfer + terms.delay_us(transfer)
+}
+
+/// One conditioned store-and-forward schedule step: the step's message
+/// is received and retransmitted at every hop, so each dimension of
+/// `mask` is a full `λ + τ·m·f + δ·f` transfer at that dimension's
+/// mean factor (no path maximum — hops don't share a circuit), with
+/// sync messages likewise forwarded per hop. The per-hop sum stays a
+/// loop of its own: its `bytes` term sits inside it, so tabling it
+/// would re-associate the floats.
+fn saf_step_us(
     p: &MachineParams,
     bytes: f64,
     mask: u32,
     cond: &ConditionSummary,
-    concurrency: u32,
+    terms: &StepTerms,
 ) -> f64 {
-    let transfer = p.lambda_eff()
-        + p.tau * bytes * cond.max_factor(mask)
-        + p.delta_eff() * cond.sum_factor(mask)
-        + tuning::DESYNC * p.delta_eff() * cond.spread_scale(mask);
-    // The sync and data acquisitions are back to back on the same
-    // links, so a step waits on the background at most once.
-    transfer + cond.step_delay_us(mask, concurrency, transfer)
+    let mut transfer = 0.0;
+    let mut m = mask;
+    while m != 0 {
+        let f = &cond.factors[m.trailing_zeros() as usize];
+        m &= m - 1;
+        let f_tau = f.mean + tuning::SAF_TAU_SPREAD * (f.max - f.min);
+        transfer += p.lambda + p.tau * bytes * f_tau + p.delta * f.mean;
+        if p.pairwise_sync {
+            transfer += p.lambda_zero + p.delta * f.mean;
+        }
+    }
+    // Heterogeneous per-direction hop times desynchronize the pair and
+    // the NIC window serializes part of the overlap, as in the
+    // circuit-switched step.
+    transfer += tuning::DESYNC * p.delta_eff() * terms.spread_scale;
+    transfer + terms.delay_us(transfer)
+}
+
+/// The one phase summation behind every conditioned multiphase
+/// pricing: the partial exchange on dimensions `lo .. lo + di` of a
+/// `d`-cube, its `2^di - 1` steps priced by `step(bytes, mask, terms)`
+/// with terms read from `src`, plus the shuffle and the barrier.
+fn phase_us<S: StepSource>(
+    p: &MachineParams,
+    m: f64,
+    lo: u32,
+    di: u32,
+    d: u32,
+    src: &S,
+    step: impl Fn(f64, u32, &StepTerms) -> f64,
+) -> f64 {
+    let meff = crate::effective_block_size(m, di, d);
+    let mut t = 0.0;
+    for j in 1u32..(1 << di) {
+        let mask = j << lo;
+        t += step(meff, mask, &src.step(mask));
+    }
+    if di < d {
+        t += p.shuffle_time(m * (1u64 << d) as f64);
+    }
+    t + p.barrier_time(d)
+}
+
+/// The phases of partition `dims`, laid out top-down, summed.
+fn phases_us<S: StepSource>(
+    p: &MachineParams,
+    m: f64,
+    d: u32,
+    dims: &[u32],
+    src: &S,
+    step: impl Fn(f64, u32, &StepTerms) -> f64,
+) -> f64 {
+    let mut hi = d;
+    let mut t = 0.0;
+    for &di in dims {
+        hi -= di;
+        t += phase_us(p, m, hi, di, d, src, &step);
+    }
+    t
 }
 
 /// Conditioned analogue of [`crate::partial_exchange_time`] (Eq. 3):
@@ -524,16 +794,14 @@ pub fn conditioned_partial_exchange_time(
     if cond.is_noop() {
         return crate::partial_exchange_time(p, m, di, d);
     }
-    let meff = crate::effective_block_size(m, di, d);
-    let concurrency = 1u32 << d;
-    let mut t = 0.0;
-    for j in 1u32..(1 << di) {
-        t += conditioned_step_us(p, meff, j << lo, cond, concurrency);
-    }
-    if di < d {
-        t += p.shuffle_time(m * (1u64 << d) as f64);
-    }
-    t + p.barrier_time(d)
+    phase_us(p, m, lo, di, d, cond, |bytes, _, terms| circuit_step_us(p, bytes, terms))
+}
+
+/// Check a partition and a condition against the cube they price.
+fn check_plan<S: StepSource>(d: u32, dims: &[u32], cond: &S) {
+    let total: u32 = dims.iter().sum();
+    assert_eq!(total, d, "partition {dims:?} does not sum to dimension {d}");
+    assert_eq!(cond.summary().dimension(), d, "summary dimension mismatch");
 }
 
 /// Conditioned analogue of [`crate::multiphase_time`]: the full
@@ -545,24 +813,61 @@ pub fn conditioned_partial_exchange_time(
 /// with the same layout the program builder uses (`mce-core`): phase 1
 /// routes the **top** `dims[0]` bits, phase 2 the next field down, and
 /// so on.
-pub fn conditioned_multiphase_time(
+///
+/// `cond` is the [`ConditionSummary`] for a one-off evaluation, or a
+/// [`StepTable`] of it when many partitions are priced under one
+/// condition; the result is the same bit for bit.
+pub fn conditioned_multiphase_time<S: StepSource>(
     p: &MachineParams,
     m: f64,
     d: u32,
     dims: &[u32],
-    cond: &ConditionSummary,
+    cond: &S,
 ) -> f64 {
-    let total: u32 = dims.iter().sum();
-    assert_eq!(total, d, "partition {dims:?} does not sum to dimension {d}");
-    assert_eq!(cond.dimension(), d, "summary dimension mismatch");
+    check_plan(d, dims, cond);
     if cond.is_noop() {
         return multiphase_time(p, m, d, dims);
     }
-    let mut hi = d;
-    let mut t = 0.0;
-    for &di in dims {
-        hi -= di;
-        t += conditioned_partial_exchange_time(p, m, hi, di, d, cond);
+    phases_us(p, m, d, dims, cond, |bytes, _, terms| circuit_step_us(p, bytes, terms))
+}
+
+/// Raw Eq. (1) under `cond` at each block size of `ms`: every
+/// dimension's terms are computed once and priced at all the sizes.
+fn standard_exchange_us<const N: usize>(
+    p: &MachineParams,
+    ms: [f64; N],
+    d: u32,
+    cond: &ConditionSummary,
+) -> [f64; N] {
+    let half_n = (1u64 << (d - 1)) as f64;
+    let mut t = [0.0; N];
+    for k in 0..d {
+        let terms = cond.step(1 << k);
+        for (t, m) in t.iter_mut().zip(ms) {
+            let transfer = p.lambda
+                + (p.tau * terms.max_factor + 2.0 * p.rho) * m * half_n
+                + p.delta * terms.sum_factor;
+            *t += transfer + terms.delay_us(transfer);
+        }
+    }
+    t
+}
+
+/// Raw Eq. (2) under `cond` at each block size of `ms`, one pass over
+/// the `2^d - 1` masks.
+fn optimal_cs_us<const N: usize>(
+    p: &MachineParams,
+    ms: [f64; N],
+    d: u32,
+    cond: &ConditionSummary,
+) -> [f64; N] {
+    let mut t = [0.0; N];
+    for j in 1u32..(1 << d) {
+        let terms = cond.step(j);
+        for (t, m) in t.iter_mut().zip(ms) {
+            let transfer = p.lambda + p.tau * m * terms.max_factor + p.delta * terms.sum_factor;
+            *t += transfer + terms.delay_us(transfer);
+        }
     }
     t
 }
@@ -582,17 +887,7 @@ pub fn conditioned_standard_exchange_time(
     if cond.is_noop() {
         return standard_exchange_time(p, m, d);
     }
-    let half_n = (1u64 << (d - 1)) as f64;
-    let concurrency = 1u32 << d;
-    let mut t = 0.0;
-    for k in 0..d {
-        let mask = 1u32 << k;
-        let transfer = p.lambda
-            + (p.tau * cond.max_factor(mask) + 2.0 * p.rho) * m * half_n
-            + p.delta * cond.sum_factor(mask);
-        t += transfer + cond.step_delay_us(mask, concurrency, transfer);
-    }
-    t
+    standard_exchange_us(p, [m], d, cond)[0]
 }
 
 /// Conditioned analogue of raw Eq. (2): the Optimal Circuit Switched
@@ -609,13 +904,7 @@ pub fn conditioned_optimal_cs_time(
     if cond.is_noop() {
         return optimal_cs_time(p, m, d);
     }
-    let concurrency = 1u32 << d;
-    let mut t = 0.0;
-    for j in 1u32..(1 << d) {
-        let transfer = p.lambda + p.tau * m * cond.max_factor(j) + p.delta * cond.sum_factor(j);
-        t += transfer + cond.step_delay_us(j, concurrency, transfer);
-    }
-    t
+    optimal_cs_us(p, [m], d, cond)[0]
 }
 
 /// Whether Standard Exchange is predicted to beat Optimal Circuit
@@ -656,10 +945,10 @@ pub fn conditioned_crossover_block_size(p: &MachineParams, d: u32, cond: &Condit
     if cond.is_noop() {
         return crossover_block_size(p, d);
     }
-    let se0 = conditioned_standard_exchange_time(p, 0.0, d, cond);
-    let se_slope = conditioned_standard_exchange_time(p, 1.0, d, cond) - se0;
-    let ocs0 = conditioned_optimal_cs_time(p, 0.0, d, cond);
-    let ocs_slope = conditioned_optimal_cs_time(p, 1.0, d, cond) - ocs0;
+    // Both samples of a line come from one pass over its masks.
+    let [se0, se1] = standard_exchange_us(p, [0.0, 1.0], d, cond);
+    let [ocs0, ocs1] = optimal_cs_us(p, [0.0, 1.0], d, cond);
+    let (se_slope, ocs_slope) = (se1 - se0, ocs1 - ocs0);
     if se_slope <= ocs_slope {
         // Standard's per-byte cost no longer exceeds Optimal's: the
         // lines diverge or run parallel, so whoever is at or below the
@@ -672,16 +961,18 @@ pub fn conditioned_crossover_block_size(p: &MachineParams, d: u32, cond: &Condit
 }
 
 /// Conditioned analogue of [`crate::best_partition`]: exhaustive
-/// enumeration under [`conditioned_multiphase_time`]. Partitions are
-/// priced in canonical (non-increasing) part order, matching the
-/// layout `mce-core` builds programs with.
+/// enumeration under [`conditioned_multiphase_time`], every partition
+/// priced from one [`StepTable`]. Partitions are priced in canonical
+/// (non-increasing) part order, matching the layout `mce-core` builds
+/// programs with.
 pub fn conditioned_best_partition(
     p: &MachineParams,
     m: f64,
     d: u32,
     cond: &ConditionSummary,
 ) -> (Partition, f64) {
-    best_partition_by(d, |part| conditioned_multiphase_time(p, m, d, part.parts(), cond))
+    let table = StepTable::new(cond);
+    best_partition_by(d, |part| conditioned_multiphase_time(p, m, d, part.parts(), &table))
 }
 
 /// Conditioned analogue of [`crate::optimality_hull`]: the best
@@ -695,39 +986,10 @@ pub fn conditioned_optimality_hull(
     step: f64,
     cond: &ConditionSummary,
 ) -> Vec<HullFace> {
+    let table = StepTable::new(cond);
     optimality_hull_by(d, m_max, step, |m, part| {
-        conditioned_multiphase_time(p, m, d, part.parts(), cond)
+        conditioned_multiphase_time(p, m, d, part.parts(), &table)
     })
-}
-
-/// One conditioned store-and-forward schedule step: the step's message
-/// is received and retransmitted at every hop, so each dimension of
-/// `mask` is a full `λ + τ·m·f + δ·f` transfer at that dimension's
-/// mean factor (no path maximum — hops don't share a circuit), with
-/// sync messages likewise forwarded per hop.
-fn conditioned_saf_step_us(
-    p: &MachineParams,
-    bytes: f64,
-    mask: u32,
-    cond: &ConditionSummary,
-    concurrency: u32,
-) -> f64 {
-    let mut transfer = 0.0;
-    let mut m = mask;
-    while m != 0 {
-        let f = &cond.factors[m.trailing_zeros() as usize];
-        m &= m - 1;
-        let f_tau = f.mean + tuning::SAF_TAU_SPREAD * (f.max - f.min);
-        transfer += p.lambda + p.tau * bytes * f_tau + p.delta * f.mean;
-        if p.pairwise_sync {
-            transfer += p.lambda_zero + p.delta * f.mean;
-        }
-    }
-    // Heterogeneous per-direction hop times desynchronize the pair and
-    // the NIC window serializes part of the overlap, as in the
-    // circuit-switched step.
-    transfer += tuning::DESYNC * p.delta_eff() * cond.spread_scale(mask);
-    transfer + cond.step_delay_us(mask, concurrency, transfer)
 }
 
 /// Conditioned analogue of `partial_exchange_saf_time`: one partial
@@ -745,42 +1007,26 @@ pub fn conditioned_partial_exchange_saf_time(
     if cond.is_noop() {
         return crate::saf::partial_exchange_saf_time(p, m, di, d);
     }
-    let meff = crate::effective_block_size(m, di, d);
-    let concurrency = 1u32 << d;
-    let mut t = 0.0;
-    for j in 1u32..(1 << di) {
-        t += conditioned_saf_step_us(p, meff, j << lo, cond, concurrency);
-    }
-    if di < d {
-        t += p.shuffle_time(m * (1u64 << d) as f64);
-    }
-    t + p.barrier_time(d)
+    phase_us(p, m, lo, di, d, cond, |bytes, mask, terms| saf_step_us(p, bytes, mask, cond, terms))
 }
 
 /// Conditioned analogue of [`crate::multiphase_saf_time`]: the full
 /// multiphase complete exchange under store and forward on a degraded
-/// cube, phases laid out top-down like
-/// [`conditioned_multiphase_time`].
-pub fn conditioned_multiphase_saf_time(
+/// cube, phases laid out top-down and `cond` read like
+/// [`conditioned_multiphase_time`] does.
+pub fn conditioned_multiphase_saf_time<S: StepSource>(
     p: &MachineParams,
     m: f64,
     d: u32,
     dims: &[u32],
-    cond: &ConditionSummary,
+    cond: &S,
 ) -> f64 {
-    let total: u32 = dims.iter().sum();
-    assert_eq!(total, d, "partition {dims:?} does not sum to {d}");
-    assert_eq!(cond.dimension(), d, "summary dimension mismatch");
+    check_plan(d, dims, cond);
     if cond.is_noop() {
         return multiphase_saf_time(p, m, d, dims);
     }
-    let mut hi = d;
-    let mut t = 0.0;
-    for &di in dims {
-        hi -= di;
-        t += conditioned_partial_exchange_saf_time(p, m, hi, di, d, cond);
-    }
-    t
+    let summary = cond.summary();
+    phases_us(p, m, d, dims, cond, |bytes, mask, terms| saf_step_us(p, bytes, mask, summary, terms))
 }
 
 /// Conditioned analogue of [`crate::best_saf_partition`].
@@ -790,7 +1036,8 @@ pub fn conditioned_best_saf_partition(
     d: u32,
     cond: &ConditionSummary,
 ) -> (Partition, f64) {
-    best_partition_by(d, |part| conditioned_multiphase_saf_time(p, m, d, part.parts(), cond))
+    let table = StepTable::new(cond);
+    best_partition_by(d, |part| conditioned_multiphase_saf_time(p, m, d, part.parts(), &table))
 }
 
 #[cfg(test)]
@@ -883,6 +1130,31 @@ mod tests {
         assert!((cond.max_factor(0b01) - 3.4).abs() < 1e-12);
         // sum over both dims: 2.5 + 1.0.
         assert!((cond.sum_factor(0b11) - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn step_table_holds_the_kernel_terms_of_every_mask() {
+        assert_eq!(std::mem::size_of::<StepTerms>(), 56, "the size the docs quote");
+        let d = 6u32;
+        let factors: Vec<f64> =
+            (0..(1usize << d) * d as usize).map(|i| 1.0 + (i % 11) as f64 / 8.0).collect();
+        let mut cond = ConditionSummary::from_link_factors(d, &factors);
+        cond.add_stream(0b101101, 314.0, 600.0);
+        cond.add_stream(0b000110, 90.0, 1500.0);
+        let table = StepTable::new(&cond);
+        for mask in 0..(1u32 << d) {
+            assert_eq!(table.step(mask), cond.step_terms(mask, 1 << d), "mask {mask:#b}");
+        }
+        // The accessors are views of the same terms.
+        let terms = cond.step_terms(0b101100, 1 << d);
+        assert_eq!(terms.max_factor, cond.max_factor(0b101100));
+        assert_eq!(terms.sum_factor, cond.sum_factor(0b101100));
+        assert_eq!(terms.spread_scale, cond.spread_scale(0b101100));
+        assert_eq!(terms.delay_us(250.0), cond.step_delay_us(0b101100, 1 << d, 250.0));
+        assert!(terms.delay_us(250.0) > 0.0);
+        // The empty mask prices nothing.
+        assert_eq!((cond.max_factor(0), cond.sum_factor(0), cond.spread_scale(0)), (1.0, 0.0, 0.0));
+        assert_eq!(cond.step_delay_us(0, 1 << d, 250.0), 0.0);
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub use conditioned::{
     conditioned_optimality_hull, conditioned_partial_exchange_saf_time,
     conditioned_partial_exchange_time, conditioned_standard_exchange_time,
     conditioned_standard_wins, ConditionFingerprint, ConditionSummary, DimContention, DimFactor,
-    FINGERPRINT_MANTISSA_BITS,
+    StepSource, StepTable, FINGERPRINT_MANTISSA_BITS,
 };
 pub use crossover::{crossover_block_size, standard_wins};
 pub use hull::{

@@ -8,16 +8,20 @@
 //!   both sides;
 //! * every `conditioned_*` function under a no-op condition is
 //!   **bit-equal** to its unconditioned counterpart — the model-side
-//!   mirror of the engine guarantee pinned by `netcond_properties`.
+//!   mirror of the engine guarantee pinned by `netcond_properties`;
+//! * pricing from a `StepTable` is **bit-equal** to pricing from the
+//!   summary it was built from, for every partition, both switching
+//!   disciplines and the best-partition fold.
 
 use mce_model::conditioned::ConditionSummary;
 use mce_model::{
-    best_partition, conditioned_best_partition, conditioned_crossover_block_size,
-    conditioned_multiphase_saf_time, conditioned_multiphase_time, conditioned_optimal_cs_time,
-    conditioned_partial_exchange_saf_time, conditioned_partial_exchange_time,
-    conditioned_standard_exchange_time, conditioned_standard_wins, crossover_block_size,
-    multiphase_saf_time, multiphase_time, optimal_cs_time, partial_exchange_time,
-    standard_exchange_time, standard_wins, MachineParams,
+    best_partition, best_partition_by, conditioned_best_partition, conditioned_best_saf_partition,
+    conditioned_crossover_block_size, conditioned_multiphase_saf_time, conditioned_multiphase_time,
+    conditioned_optimal_cs_time, conditioned_partial_exchange_saf_time,
+    conditioned_partial_exchange_time, conditioned_standard_exchange_time,
+    conditioned_standard_wins, crossover_block_size, multiphase_saf_time, multiphase_time,
+    optimal_cs_time, partial_exchange_time, standard_exchange_time, standard_wins, MachineParams,
+    StepTable,
 };
 use mce_partitions::partitions;
 use proptest::prelude::*;
@@ -214,5 +218,63 @@ proptest! {
             conditioned_multiphase_saf_time(&p, m, d, dims, &cond)
                 >= multiphase_saf_time(&p, m, d, dims)
         );
+    }
+
+    /// A price read from a `StepTable` is the price the summary itself
+    /// yields, bit for bit: random per-link factor tables plus up to
+    /// six background streams, every partition, circuit and store and
+    /// forward — and so the tabled best-partition folds name the same
+    /// winner at the same time as a fold over one-off evaluations.
+    #[test]
+    fn tabled_prices_are_bit_equal_to_one_off_prices(
+        lambda_m in 0u64..500_000,
+        tau_m in 1u64..5_000,
+        delta_m in 0u64..50_000,
+        rho_m in 0u64..5_000,
+        barrier_m in 0u64..300_000,
+        sync_bit in 0u8..2,
+        d in 2u32..=8,
+        factor_seed in 0u64..=u64::MAX / 2,
+        spread_milli in 0u64..3_000,
+        streams in proptest::collection::vec((1u32..256, 1u64..600, 1u64..2_000), 0..=6),
+    ) {
+        let p = machine(lambda_m, 50, tau_m, delta_m, rho_m, barrier_m, sync_bit == 1);
+        let factors: Vec<f64> = (0..(1u64 << d) * d as u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(factor_seed);
+                1.0 + ((h >> 20) % (spread_milli + 1)) as f64 / 1000.0
+            })
+            .collect();
+        let mut cond = ConditionSummary::from_link_factors(d, &factors);
+        for &(mask, busy, idle) in &streams {
+            let mask = mask & ((1 << d) - 1);
+            cond.add_stream(mask.max(1), busy as f64, (busy + idle) as f64);
+        }
+        let table = StepTable::new(&cond);
+        for m in [0.0, 1.0, 37.5, 400.0] {
+            for part in partitions(d) {
+                let dims = part.parts();
+                prop_assert_eq!(
+                    conditioned_multiphase_time(&p, m, d, dims, &table).to_bits(),
+                    conditioned_multiphase_time(&p, m, d, dims, &cond).to_bits(),
+                    "circuit {} at m={}", part, m
+                );
+                prop_assert_eq!(
+                    conditioned_multiphase_saf_time(&p, m, d, dims, &table).to_bits(),
+                    conditioned_multiphase_saf_time(&p, m, d, dims, &cond).to_bits(),
+                    "store and forward {} at m={}", part, m
+                );
+            }
+            let (best, t) = conditioned_best_partition(&p, m, d, &cond);
+            let (one_off, one_off_t) = best_partition_by(d, |part| {
+                conditioned_multiphase_time(&p, m, d, part.parts(), &cond)
+            });
+            prop_assert_eq!((best, t.to_bits()), (one_off, one_off_t.to_bits()));
+            let (best, t) = conditioned_best_saf_partition(&p, m, d, &cond);
+            let (one_off, one_off_t) = best_partition_by(d, |part| {
+                conditioned_multiphase_saf_time(&p, m, d, part.parts(), &cond)
+            });
+            prop_assert_eq!((best, t.to_bits()), (one_off, one_off_t.to_bits()));
+        }
     }
 }

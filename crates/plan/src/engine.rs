@@ -4,9 +4,11 @@ use crate::cache::{CacheKey, HullCache, MachineKey};
 use crate::fallback::{out_of_envelope, simulate_answer};
 use crate::hull::{price, PlanHull};
 use crate::{
-    Algorithm, AnswerSource, FallbackPolicy, PlanAnswer, PlanOptions, PlanQuery, QueryCondition,
+    Algorithm, AnswerSource, FallbackPolicy, PlanAnswer, PlanError, PlanOptions, PlanQuery,
+    QueryCondition,
 };
-use mce_model::{best_partition_by, ConditionSummary, MachineParams};
+use mce_hypercube::MAX_DIMENSION;
+use mce_model::{best_partition_by, ConditionSummary, MachineParams, StepTable};
 use mce_simnet::config::SwitchingMode;
 use mce_simnet::conformance::condition_summary;
 use mce_simnet::SimConfig;
@@ -107,9 +109,8 @@ impl PlanEngine {
         }
     }
 
+    /// Summarize and key one query that [`check`] has passed.
     fn resolve<'q>(&self, q: &'q PlanQuery) -> Resolved<'q> {
-        assert!(q.d >= 1, "planning undefined for d = 0");
-        assert!(q.m.is_finite() && q.m >= 0.0, "block size must be a finite size, got {}", q.m);
         let (summary, sim_cfg) = match &q.condition {
             QueryCondition::Clean => (Cow::Owned(ConditionSummary::noop(q.d)), None),
             QueryCondition::Net(nc) => {
@@ -119,10 +120,7 @@ impl PlanEngine {
                 let cfg = cfg.with_netcond(nc.clone());
                 (Cow::Owned(condition_summary(&cfg)), Some(cfg))
             }
-            QueryCondition::Summary(s) => {
-                assert_eq!(s.dimension(), q.d, "summary dimension mismatch");
-                (Cow::Borrowed(s), None)
-            }
+            QueryCondition::Summary(s) => (Cow::Borrowed(s), None),
         };
         let key = CacheKey {
             machine: MachineKey::of(&q.machine),
@@ -133,12 +131,38 @@ impl PlanEngine {
         Resolved { summary, key, sim_cfg }
     }
 
-    /// Whether this resolved query should go to the simulator.
-    fn wants_fallback(&self, r: &Resolved, d: u32) -> bool {
-        self.options.fallback == FallbackPolicy::Auto
-            && r.sim_cfg.is_some()
-            && d <= self.options.max_fallback_dimension
-            && out_of_envelope(&r.summary, self.options.dense_hit_threshold)
+    /// The configuration to simulate when this resolved query should
+    /// go to the simulator, `None` when it stays analytic. A block
+    /// that rounds to zero bytes stays with the hull, whose first face
+    /// starts at `m = 0`: there is nothing to simulate.
+    fn fallback_cfg<'r>(&self, q: &PlanQuery, r: &'r Resolved) -> Option<&'r SimConfig> {
+        let wanted = self.options.fallback == FallbackPolicy::Auto
+            && q.m.round() >= 1.0
+            && q.d <= self.options.max_fallback_dimension
+            && out_of_envelope(&r.summary, self.options.dense_hit_threshold);
+        r.sim_cfg.as_ref().filter(|_| wanted)
+    }
+
+    /// The simulator's answer to a fallback-bound query; `None` when
+    /// the query is not fallback-bound, or when the simulation fails
+    /// (typed) and the caller degrades to the analytic answer.
+    fn try_fallback(&self, q: &PlanQuery, r: &Resolved) -> Option<PlanAnswer> {
+        let cfg = self.fallback_cfg(q, r)?;
+        match simulate_answer(cfg, q.m.round() as usize) {
+            Ok((part, us)) => {
+                self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                Some(PlanAnswer {
+                    algorithm: Algorithm::of(&part),
+                    best_partition: part,
+                    predicted_us: us,
+                    source: AnswerSource::Fallback,
+                })
+            }
+            Err(_) => {
+                self.fallback_errors.fetch_add(1, Ordering::Relaxed);
+                None
+            }
+        }
     }
 
     /// Memo fast path for summary-carrying queries (the only kind the
@@ -175,7 +199,29 @@ impl PlanEngine {
     /// streams re-price one condition across many block sizes), or a
     /// fingerprint + one sharded-cache fetch; then one binary search
     /// and two float ops.
+    ///
+    /// # Panics
+    ///
+    /// With the [`PlanError`]'s message when the query is one
+    /// [`PlanEngine::try_answer`] rejects.
     pub fn answer(&self, q: &PlanQuery) -> PlanAnswer {
+        if let Err(e) = check(q) {
+            panic!("{e}");
+        }
+        self.answer_checked(q)
+    }
+
+    /// [`PlanEngine::answer`] with a typed error instead of a panic
+    /// for a query no plan exists for: `d = 0` or beyond
+    /// [`MAX_DIMENSION`], a block size that is not a finite
+    /// non-negative number, a summary of another cube.
+    pub fn try_answer(&self, q: &PlanQuery) -> Result<PlanAnswer, PlanError> {
+        check(q)?;
+        Ok(self.answer_checked(q))
+    }
+
+    /// Answer a query that [`check`] has passed.
+    fn answer_checked(&self, q: &PlanQuery) -> PlanAnswer {
         if let QueryCondition::Summary(s) = &q.condition {
             if let Some(hull) = self.front_get(q, s) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -183,24 +229,8 @@ impl PlanEngine {
             }
         }
         let r = self.resolve(q);
-        if self.wants_fallback(&r, q.d) {
-            let cfg = r.sim_cfg.as_ref().expect("wants_fallback requires sim_cfg");
-            match simulate_answer(cfg, q.m.round() as usize) {
-                Ok((part, us)) => {
-                    self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                    return PlanAnswer {
-                        algorithm: Algorithm::of(&part),
-                        best_partition: part,
-                        predicted_us: us,
-                        source: AnswerSource::Fallback,
-                    };
-                }
-                Err(_) => {
-                    // Typed simulation failure: degrade to the
-                    // analytic answer, keep serving.
-                    self.fallback_errors.fetch_add(1, Ordering::Relaxed);
-                }
-            }
+        if let Some(answer) = self.try_fallback(q, &r) {
+            return answer;
         }
         let hull = match self.cache.get(&r.key) {
             Some(hull) => {
@@ -219,13 +249,26 @@ impl PlanEngine {
     /// missing hull rayon-parallel (one build per distinct key), then
     /// answers the whole batch from cache. Fallback-bound queries skip
     /// the build phase and simulate individually.
+    ///
+    /// # Panics
+    ///
+    /// With the [`PlanError`]'s message when some query is one
+    /// [`PlanEngine::try_answer_batch`] rejects.
     pub fn answer_batch(&self, queries: &[PlanQuery]) -> Vec<PlanAnswer> {
+        self.try_answer_batch(queries).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`PlanEngine::answer_batch`] with a typed error: the first
+    /// query [`PlanEngine::try_answer`] would reject fails the batch,
+    /// before any hull is built or any counter moves.
+    pub fn try_answer_batch(&self, queries: &[PlanQuery]) -> Result<Vec<PlanAnswer>, PlanError> {
+        queries.iter().try_for_each(check)?;
         let resolved: Vec<Resolved> = queries.iter().map(|q| self.resolve(q)).collect();
         // Distinct keys that need a hull and don't have one yet.
         let mut missing: Vec<(CacheKey, u32, usize)> = Vec::new();
         let mut seen: HashSet<CacheKey> = HashSet::new();
         for (i, (q, r)) in queries.iter().zip(&resolved).enumerate() {
-            if self.wants_fallback(r, q.d) {
+            if self.fallback_cfg(q, r).is_some() {
                 continue;
             }
             if !seen.contains(&r.key) && self.cache.get(&r.key).is_none() {
@@ -245,26 +288,12 @@ impl PlanEngine {
         for (key, hull) in built {
             self.cache.insert(key, hull);
         }
-        queries
+        Ok(queries
             .iter()
             .zip(&resolved)
             .map(|(q, r)| {
-                if self.wants_fallback(r, q.d) {
-                    let cfg = r.sim_cfg.as_ref().expect("wants_fallback requires sim_cfg");
-                    match simulate_answer(cfg, q.m.round() as usize) {
-                        Ok((part, us)) => {
-                            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-                            return PlanAnswer {
-                                algorithm: Algorithm::of(&part),
-                                best_partition: part,
-                                predicted_us: us,
-                                source: AnswerSource::Fallback,
-                            };
-                        }
-                        Err(_) => {
-                            self.fallback_errors.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                if let Some(answer) = self.try_fallback(q, r) {
+                    return answer;
                 }
                 let hull = match self.cache.get(&r.key) {
                     Some(hull) => {
@@ -279,7 +308,7 @@ impl PlanEngine {
                 };
                 self.answer_from_hull(q, &r.summary, &hull)
             })
-            .collect()
+            .collect())
     }
 
     fn build_and_insert(&self, q: &PlanQuery, r: &Resolved) -> Arc<PlanHull> {
@@ -304,9 +333,8 @@ impl PlanEngine {
             // Within the band two candidates are ~1e-6 apart: re-run
             // the exact fold so ties and float-level orderings match
             // `conditioned_best_partition` bit for bit.
-            let (part, t) =
-                best_partition_by(q.d, |p| price(&q.machine, q.switching, q.d, summary, q.m, p));
-            (part, t)
+            let table = StepTable::new(summary);
+            best_partition_by(q.d, |p| price(&q.machine, q.switching, q.d, &table, q.m, p))
         } else {
             let face = hull.face(q.m);
             let predicted = if self.options.exact_predictions {
@@ -322,6 +350,27 @@ impl PlanEngine {
             predicted_us: predicted,
             source: AnswerSource::Hull,
         }
+    }
+}
+
+/// Everything a caller can get wrong in a [`PlanQuery`], rejected
+/// before the query reaches the memo, the cache or a table sized by
+/// `d`. A check of its own rather than a fallible `resolve`: the warm
+/// path runs it on every query, and handing the (large) resolved
+/// query back through a `Result` cost `plan_warm` 12 % of its
+/// `wall_s`, where the check alone costs it under 2 %.
+fn check(q: &PlanQuery) -> Result<(), PlanError> {
+    if q.d == 0 || q.d > MAX_DIMENSION {
+        return Err(PlanError::DimensionOutOfRange(q.d));
+    }
+    if !(q.m.is_finite() && q.m >= 0.0) {
+        return Err(PlanError::InvalidBlockSize(q.m));
+    }
+    match &q.condition {
+        QueryCondition::Summary(s) if s.dimension() != q.d => {
+            Err(PlanError::SummaryDimensionMismatch { summary: s.dimension(), query: q.d })
+        }
+        _ => Ok(()),
     }
 }
 
@@ -416,6 +465,81 @@ mod tests {
         let never =
             PlanEngine::new(PlanOptions { fallback: FallbackPolicy::Never, ..Default::default() });
         assert_eq!(never.answer(&q).source, AnswerSource::Hull);
+    }
+
+    #[test]
+    fn a_block_that_rounds_to_zero_is_answered_from_the_hull() {
+        // Regression: an out-of-envelope `Net` query with m < 0.5 was
+        // handed to the simulator as a 0-byte exchange and panicked in
+        // the program builder ("block size must be positive").
+        let d = 3u32;
+        let tiny = PlanQuery::clean(d, 0.3, MachineParams::ipsc860())
+            .with_netcond(hotspot_condition(d, 8));
+        let engine = PlanEngine::default();
+        let a = engine.answer(&tiny);
+        assert_eq!(a.source, AnswerSource::Hull);
+        let cond = condition_summary(&SimConfig::ipsc860(d).with_netcond(hotspot_condition(d, 8)));
+        let (expect, _) = conditioned_best_partition(&MachineParams::ipsc860(), 0.3, d, &cond);
+        assert_eq!(a.best_partition, expect);
+        // The batch path decides the same way, and the first size that
+        // rounds to a whole byte still goes to the simulator.
+        let mut one_byte = tiny.clone();
+        one_byte.m = 0.5;
+        let batch = engine.answer_batch(&[tiny, one_byte]);
+        assert_eq!(batch[0], a);
+        assert_eq!(batch[1].source, AnswerSource::Fallback);
+        let s = engine.stats();
+        assert_eq!((s.fallbacks, s.fallback_errors), (1, 0));
+    }
+
+    #[test]
+    fn malformed_queries_are_typed_errors_not_panics() {
+        let machine = MachineParams::ipsc860();
+        let cases = [
+            (PlanQuery::clean(0, 64.0, machine.clone()), PlanError::DimensionOutOfRange(0)),
+            (
+                PlanQuery::clean(MAX_DIMENSION + 5, 64.0, machine.clone())
+                    .with_summary(ConditionSummary::noop(MAX_DIMENSION + 5)),
+                PlanError::DimensionOutOfRange(MAX_DIMENSION + 5),
+            ),
+            (
+                PlanQuery::clean(4, f64::INFINITY, machine.clone()),
+                PlanError::InvalidBlockSize(f64::INFINITY),
+            ),
+            (PlanQuery::clean(4, -1.0, machine.clone()), PlanError::InvalidBlockSize(-1.0)),
+            (
+                PlanQuery::clean(4, 64.0, machine.clone()).with_summary(ConditionSummary::noop(3)),
+                PlanError::SummaryDimensionMismatch { summary: 3, query: 4 },
+            ),
+        ];
+        let engine = PlanEngine::default();
+        let good = PlanQuery::clean(4, 64.0, machine.clone());
+        for (q, expect) in &cases {
+            assert_eq!(engine.try_answer(q).as_ref(), Err(expect), "{q:?}");
+            let batch = engine.try_answer_batch(&[good.clone(), q.clone()]);
+            assert_eq!(batch.as_ref(), Err(expect), "batch with {q:?}");
+        }
+        // NaN is its own case: it never compares equal.
+        let nan = engine.try_answer(&PlanQuery::clean(4, f64::NAN, machine.clone()));
+        assert!(matches!(nan, Err(PlanError::InvalidBlockSize(m)) if m.is_nan()));
+        // A rejected batch built nothing and counted nothing.
+        assert_eq!((engine.stats().hits, engine.stats().misses), (0, 0));
+        // The memo fast path sits behind the same check.
+        let cond = ConditionSummary::from_link_factors(4, &[1.5; 64]);
+        let warm = PlanQuery::clean(4, 64.0, machine).with_summary(cond);
+        assert!(engine.try_answer(&warm).is_ok());
+        let mut bad = warm.clone();
+        bad.m = f64::NAN;
+        assert!(matches!(engine.try_answer(&bad), Err(PlanError::InvalidBlockSize(_))));
+        assert!(engine.try_answer(&warm).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "summary dimension mismatch")]
+    fn answer_panics_with_the_error_message() {
+        let q = PlanQuery::clean(4, 64.0, MachineParams::ipsc860())
+            .with_summary(ConditionSummary::noop(3));
+        let _ = PlanEngine::default().answer(&q);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use mce_model::{
     affine_face_index, conditioned_multiphase_saf_time, conditioned_multiphase_time,
-    optimality_hull_affine_by, AffineHullFace, ConditionSummary, MachineParams,
+    optimality_hull_affine_by, AffineHullFace, ConditionSummary, MachineParams, StepSource,
+    StepTable,
 };
 use mce_partitions::Partition;
 use mce_simnet::config::SwitchingMode;
@@ -38,12 +39,14 @@ pub struct PlanHull {
 /// (`predicted_us_with` dispatches on the same switching mode to the
 /// same two entry points) — the one pricing function shared by hull
 /// builds, exact-mode predictions and boundary re-enumeration, so
-/// every path is bit-consistent with the model.
-pub fn price(
+/// every path is bit-consistent with the model. `cond` is the summary
+/// for a single price, or a [`StepTable`] of it when many partitions
+/// are priced under one condition (same bits either way).
+pub fn price<S: StepSource>(
     machine: &MachineParams,
     switching: SwitchingMode,
     d: u32,
-    cond: &ConditionSummary,
+    cond: &S,
     m: f64,
     part: &Partition,
 ) -> f64 {
@@ -56,17 +59,27 @@ pub fn price(
 }
 
 impl PlanHull {
-    /// Build the exact hull for one condition: `2·p(d)` model
-    /// evaluations plus the lower-envelope sweep — the *only* place
-    /// the warm path's model cost is ever paid, once per cache key.
+    /// Build the exact hull for one condition: one [`StepTable`] of
+    /// the condition's `2^d` masks, `2·p(d)` model evaluations read
+    /// from it, and the lower-envelope sweep over the lines no earlier
+    /// line dominates — the *only* place the warm path's model cost is
+    /// ever paid, once per cache key. The table is dropped on return.
+    ///
+    /// Measured by the perf ledger's `plan_cold` (1 500 d10 spread
+    /// conditions, one core): a build fell from 179 µs to 52 µs
+    /// (`plan.hull.build_us`, one traced run per side) and a miss from
+    /// 160 µs to 48 µs (`miss_p50_us`, medians of ten alternating
+    /// runs) against the per-mask loops and all-lines sweep it
+    /// replaced.
     pub fn build(
         machine: &MachineParams,
         switching: SwitchingMode,
         d: u32,
         cond: &ConditionSummary,
     ) -> PlanHull {
+        let table = StepTable::new(cond);
         let faces =
-            optimality_hull_affine_by(d, |m, part| price(machine, switching, d, cond, m, part));
+            optimality_hull_affine_by(d, |m, part| price(machine, switching, d, &table, m, part));
         PlanHull { d, saf: switching == SwitchingMode::StoreAndForward, faces }
     }
 

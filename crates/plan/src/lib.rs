@@ -35,6 +35,13 @@
 //!    degrades to the analytic hull answer instead of aborting — the
 //!    service stays up.
 //!
+//! A query the caller built wrong (`d = 0` or beyond
+//! [`mce_hypercube::MAX_DIMENSION`], a block size that is not a finite
+//! non-negative number, a summary of another cube) is a typed
+//! [`PlanError`] from [`PlanEngine::try_answer`] /
+//! [`PlanEngine::try_answer_batch`]; [`PlanEngine::answer`] and
+//! [`PlanEngine::answer_batch`] are the panicking forms.
+//!
 //! Exactness contract: the winning partition is always bit-equal to
 //! [`conditioned_best_partition`](mce_model::conditioned_best_partition)
 //! (boundary-adjacent queries re-run the exact enumeration fold);
@@ -130,6 +137,47 @@ impl PlanQuery {
         self
     }
 }
+
+/// Why a [`PlanQuery`] has no plan: the ways a caller-built query can
+/// be malformed, reported by [`PlanEngine::try_answer`] and
+/// [`PlanEngine::try_answer_batch`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum PlanError {
+    /// `d` is 0 or beyond [`mce_hypercube::MAX_DIMENSION`] (which
+    /// also bounds the planner's per-build tables at `2^20` entries).
+    DimensionOutOfRange(u32),
+    /// The block size is NaN, infinite or negative.
+    InvalidBlockSize(f64),
+    /// A [`QueryCondition::Summary`] describes a cube of another
+    /// dimension than the query's.
+    SummaryDimensionMismatch {
+        /// The summary's dimension.
+        summary: u32,
+        /// The query's `d`.
+        query: u32,
+    },
+}
+
+impl std::fmt::Display for PlanError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            PlanError::DimensionOutOfRange(d) => write!(
+                f,
+                "planning is defined for cube dimensions 1..={}, got d = {d}",
+                mce_hypercube::MAX_DIMENSION
+            ),
+            PlanError::InvalidBlockSize(m) => {
+                write!(f, "block size must be a finite, non-negative size, got {m}")
+            }
+            PlanError::SummaryDimensionMismatch { summary, query } => write!(
+                f,
+                "summary dimension mismatch: a dimension-{summary} summary on a d = {query} query"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for PlanError {}
 
 /// Which of the paper's named algorithms the winning partition is —
 /// classification of the partition's shape, for callers that dispatch
