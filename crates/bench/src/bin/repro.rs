@@ -620,9 +620,10 @@ fn cmd_plan(quick: bool) {
             s.predicted_us
         );
     }
-    println!("\n-> a warm query is a fingerprint + binary search over cached hull faces;");
-    println!("   the uncached side re-enumerates p(d) partitions through the conditioned");
-    println!("   model every time. Winners are checked identical before timing.");
+    println!("\n-> a warm query is one cache probe under the key its condition already keeps");
+    println!("   and a binary search over the cached hull's faces, in either order; the");
+    println!("   uncached side re-enumerates p(d) partitions through the conditioned model");
+    println!("   every time. Winners are checked identical before timing.");
     write_json(&output_dir().join("plan.json"), &report);
     println!("artifacts: target/repro/plan.json");
 }

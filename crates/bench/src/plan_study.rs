@@ -64,12 +64,12 @@ pub struct PlanRow {
     /// per second.
     pub uncached_qps: f64,
     /// Warm side: cache-hit engine answers per second, queries grouped
-    /// by condition (the service-shaped stream; mostly front-memo
-    /// hits).
+    /// by condition (the service-shaped stream: consecutive answers
+    /// probe the same shard and search the same hull).
     pub warm_qps: f64,
-    /// Warm side with the condition changing every query — defeats the
-    /// front memo, so every answer pays fingerprint + sharded-cache
-    /// fetch.
+    /// Warm side with the condition changing every query: the same
+    /// path — kept fingerprint, sharded-cache probe, face search —
+    /// with a different shard and hull each time.
     pub warm_shuffled_qps: f64,
     /// `warm_qps / uncached_qps`.
     pub speedup: f64,
@@ -167,8 +167,8 @@ pub fn plan_study(opts: &PlanStudyOptions) -> PlanReport {
             })
             .collect();
         // Size-major order: the condition changes on every consecutive
-        // query, so the engine's front memo never hits and each answer
-        // exercises the fingerprint + sharded-cache path.
+        // query, so each answer probes another shard and searches
+        // another hull than the one before it.
         let shuffled: Vec<&PlanQuery> = (0..opts.sizes.len())
             .flat_map(|si| (0..conditions.len()).map(move |ci| ci * opts.sizes.len() + si))
             .map(|i| &plan_queries[i])
@@ -276,6 +276,49 @@ fn median(samples: &mut [f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mce_plan::{AnswerSource, PlanHull};
+    use mce_simnet::config::SwitchingMode;
+
+    /// The perf ledger's `plan_warm` cast — d 6/8/10 × the six study
+    /// conditions × 50 block sizes — answered one by one, as a batch,
+    /// and by a reference that has no engine, cache or kept key at
+    /// all: a hull built on the spot and its face read directly.
+    #[test]
+    fn warm_cast_answers_equal_a_cache_free_reference_bit_for_bit() {
+        let machine = MachineParams::ipsc860();
+        let cast: Vec<(u32, ConditionSummary, f64)> = [6u32, 8, 10]
+            .into_iter()
+            .flat_map(|d| study_conditions(d).into_iter().map(move |(_, cond)| (d, cond)))
+            .flat_map(|(d, cond)| (0..50).map(move |i| (d, cond.clone(), (1 + i * 8) as f64)))
+            .collect();
+        assert_eq!(cast.len(), 900);
+        let queries: Vec<PlanQuery> = cast
+            .iter()
+            .map(|(d, cond, m)| {
+                PlanQuery::clean(*d, *m, machine.clone()).with_summary(cond.clone())
+            })
+            .collect();
+        let engine = PlanEngine::new(PlanOptions {
+            fallback: FallbackPolicy::Never,
+            ..PlanOptions::default()
+        });
+        let batch = engine.answer_batch(&queries);
+        let single: Vec<_> = queries.iter().map(|q| engine.answer(q)).collect();
+        assert_eq!(batch, single);
+        for ((d, cond, m), a) in cast.iter().zip(&single) {
+            let hull = PlanHull::build(&machine, SwitchingMode::Circuit, *d, cond);
+            let (part, us) = if hull.near_boundary(*m) {
+                conditioned_best_partition(&machine, *m, *d, cond)
+            } else {
+                let face = hull.face(*m);
+                (face.partition.clone(), face.time_at(*m))
+            };
+            assert_eq!(a.source, AnswerSource::Hull);
+            assert_eq!(a.best_partition, part, "d{d} m={m}");
+            assert_eq!(a.predicted_us.to_bits(), us.to_bits(), "d{d} m={m}");
+        }
+        assert_eq!(engine.stats().misses, 18);
+    }
 
     #[test]
     fn quick_study_produces_consistent_rows() {

@@ -67,7 +67,8 @@ use crate::{
     optimality_hull_by, standard_exchange_time, HullFace, MachineParams,
 };
 use mce_partitions::Partition;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Deserializer, Serialize};
+use std::sync::{Arc, OnceLock};
 
 /// Slowdown-factor distribution of one cube dimension: statistics of
 /// the `2^d` directed-link factors crossing that dimension (`1.0` =
@@ -174,10 +175,45 @@ mod tuning {
 /// [`ConditionSummary::noop`] / [`ConditionSummary::from_link_factors`]
 /// / [`ConditionSummary::add_stream`], or extract one from a simulator
 /// configuration with `mce_simnet::conformance::condition_summary`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A summary also remembers what is derived from its tables on first
+/// request — its [`ConditionFingerprint`] and whether it
+/// [is well formed](ConditionSummary::is_well_formed) — so a condition
+/// is quantized once, not once per question asked of it. That memo is
+/// not part of the value: `==`, `Debug` and the serialized form see
+/// the two tables only.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct ConditionSummary {
     factors: Vec<DimFactor>,
     contention: Vec<DimContention>,
+    /// Filled by the first [`ConditionSummary::fingerprint`] /
+    /// [`ConditionSummary::is_well_formed`], emptied by
+    /// [`ConditionSummary::add_stream`] (the only mutator); a clone
+    /// copies it, which shares the fingerprint's words.
+    #[serde(skip)]
+    keyed: OnceLock<Keyed>,
+}
+
+/// What a summary derives from its tables once.
+#[derive(Clone)]
+struct Keyed {
+    fingerprint: ConditionFingerprint,
+    well_formed: bool,
+}
+
+impl PartialEq for ConditionSummary {
+    fn eq(&self, other: &ConditionSummary) -> bool {
+        self.factors == other.factors && self.contention == other.contention
+    }
+}
+
+impl std::fmt::Debug for ConditionSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ConditionSummary")
+            .field("factors", &self.factors)
+            .field("contention", &self.contention)
+            .finish()
+    }
 }
 
 impl ConditionSummary {
@@ -188,6 +224,7 @@ impl ConditionSummary {
         ConditionSummary {
             factors: vec![DimFactor::unit(); d as usize],
             contention: vec![DimContention::default(); d as usize],
+            keyed: OnceLock::new(),
         }
     }
 
@@ -234,6 +271,7 @@ impl ConditionSummary {
     /// `busy_us` out of every `period_us`.
     pub fn add_stream(&mut self, path_mask: u32, busy_us: f64, period_us: f64) {
         assert!(busy_us >= 0.0 && period_us > 0.0, "stream occupancy must be positive");
+        self.keyed = OnceLock::new();
         let n = (1u64 << self.dimension()) as f64;
         let util = (busy_us / period_us).min(1.0);
         let mut mask = path_mask;
@@ -269,19 +307,47 @@ impl ConditionSummary {
     /// accuracy envelope (`crates/model/README.md`), so bucket-mates
     /// are indistinguishable at the model's own resolution. This is
     /// the key the planner (`mce_plan`) caches optimality hulls under.
+    ///
+    /// Quantized and digested on the first call only: the summary
+    /// keeps the result until [`ConditionSummary::add_stream`] changes
+    /// it, a clone of a keyed summary is keyed too, and what this
+    /// returns is a clone of the kept key — a reference-count bump on
+    /// its shared words, whatever the dimension.
     pub fn fingerprint(&self) -> ConditionFingerprint {
-        let mut words = Vec::with_capacity(6 * self.factors.len());
-        for f in &self.factors {
-            words.push(quantize_f64(f.mean));
-            words.push(quantize_f64(f.min));
-            words.push(quantize_f64(f.max));
-        }
-        for c in &self.contention {
-            words.push(quantize_f64(c.touch));
-            words.push(quantize_f64(c.util));
-            words.push(quantize_f64(c.busy_us));
-        }
-        ConditionFingerprint::new(self.dimension(), words)
+        self.keyed().fingerprint.clone()
+    }
+
+    /// [`ConditionSummary::fingerprint`] by reference: the kept key
+    /// itself, for a caller that only hashes or compares it (the
+    /// planner's warm cache probe).
+    pub fn fingerprint_ref(&self) -> &ConditionFingerprint {
+        &self.keyed().fingerprint
+    }
+
+    /// Whether every field is a finite, non-negative number — what
+    /// every constructor yields from finite non-negative inputs, and
+    /// what a hand-built factor table or deserialized summary can
+    /// break. A prediction under a summary that is not is NaN or
+    /// meaningless, so the planner rejects it. Decided together with
+    /// the fingerprint and kept with it.
+    pub fn is_well_formed(&self) -> bool {
+        self.keyed().well_formed
+    }
+
+    fn keyed(&self) -> &Keyed {
+        self.keyed.get_or_init(|| {
+            let fields = || {
+                let factors = self.factors.iter().flat_map(|f| [f.mean, f.min, f.max]);
+                factors.chain(self.contention.iter().flat_map(|c| [c.touch, c.util, c.busy_us]))
+            };
+            Keyed {
+                fingerprint: ConditionFingerprint::new(
+                    self.dimension(),
+                    fields().map(quantize_f64).collect(),
+                ),
+                well_formed: fields().all(|x| x.is_finite() && x >= 0.0),
+            }
+        })
     }
 
     /// The m-independent terms of the schedule step with XOR mask
@@ -393,17 +459,38 @@ fn quantize_f64(x: f64) -> u64 {
 /// bound). Hashable and orderable, so it can key a hull cache
 /// directly; serializable so precomputed hulls can be persisted
 /// alongside the key that owns them.
+///
+/// The words are shared: a clone (a [`ConditionSummary::fingerprint`]
+/// call, a cache key, a query cloned from a keyed summary) bumps a
+/// reference count instead of copying `6 * dimension` words, and two
+/// clones compare equal by pointer.
+///
 /// `Hash` is implemented over a precomputed 64-bit digest of the words
-/// rather than the word vector itself: fingerprints are built once per
-/// query but hashed on every cache probe, and digest hashing keeps a
-/// warm planner lookup allocation- and sweep-free. The digest is a
-/// pure function of `(dimension, words)`, so equal fingerprints hash
-/// equally, as `Hash`/`Eq` consistency requires.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+/// rather than the word vector itself: a fingerprint is built once per
+/// condition but hashed on every cache probe. The digest is a pure
+/// function of `(dimension, words)`, so equal fingerprints hash
+/// equally, as `Hash`/`Eq` consistency requires — and deserializing
+/// recomputes it rather than trusting the stored one, so that holds
+/// for a fingerprint read from a file too.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize)]
 pub struct ConditionFingerprint {
     dimension: u32,
-    words: Vec<u64>,
+    words: Arc<[u64]>,
     digest: u64,
+}
+
+impl<'de> Deserialize<'de> for ConditionFingerprint {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        /// What is read of the serialized shape: its `digest` is
+        /// written for readers that want it, never read back.
+        #[derive(Deserialize)]
+        struct Stored {
+            dimension: u32,
+            words: Vec<u64>,
+        }
+        let stored = Stored::deserialize(deserializer)?;
+        Ok(ConditionFingerprint::new(stored.dimension, stored.words))
+    }
 }
 
 impl std::hash::Hash for ConditionFingerprint {
@@ -416,8 +503,7 @@ impl ConditionFingerprint {
     fn new(dimension: u32, words: Vec<u64>) -> ConditionFingerprint {
         // Word-at-a-time multiply-xor mix (FNV-1a style, 64-bit
         // stride); any mixing function would do, it only has to be
-        // deterministic and well spread, and one multiply per word
-        // keeps fingerprinting off the warm path's profile.
+        // deterministic and well spread.
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut mix = |w: u64| {
             digest = (digest ^ w).wrapping_mul(0x0000_0100_0000_01b3);
@@ -427,7 +513,7 @@ impl ConditionFingerprint {
         for &w in &words {
             mix(w);
         }
-        ConditionFingerprint { dimension, words, digest }
+        ConditionFingerprint { dimension, words: words.into(), digest }
     }
 
     /// Cube dimension the summarized condition applies to.

@@ -11,7 +11,10 @@
 //!   mirror of the engine guarantee pinned by `netcond_properties`;
 //! * pricing from a `StepTable` is **bit-equal** to pricing from the
 //!   summary it was built from, for every partition, both switching
-//!   disciplines and the best-partition fold.
+//!   disciplines and the best-partition fold;
+//! * the fingerprint a summary keeps is the one a freshly built equal
+//!   summary computes, through any interleaving of `add_stream`,
+//!   keying and cloning, and is no part of the summary's value.
 
 use mce_model::conditioned::ConditionSummary;
 use mce_model::{
@@ -276,5 +279,71 @@ proptest! {
             });
             prop_assert_eq!((best, t.to_bits()), (one_off, one_off_t.to_bits()));
         }
+    }
+
+    /// A summary's kept fingerprint is a memo, never state: after any
+    /// interleaving of `add_stream`s with `fingerprint()` calls and
+    /// clones it equals the fingerprint of a summary rebuilt from
+    /// scratch (never keyed before the comparison), `==` and `Debug`
+    /// do not see whether either side is keyed, and a clone that is
+    /// mutated after keying leaves its source as it was.
+    #[test]
+    fn a_kept_fingerprint_is_the_fresh_one(
+        d in 2u32..=8,
+        factor_seed in 0u64..=u64::MAX / 2,
+        spread_milli in 0u64..3_000,
+        // Per stream, `ops` bits: 1 = key the summary first, 2 = fork
+        // a clone and mutate that too, 4 = carry on with a clone.
+        streams in proptest::collection::vec((1u32..256, 1u64..600, 1u64..2_000, 0u8..8), 0..=6),
+    ) {
+        let factors: Vec<f64> = (0..(1u64 << d) * d as u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(factor_seed);
+                1.0 + ((h >> 20) % (spread_milli + 1)) as f64 / 1000.0
+            })
+            .collect();
+        let rebuilt = |applied: &[(u32, f64, f64)]| {
+            let mut fresh = ConditionSummary::from_link_factors(d, &factors);
+            for &(mask, busy, period) in applied {
+                fresh.add_stream(mask, busy, period);
+            }
+            fresh
+        };
+        let mut live = rebuilt(&[]);
+        let mut applied = Vec::new();
+        for &(mask, busy, idle, ops) in &streams {
+            let stream = ((mask & ((1 << d) - 1)).max(1), busy as f64, (busy + idle) as f64);
+            if ops & 1 != 0 {
+                prop_assert_eq!(live.fingerprint(), rebuilt(&applied).fingerprint());
+            }
+            if ops & 2 != 0 {
+                let mut fork = live.clone();
+                prop_assert_eq!(fork.fingerprint(), rebuilt(&applied).fingerprint());
+                fork.add_stream(stream.0, stream.1, stream.2);
+                let mut forked = applied.clone();
+                forked.push(stream);
+                prop_assert_eq!(fork.fingerprint(), rebuilt(&forked).fingerprint());
+                prop_assert_eq!(&live, &rebuilt(&applied));
+                prop_assert_eq!(live.fingerprint(), rebuilt(&applied).fingerprint());
+            }
+            if ops & 4 != 0 {
+                live = live.clone();
+            }
+            live.add_stream(stream.0, stream.1, stream.2);
+            applied.push(stream);
+            // Keyed or not, on either side of `==`.
+            let fresh = rebuilt(&applied);
+            prop_assert_eq!(&live, &fresh);
+            prop_assert_eq!(&fresh, &live);
+        }
+        let fresh = rebuilt(&applied);
+        let kept = live.fingerprint();
+        prop_assert_eq!(&kept, &live.fingerprint());
+        prop_assert_eq!(&live, &fresh);
+        prop_assert_eq!(format!("{live:?}"), format!("{fresh:?}"));
+        prop_assert_eq!(&kept, &fresh.fingerprint());
+        let copy = live.clone();
+        prop_assert_eq!(kept.words(), copy.fingerprint_ref().words());
+        prop_assert_eq!(live.is_well_formed(), fresh.is_well_formed());
     }
 }

@@ -3,11 +3,14 @@
 //! Keys are fully structural — machine parameters by exact bits,
 //! condition by quantized fingerprint — so equal keys mean "the model
 //! would build the identical hull". Shards are independently locked
-//! `HashMap`s with a per-shard LRU tick; a warm [`HullCache::get`] is
-//! one hash, one short critical section, one `Arc` clone.
+//! `HashMap`s with a per-shard LRU tick; a warm fetch is one hash, one
+//! short critical section, one `Arc` clone — by owned key
+//! ([`HullCache::get`]) or, without building one, by the borrowed parts
+//! of a query ([`HullCache::probe`]).
 
 use crate::hull::PlanHull;
 use mce_model::{ConditionFingerprint, MachineParams};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +77,7 @@ type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// its exact IEEE-754 bits plus the two discrete knobs. The
 /// human-readable `name` is deliberately excluded — two differently
 /// labelled but identically timed machines share hulls.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MachineKey {
     lambda: u64,
     lambda_zero: u64,
@@ -104,7 +107,7 @@ impl MachineKey {
 
 /// Full cache key: one hull per `(machine, d, switching, condition
 /// fingerprint)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheKey {
     /// Machine identity.
     pub machine: MachineKey,
@@ -114,6 +117,95 @@ pub struct CacheKey {
     pub saf: bool,
     /// Quantized condition.
     pub fingerprint: ConditionFingerprint,
+}
+
+/// A [`CacheKey`] by reference: what [`HullCache::probe`] looks a hull
+/// up by when the fingerprint is the one a [`ConditionSummary`] keeps
+/// ([`ConditionSummary::fingerprint_ref`]) — nothing is cloned to ask.
+/// Hashes and compares as the key it names (every word of the
+/// fingerprint included, so colliding digests never share a hull).
+///
+/// [`ConditionSummary`]: mce_model::ConditionSummary
+/// [`ConditionSummary::fingerprint_ref`]: mce_model::ConditionSummary::fingerprint_ref
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct KeyRef<'a> {
+    /// Machine identity.
+    pub machine: &'a MachineKey,
+    /// Cube dimension.
+    pub d: u32,
+    /// Store-and-forward pricing (circuit otherwise).
+    pub saf: bool,
+    /// Quantized condition.
+    pub fingerprint: &'a ConditionFingerprint,
+}
+
+impl KeyRef<'_> {
+    /// The owned key (an insert needs one): copies the machine
+    /// identity and bumps the fingerprint's reference count.
+    pub fn to_key(&self) -> CacheKey {
+        CacheKey {
+            machine: *self.machine,
+            d: self.d,
+            saf: self.saf,
+            fingerprint: self.fingerprint.clone(),
+        }
+    }
+}
+
+impl CacheKey {
+    /// This key, borrowed.
+    pub fn as_key_ref(&self) -> KeyRef<'_> {
+        KeyRef { machine: &self.machine, d: self.d, saf: self.saf, fingerprint: &self.fingerprint }
+    }
+}
+
+/// Anything that names a cache key. The maps are keyed by
+/// [`CacheKey`], and `HashMap` lookups go through `Borrow`, which must
+/// hand out a *reference*; a `CacheKey` holds no `KeyRef` to point at,
+/// but it can point at itself as a `dyn Keyed` — so both forms look a
+/// hull up as `&dyn Keyed`, hashed and compared through
+/// [`KeyRef`]'s derived impls.
+trait Keyed {
+    fn key_ref(&self) -> KeyRef<'_>;
+}
+
+impl Keyed for CacheKey {
+    fn key_ref(&self) -> KeyRef<'_> {
+        self.as_key_ref()
+    }
+}
+
+impl Keyed for KeyRef<'_> {
+    fn key_ref(&self) -> KeyRef<'_> {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn Keyed + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn Keyed + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn Keyed + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.key_ref().hash(state)
+    }
+}
+
+impl PartialEq for dyn Keyed + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.key_ref() == other.key_ref()
+    }
+}
+
+impl Eq for dyn Keyed + '_ {}
+
+/// As the borrowed form hashes, which `Borrow` requires.
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_key_ref().hash(state)
+    }
 }
 
 struct Entry {
@@ -147,15 +239,18 @@ impl HullCache {
         }
     }
 
-    fn shard(&self, key: &CacheKey) -> &Mutex<Shard> {
+    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<Shard> {
         let mut h = FxHasher::default();
         key.hash(&mut h);
         // Rotate so shard choice and in-map bucket use different bits.
         &self.shards[(h.finish().rotate_left(17) % self.shards.len() as u64) as usize]
     }
 
-    /// Fetch the hull for `key`, bumping its recency.
-    pub fn get(&self, key: &CacheKey) -> Option<Arc<PlanHull>> {
+    fn fetch<Q>(&self, key: &Q) -> Option<Arc<PlanHull>>
+    where
+        CacheKey: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let mut shard = self.shard(key).lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
@@ -163,6 +258,17 @@ impl HullCache {
             e.last_used = tick;
             Arc::clone(&e.hull)
         })
+    }
+
+    /// Fetch the hull for `key`, bumping its recency.
+    pub fn get(&self, key: &CacheKey) -> Option<Arc<PlanHull>> {
+        self.fetch(key)
+    }
+
+    /// [`HullCache::get`] by borrowed key: the same shard, the same
+    /// full-key comparison, the same recency bump.
+    pub fn probe(&self, key: KeyRef<'_>) -> Option<Arc<PlanHull>> {
+        self.fetch(&key as &dyn Keyed)
     }
 
     /// Insert a hull, evicting the shard's least-recently-used entry
@@ -255,5 +361,36 @@ mod tests {
         assert!(cache.get(&key(4, 0)).is_some(), "recently used survives");
         assert!(cache.get(&key(4, 1)).is_none(), "LRU evicted");
         assert!(cache.get(&key(4, 2)).is_some());
+    }
+
+    #[test]
+    fn a_borrowed_key_is_the_key_it_names() {
+        // Many shards, so a probe that hashed differently from the
+        // owned key would look in the wrong one.
+        let cache = HullCache::new(16, 4);
+        let keys: Vec<CacheKey> = (0..12).map(|level| key(5, level)).collect();
+        for k in &keys {
+            cache.insert(k.clone(), hull(5));
+        }
+        for (level, k) in keys.iter().enumerate() {
+            // Keyed afresh: equal words in another allocation, so the
+            // comparison is by value.
+            let again = key(5, level as u32);
+            let rebuilt = again.as_key_ref();
+            assert_eq!(rebuilt.to_key(), *k);
+            let found = cache.probe(rebuilt).expect("stored key");
+            assert!(Arc::ptr_eq(&found, &cache.get(k).expect("stored key")));
+            // Every part is compared, not just the digest's shard.
+            assert!(cache.probe(KeyRef { saf: true, ..rebuilt }).is_none());
+            assert!(cache.probe(KeyRef { d: 4, ..rebuilt }).is_none());
+        }
+        // A probe bumps recency exactly as a get does.
+        let lru = HullCache::new(1, 2);
+        lru.insert(key(4, 0), hull(4));
+        lru.insert(key(4, 1), hull(4));
+        assert!(lru.probe(key(4, 0).as_key_ref()).is_some());
+        lru.insert(key(4, 2), hull(4));
+        assert!(lru.get(&key(4, 0)).is_some(), "probed key survives");
+        assert!(lru.get(&key(4, 1)).is_none(), "LRU evicted");
     }
 }

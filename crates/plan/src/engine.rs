@@ -1,6 +1,6 @@
 //! The query engine.
 
-use crate::cache::{CacheKey, HullCache, MachineKey};
+use crate::cache::{CacheKey, HullCache, KeyRef, MachineKey};
 use crate::fallback::{out_of_envelope, simulate_answer};
 use crate::hull::{price, PlanHull};
 use crate::{
@@ -8,15 +8,14 @@ use crate::{
     QueryCondition,
 };
 use mce_hypercube::MAX_DIMENSION;
-use mce_model::{best_partition_by, ConditionSummary, MachineParams, StepTable};
+use mce_model::{best_partition_by, ConditionSummary, StepTable};
 use mce_simnet::config::SwitchingMode;
 use mce_simnet::conformance::condition_summary;
 use mce_simnet::SimConfig;
 use serde::{Deserialize, Serialize};
-use std::borrow::Cow;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 /// Counter snapshot from [`PlanEngine::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -34,30 +33,58 @@ pub struct PlanStats {
     pub fallback_errors: u64,
 }
 
-/// One query, resolved: the condition summarized, the cache key
-/// derived, and (when possible) the config a fallback would simulate.
-/// Borrows the query's own summary when it already carries one — the
-/// warm path must not clone per query.
+/// Most bytes of node memory (`4^d · m`: `2^d` nodes of `2^d` blocks)
+/// one fallback simulation may stamp and move. The conformance grid
+/// holds one such set per candidate in flight, and its run time grows
+/// with it; 64 MiB is 4 KiB blocks at d = 7, an order of magnitude
+/// above any grid the tests or the perf ledger simulate. Beyond it the
+/// degraded analytic answer beats a stalled service, as beyond
+/// [`PlanOptions::max_fallback_dimension`].
+const MAX_FALLBACK_BYTES: f64 = (1u64 << 26) as f64;
+
+/// A [`QueryCondition::Net`] condition, summarized, beside the
+/// configuration a fallback would simulate.
+type NetResolved = (ConditionSummary, SimConfig);
+
+/// One query, resolved: the summary it is priced under — its own, the
+/// shared no-op one, or its condition's — and, when it carries a real
+/// condition, the configuration a fallback would simulate. All
+/// borrowed: resolving a `Clean` or `Summary` query allocates nothing.
+#[derive(Clone, Copy)]
 struct Resolved<'q> {
-    summary: Cow<'q, ConditionSummary>,
-    key: CacheKey,
+    summary: &'q ConditionSummary,
     /// `Some` only for [`QueryCondition::Net`] — the fallback needs a
     /// real condition to run.
-    sim_cfg: Option<SimConfig>,
+    sim_cfg: Option<&'q SimConfig>,
 }
 
-/// Most-recently-used front memo: query streams have temporal locality
-/// (a monitor re-prices one condition across many block sizes), and a
-/// memo hit compares the raw summary directly — no quantization, no
-/// hashing, no key allocation. Checked with `try_lock` so concurrent
-/// queriers never serialize on it; a missed lock just takes the normal
-/// sharded-cache path.
-struct FrontMemo {
-    machine: MachineParams,
-    d: u32,
-    switching: SwitchingMode,
-    summary: ConditionSummary,
-    hull: Arc<PlanHull>,
+/// Summarize the condition of a query that carries a raw one.
+fn resolve_net(q: &PlanQuery) -> Option<NetResolved> {
+    let QueryCondition::Net(nc) = &q.condition else { return None };
+    let mut cfg = SimConfig::ipsc860(q.d);
+    cfg.params = q.machine.clone();
+    cfg.switching = q.switching;
+    let cfg = cfg.with_netcond(nc.clone());
+    Some((condition_summary(&cfg), cfg))
+}
+
+/// The no-op summary every `Clean` query of dimension `d` borrows, so
+/// that it is built and keyed once per process, not once per query.
+fn clean_summary(d: u32) -> &'static ConditionSummary {
+    static NOOPS: OnceLock<Vec<ConditionSummary>> = OnceLock::new();
+    &NOOPS.get_or_init(|| (0..=MAX_DIMENSION).map(ConditionSummary::noop).collect())[d as usize]
+}
+
+impl<'q> Resolved<'q> {
+    /// Resolve a query that [`check`] has passed; `net` is its
+    /// [`resolve_net`].
+    fn of(q: &'q PlanQuery, net: &'q Option<NetResolved>) -> Resolved<'q> {
+        match (&q.condition, net) {
+            (QueryCondition::Summary(s), _) => Resolved { summary: s, sim_cfg: None },
+            (_, Some((summary, cfg))) => Resolved { summary, sim_cfg: Some(cfg) },
+            (_, None) => Resolved { summary: clean_summary(q.d), sim_cfg: None },
+        }
+    }
 }
 
 /// The planner: a long-running, shareable (all methods take `&self`)
@@ -65,7 +92,6 @@ struct FrontMemo {
 pub struct PlanEngine {
     options: PlanOptions,
     cache: HullCache,
-    front: Mutex<Option<FrontMemo>>,
     hits: AtomicU64,
     misses: AtomicU64,
     fallbacks: AtomicU64,
@@ -85,7 +111,6 @@ impl PlanEngine {
         PlanEngine {
             options,
             cache,
-            front: Mutex::new(None),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -109,44 +134,26 @@ impl PlanEngine {
         }
     }
 
-    /// Summarize and key one query that [`check`] has passed.
-    fn resolve<'q>(&self, q: &'q PlanQuery) -> Resolved<'q> {
-        let (summary, sim_cfg) = match &q.condition {
-            QueryCondition::Clean => (Cow::Owned(ConditionSummary::noop(q.d)), None),
-            QueryCondition::Net(nc) => {
-                let mut cfg = SimConfig::ipsc860(q.d);
-                cfg.params = q.machine.clone();
-                cfg.switching = q.switching;
-                let cfg = cfg.with_netcond(nc.clone());
-                (Cow::Owned(condition_summary(&cfg)), Some(cfg))
-            }
-            QueryCondition::Summary(s) => (Cow::Borrowed(s), None),
-        };
-        let key = CacheKey {
-            machine: MachineKey::of(&q.machine),
-            d: q.d,
-            saf: q.switching == mce_simnet::config::SwitchingMode::StoreAndForward,
-            fingerprint: summary.fingerprint(),
-        };
-        Resolved { summary, key, sim_cfg }
-    }
-
     /// The configuration to simulate when this resolved query should
     /// go to the simulator, `None` when it stays analytic. A block
     /// that rounds to zero bytes stays with the hull, whose first face
-    /// starts at `m = 0`: there is nothing to simulate.
-    fn fallback_cfg<'r>(&self, q: &PlanQuery, r: &'r Resolved) -> Option<&'r SimConfig> {
+    /// starts at `m = 0`: there is nothing to simulate; one past
+    /// [`MAX_FALLBACK_BYTES`] stays with it because there is too much.
+    fn fallback_cfg<'r>(&self, q: &PlanQuery, r: Resolved<'r>) -> Option<&'r SimConfig> {
+        let cfg = r.sim_cfg?;
+        let bytes = q.m.round();
         let wanted = self.options.fallback == FallbackPolicy::Auto
-            && q.m.round() >= 1.0
+            && bytes >= 1.0
             && q.d <= self.options.max_fallback_dimension
-            && out_of_envelope(&r.summary, self.options.dense_hit_threshold);
-        r.sim_cfg.as_ref().filter(|_| wanted)
+            && bytes * (1u64 << (2 * q.d)) as f64 <= MAX_FALLBACK_BYTES
+            && out_of_envelope(r.summary, self.options.dense_hit_threshold);
+        wanted.then_some(cfg)
     }
 
     /// The simulator's answer to a fallback-bound query; `None` when
     /// the query is not fallback-bound, or when the simulation fails
     /// (typed) and the caller degrades to the analytic answer.
-    fn try_fallback(&self, q: &PlanQuery, r: &Resolved) -> Option<PlanAnswer> {
+    fn try_fallback(&self, q: &PlanQuery, r: Resolved) -> Option<PlanAnswer> {
         let cfg = self.fallback_cfg(q, r)?;
         match simulate_answer(cfg, q.m.round() as usize) {
             Ok((part, us)) => {
@@ -165,40 +172,11 @@ impl PlanEngine {
         }
     }
 
-    /// Memo fast path for summary-carrying queries (the only kind the
-    /// memo can serve without resolving: `Clean` needs a no-op summary
-    /// built and `Net` needs summarization either way, and neither can
-    /// be fallback-eligible from the memo).
-    fn front_get(&self, q: &PlanQuery, s: &ConditionSummary) -> Option<Arc<PlanHull>> {
-        let guard = self.front.try_lock().ok()?;
-        let memo = guard.as_ref()?;
-        if memo.d == q.d
-            && memo.switching == q.switching
-            && memo.summary == *s
-            && memo.machine == q.machine
-        {
-            Some(Arc::clone(&memo.hull))
-        } else {
-            None
-        }
-    }
-
-    fn front_put(&self, q: &PlanQuery, s: &ConditionSummary, hull: &Arc<PlanHull>) {
-        if let Ok(mut guard) = self.front.try_lock() {
-            *guard = Some(FrontMemo {
-                machine: q.machine.clone(),
-                d: q.d,
-                switching: q.switching,
-                summary: s.clone(),
-                hull: Arc::clone(hull),
-            });
-        }
-    }
-
-    /// Answer one query. Warm path: a raw-summary memo compare (query
-    /// streams re-price one condition across many block sizes), or a
-    /// fingerprint + one sharded-cache fetch; then one binary search
-    /// and two float ops.
+    /// Answer one query. Warm path: the condition's kept fingerprint
+    /// (quantized when the condition was first keyed, not now), one
+    /// hash of the borrowed key, one sharded-cache fetch, one binary
+    /// search and two float ops — the only allocation is the answer's
+    /// own partition.
     ///
     /// # Panics
     ///
@@ -214,7 +192,8 @@ impl PlanEngine {
     /// [`PlanEngine::answer`] with a typed error instead of a panic
     /// for a query no plan exists for: `d = 0` or beyond
     /// [`MAX_DIMENSION`], a block size that is not a finite
-    /// non-negative number, a summary of another cube.
+    /// non-negative number, a summary of another cube or with a
+    /// non-finite or negative field.
     pub fn try_answer(&self, q: &PlanQuery) -> Result<PlanAnswer, PlanError> {
         check(q)?;
         Ok(self.answer_checked(q))
@@ -222,27 +201,21 @@ impl PlanEngine {
 
     /// Answer a query that [`check`] has passed.
     fn answer_checked(&self, q: &PlanQuery) -> PlanAnswer {
-        if let QueryCondition::Summary(s) = &q.condition {
-            if let Some(hull) = self.front_get(q, s) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return self.answer_from_hull(q, s, &hull);
-            }
-        }
-        let r = self.resolve(q);
-        if let Some(answer) = self.try_fallback(q, &r) {
+        let net = resolve_net(q);
+        let r = Resolved::of(q, &net);
+        if let Some(answer) = self.try_fallback(q, r) {
             return answer;
         }
-        let hull = match self.cache.get(&r.key) {
+        let machine = MachineKey::of(&q.machine);
+        let key = key_of(q, &machine, r.summary);
+        let hull = match self.cache.probe(key) {
             Some(hull) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 hull
             }
-            None => self.build_and_insert(q, &r),
+            None => self.build_and_insert(q, r.summary, key.to_key()),
         };
-        if let QueryCondition::Summary(s) = &q.condition {
-            self.front_put(q, s, &hull);
-        }
-        self.answer_from_hull(q, &r.summary, &hull)
+        self.answer_from_hull(q, r.summary, &hull)
     }
 
     /// Batch entry point: groups the queries by cache key, builds every
@@ -263,58 +236,70 @@ impl PlanEngine {
     /// before any hull is built or any counter moves.
     pub fn try_answer_batch(&self, queries: &[PlanQuery]) -> Result<Vec<PlanAnswer>, PlanError> {
         queries.iter().try_for_each(check)?;
-        let resolved: Vec<Resolved> = queries.iter().map(|q| self.resolve(q)).collect();
+        let nets: Vec<Option<NetResolved>> = queries.iter().map(resolve_net).collect();
+        let resolved: Vec<(Resolved, CacheKey)> = queries
+            .iter()
+            .zip(&nets)
+            .map(|(q, net)| {
+                let r = Resolved::of(q, net);
+                (r, key_of(q, &MachineKey::of(&q.machine), r.summary).to_key())
+            })
+            .collect();
         // Distinct keys that need a hull and don't have one yet.
-        let mut missing: Vec<(CacheKey, u32, usize)> = Vec::new();
-        let mut seen: HashSet<CacheKey> = HashSet::new();
-        for (i, (q, r)) in queries.iter().zip(&resolved).enumerate() {
-            if self.fallback_cfg(q, r).is_some() {
+        let mut missing: Vec<usize> = Vec::new();
+        let mut seen: HashSet<&CacheKey> = HashSet::new();
+        for (i, (q, (r, key))) in queries.iter().zip(&resolved).enumerate() {
+            if self.fallback_cfg(q, *r).is_some() {
                 continue;
             }
-            if !seen.contains(&r.key) && self.cache.get(&r.key).is_none() {
-                seen.insert(r.key.clone());
-                missing.push((r.key.clone(), q.d, i));
+            if !seen.contains(key) && self.cache.get(key).is_none() {
+                seen.insert(key);
+                missing.push(i);
             }
         }
-        let built: Vec<(CacheKey, Arc<PlanHull>)> = rayon::parallel_map(missing, |(key, d, i)| {
+        let built: Vec<(usize, Arc<PlanHull>)> = rayon::parallel_map(missing, |i| {
             let q = &queries[i];
-            let hull = Arc::new(PlanHull::build(&q.machine, q.switching, d, &resolved[i].summary));
-            (key, hull)
+            (i, Arc::new(PlanHull::build(&q.machine, q.switching, q.d, resolved[i].0.summary)))
         });
         self.misses.fetch_add(built.len() as u64, Ordering::Relaxed);
         // The first answer drawn from a freshly built hull belongs to
         // its miss; every later one is a hit.
-        let mut fresh: HashSet<CacheKey> = built.iter().map(|(k, _)| k.clone()).collect();
-        for (key, hull) in built {
-            self.cache.insert(key, hull);
+        let mut fresh = seen;
+        for (i, hull) in built {
+            self.cache.insert(resolved[i].1.clone(), hull);
         }
         Ok(queries
             .iter()
             .zip(&resolved)
-            .map(|(q, r)| {
-                if let Some(answer) = self.try_fallback(q, r) {
+            .map(|(q, (r, key))| {
+                if let Some(answer) = self.try_fallback(q, *r) {
                     return answer;
                 }
-                let hull = match self.cache.get(&r.key) {
+                let hull = match self.cache.get(key) {
                     Some(hull) => {
-                        if !fresh.remove(&r.key) {
+                        if !fresh.remove(key) {
                             self.hits.fetch_add(1, Ordering::Relaxed);
                         }
                         hull
                     }
                     // Evicted between insert and answer (tiny cache
                     // under a huge batch): rebuild inline.
-                    None => self.build_and_insert(q, r),
+                    None => self.build_and_insert(q, r.summary, key.clone()),
                 };
-                self.answer_from_hull(q, &r.summary, &hull)
+                self.answer_from_hull(q, r.summary, &hull)
             })
             .collect())
     }
 
-    fn build_and_insert(&self, q: &PlanQuery, r: &Resolved) -> Arc<PlanHull> {
+    fn build_and_insert(
+        &self,
+        q: &PlanQuery,
+        summary: &ConditionSummary,
+        key: CacheKey,
+    ) -> Arc<PlanHull> {
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let hull = Arc::new(PlanHull::build(&q.machine, q.switching, q.d, &r.summary));
-        self.cache.insert(r.key.clone(), Arc::clone(&hull));
+        let hull = Arc::new(PlanHull::build(&q.machine, q.switching, q.d, summary));
+        self.cache.insert(key, Arc::clone(&hull));
         hull
     }
 
@@ -329,14 +314,14 @@ impl PlanEngine {
         summary: &ConditionSummary,
         hull: &PlanHull,
     ) -> PlanAnswer {
-        let (part, predicted) = if hull.near_boundary(q.m) {
+        let (face, near_boundary) = hull.locate(q.m);
+        let (part, predicted) = if near_boundary {
             // Within the band two candidates are ~1e-6 apart: re-run
             // the exact fold so ties and float-level orderings match
             // `conditioned_best_partition` bit for bit.
             let table = StepTable::new(summary);
             best_partition_by(q.d, |p| price(&q.machine, q.switching, q.d, &table, q.m, p))
         } else {
-            let face = hull.face(q.m);
             let predicted = if self.options.exact_predictions {
                 price(&q.machine, q.switching, q.d, summary, q.m, &face.partition)
             } else {
@@ -353,12 +338,24 @@ impl PlanEngine {
     }
 }
 
+/// The cache key of a checked query priced under `summary`, borrowed
+/// from the two: nothing is quantized, cloned or allocated to name it.
+fn key_of<'a>(q: &PlanQuery, machine: &'a MachineKey, summary: &'a ConditionSummary) -> KeyRef<'a> {
+    KeyRef {
+        machine,
+        d: q.d,
+        saf: q.switching == SwitchingMode::StoreAndForward,
+        fingerprint: summary.fingerprint_ref(),
+    }
+}
+
 /// Everything a caller can get wrong in a [`PlanQuery`], rejected
-/// before the query reaches the memo, the cache or a table sized by
-/// `d`. A check of its own rather than a fallible `resolve`: the warm
-/// path runs it on every query, and handing the (large) resolved
-/// query back through a `Result` cost `plan_warm` 12 % of its
-/// `wall_s`, where the check alone costs it under 2 %.
+/// before the query reaches the cache or a table sized by `d`. A check
+/// of its own rather than a fallible `resolve`: the warm path runs it
+/// on every query, and handing the (large) resolved query back through
+/// a `Result` cost `plan_warm` 12 % of its `wall_s`, where the check
+/// alone costs it under 2 %. Whether a summary is well formed is
+/// decided once per summary, with its fingerprint; here it is one flag.
 fn check(q: &PlanQuery) -> Result<(), PlanError> {
     if q.d == 0 || q.d > MAX_DIMENSION {
         return Err(PlanError::DimensionOutOfRange(q.d));
@@ -370,6 +367,7 @@ fn check(q: &PlanQuery) -> Result<(), PlanError> {
         QueryCondition::Summary(s) if s.dimension() != q.d => {
             Err(PlanError::SummaryDimensionMismatch { summary: s.dimension(), query: q.d })
         }
+        QueryCondition::Summary(s) if !s.is_well_formed() => Err(PlanError::InvalidSummary),
         _ => Ok(()),
     }
 }
@@ -511,6 +509,26 @@ mod tests {
                 PlanQuery::clean(4, 64.0, machine.clone()).with_summary(ConditionSummary::noop(3)),
                 PlanError::SummaryDimensionMismatch { summary: 3, query: 4 },
             ),
+            // A summary no constructor yields from sane inputs: these
+            // answered `Ok` with `predicted_us: NaN` before.
+            (
+                PlanQuery::clean(3, 64.0, machine.clone())
+                    .with_summary(ConditionSummary::from_link_factors(3, &[f64::NAN; 24])),
+                PlanError::InvalidSummary,
+            ),
+            (
+                PlanQuery::clean(3, 64.0, machine.clone())
+                    .with_summary(ConditionSummary::from_link_factors(3, &[-1.5; 24])),
+                PlanError::InvalidSummary,
+            ),
+            (
+                PlanQuery::clean(3, 64.0, machine.clone()).with_summary({
+                    let mut endless = ConditionSummary::noop(3);
+                    endless.add_stream(0b011, f64::INFINITY, 1000.0);
+                    endless
+                }),
+                PlanError::InvalidSummary,
+            ),
         ];
         let engine = PlanEngine::default();
         let good = PlanQuery::clean(4, 64.0, machine.clone());
@@ -524,7 +542,8 @@ mod tests {
         assert!(matches!(nan, Err(PlanError::InvalidBlockSize(m)) if m.is_nan()));
         // A rejected batch built nothing and counted nothing.
         assert_eq!((engine.stats().hits, engine.stats().misses), (0, 0));
-        // The memo fast path sits behind the same check.
+        // A warm condition sits behind the same check, and a summary
+        // is judged again after it changes.
         let cond = ConditionSummary::from_link_factors(4, &[1.5; 64]);
         let warm = PlanQuery::clean(4, 64.0, machine).with_summary(cond);
         assert!(engine.try_answer(&warm).is_ok());
@@ -532,6 +551,33 @@ mod tests {
         bad.m = f64::NAN;
         assert!(matches!(engine.try_answer(&bad), Err(PlanError::InvalidBlockSize(_))));
         assert!(engine.try_answer(&warm).is_ok());
+        let QueryCondition::Summary(s) = &mut bad.condition else { unreachable!() };
+        s.add_stream(0b1, f64::INFINITY, 1000.0);
+        bad.m = 64.0;
+        assert_eq!(engine.try_answer(&bad), Err(PlanError::InvalidSummary));
+    }
+
+    #[test]
+    fn a_huge_block_is_answered_from_the_hull_not_simulated() {
+        // Regression: the fallback built programs and stamped 4^d * m
+        // bytes of node memory for any m — these two never returned.
+        let d = 3u32;
+        let dense = |m: f64| {
+            PlanQuery::clean(d, m, MachineParams::ipsc860()).with_netcond(hotspot_condition(d, 8))
+        };
+        let engine = PlanEngine::default();
+        let huge = [dense(1e13), dense(4e18)];
+        for q in &huge {
+            let a = engine.answer(q);
+            assert_eq!(a.source, AnswerSource::Hull, "m = {}", q.m);
+            assert!(a.predicted_us.is_finite() && a.predicted_us > 0.0);
+            assert_eq!(engine.answer_batch(std::slice::from_ref(q)), [a]);
+        }
+        // One byte past the cap stays analytic too; nothing was run.
+        let over = dense(MAX_FALLBACK_BYTES / 64.0 + 1.0);
+        assert_eq!(engine.answer(&over).source, AnswerSource::Hull);
+        let s = engine.stats();
+        assert_eq!((s.fallbacks, s.fallback_errors), (0, 0));
     }
 
     #[test]

@@ -90,17 +90,27 @@ impl PlanHull {
         &self.faces[i]
     }
 
-    /// Whether `m` falls in the boundary band of any face edge —
-    /// within [`BOUNDARY_REL_EPS`] relative (absolute near zero) of a
-    /// breakpoint, where the engine must re-run the exact enumeration
-    /// fold rather than trust the face label. The first face's
-    /// `from = 0` counts too: lines excluded from the envelope can tie
-    /// the winner exactly at `m = 0`.
-    pub fn near_boundary(&self, m: f64) -> bool {
+    /// The face containing `m`, and whether `m` falls in the boundary
+    /// band of any face edge — within [`BOUNDARY_REL_EPS`] relative
+    /// (absolute near zero) of a breakpoint, where the engine must
+    /// re-run the exact enumeration fold rather than trust the face
+    /// label. The first face's `from = 0` counts too: lines excluded
+    /// from the envelope can tie the winner exactly at `m = 0`.
+    ///
+    /// One search: faces tile `[0, ∞)` in order, so no breakpoint is
+    /// nearer `m` than the two edges of its own face — if `m` is in
+    /// the band of an edge further off (faces narrower than the band
+    /// in between), it is in the band of its own face's edge too.
+    pub fn locate(&self, m: f64) -> (&AffineHullFace, bool) {
+        let i = affine_face_index(&self.faces, m).expect("hulls are never empty (p(d) >= 1)");
+        let face = &self.faces[i];
         let tol = BOUNDARY_REL_EPS * m.abs().max(1.0);
-        self.faces
-            .iter()
-            .any(|f| (m - f.from).abs() <= tol || (f.to.is_finite() && (m - f.to).abs() <= tol))
+        (face, (m - face.from).abs() <= tol || (m - face.to).abs() <= tol)
+    }
+
+    /// Whether `m` falls in a boundary band (see [`PlanHull::locate`]).
+    pub fn near_boundary(&self, m: f64) -> bool {
+        self.locate(m).1
     }
 }
 

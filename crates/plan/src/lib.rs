@@ -15,14 +15,20 @@
 //!    ([`ConditionSummary::fingerprint`](mce_model::ConditionSummary::fingerprint),
 //!    ≈ 0.2% buckets, an order of magnitude under the model's own
 //!    accuracy envelope), so every network condition the model cannot
-//!    tell apart shares one cache entry.
+//!    tell apart shares one cache entry. A summary is quantized once
+//!    and keeps its key (until `add_stream` changes it; clones share
+//!    it), so asking again about a condition never re-derives it.
 //! 2. **Sharded LRU hull cache** — per `(machine, d, switching,
 //!    fingerprint)` the engine precomputes the *exact* hull of
 //!    optimality once
 //!    ([`optimality_hull_affine_by`](mce_model::optimality_hull_affine_by))
-//!    and caches its faces with affine coefficients. A warm query is a
-//!    binary search over faces plus two float ops — no model
-//!    evaluation at all.
+//!    and caches its faces with affine coefficients. A warm query is
+//!    one cache probe by the query's borrowed parts
+//!    ([`HullCache::probe`]: one hash, one shard lock, full-key
+//!    comparison), a binary search over faces and two float ops — no
+//!    model evaluation, and no allocation but the answer's partition
+//!    (`tests/warm_path.rs` counts). There is no second, smaller cache
+//!    in front of it.
 //! 3. **Batch API** — [`PlanEngine::answer_batch`] groups queries by
 //!    cache key and computes the missing hulls rayon-parallel before
 //!    answering everything from cache.
@@ -37,8 +43,8 @@
 //!
 //! A query the caller built wrong (`d = 0` or beyond
 //! [`mce_hypercube::MAX_DIMENSION`], a block size that is not a finite
-//! non-negative number, a summary of another cube) is a typed
-//! [`PlanError`] from [`PlanEngine::try_answer`] /
+//! non-negative number, a summary of another cube or with a NaN,
+//! infinite or negative field) is a typed [`PlanError`] from [`PlanEngine::try_answer`] /
 //! [`PlanEngine::try_answer_batch`]; [`PlanEngine::answer`] and
 //! [`PlanEngine::answer_batch`] are the panicking forms.
 //!
@@ -56,7 +62,7 @@ pub mod engine;
 pub mod fallback;
 pub mod hull;
 
-pub use cache::{CacheKey, HullCache, MachineKey};
+pub use cache::{CacheKey, HullCache, KeyRef, MachineKey};
 pub use engine::{PlanEngine, PlanStats};
 pub use fallback::out_of_envelope;
 pub use hull::{PlanHull, BOUNDARY_REL_EPS};
@@ -156,6 +162,11 @@ pub enum PlanError {
         /// The query's `d`.
         query: u32,
     },
+    /// A [`QueryCondition::Summary`] has a field that is NaN, infinite
+    /// or negative
+    /// ([`ConditionSummary::is_well_formed`](mce_model::ConditionSummary::is_well_formed)):
+    /// every prediction under it would be NaN or meaningless.
+    InvalidSummary,
 }
 
 impl std::fmt::Display for PlanError {
@@ -173,6 +184,9 @@ impl std::fmt::Display for PlanError {
                 f,
                 "summary dimension mismatch: a dimension-{summary} summary on a d = {query} query"
             ),
+            PlanError::InvalidSummary => {
+                write!(f, "condition summary has a non-finite or negative field")
+            }
         }
     }
 }
@@ -234,8 +248,9 @@ pub struct PlanAnswer {
 pub enum FallbackPolicy {
     /// Simulate when the condition is out of the model's accuracy
     /// envelope ([`out_of_envelope`]), the query carries a real
-    /// [`NetCondition`], and the cube is small enough
-    /// ([`PlanOptions::max_fallback_dimension`]).
+    /// [`NetCondition`], the cube is small enough
+    /// ([`PlanOptions::max_fallback_dimension`]) and so is the
+    /// exchange (at most 64 MiB of node memory, `4^d · m`).
     Auto,
     /// Never simulate; every answer comes from the hull.
     Never,

@@ -6,9 +6,12 @@
 //! keeps the cases reproducible in failure messages.
 
 use mce_model::{
-    conditioned_best_partition, conditioned_multiphase_time, ConditionSummary, MachineParams,
+    conditioned_best_partition, conditioned_multiphase_time, AffineHullFace, ConditionSummary,
+    MachineParams,
 };
-use mce_plan::{FallbackPolicy, PlanEngine, PlanOptions, PlanQuery};
+use mce_partitions::Partition;
+use mce_plan::{FallbackPolicy, PlanEngine, PlanHull, PlanOptions, PlanQuery, BOUNDARY_REL_EPS};
+use mce_simnet::config::SwitchingMode;
 use proptest::prelude::*;
 
 /// A random-but-valid condition summary built from integer draws:
@@ -49,8 +52,75 @@ fn summary_from(d: u32, kind: u32, a: u64, b: u64) -> ConditionSummary {
     }
 }
 
+/// The band test `PlanHull::locate` replaced: every edge of every
+/// face, in turn.
+fn near_any_edge(hull: &PlanHull, m: f64) -> bool {
+    let tol = BOUNDARY_REL_EPS * m.abs().max(1.0);
+    hull.faces
+        .iter()
+        .any(|f| (m - f.from).abs() <= tol || (f.to.is_finite() && (m - f.to).abs() <= tol))
+}
+
+/// Block sizes that probe a hull's band logic: on, just inside and
+/// just outside the band of every breakpoint, and between breakpoints.
+fn band_probes(hull: &PlanHull) -> Vec<f64> {
+    let mut probes = vec![0.0, 1e-7, 0.5, 1e9];
+    for f in &hull.faces {
+        let tol = BOUNDARY_REL_EPS * f.from.max(1.0);
+        for k in [0.0, 0.5, 0.999, 1.001, 2.0, 40.0] {
+            probes.push(f.from + k * tol);
+            probes.push((f.from - k * tol).max(0.0));
+        }
+        if f.to.is_finite() {
+            probes.push(0.5 * (f.from + f.to));
+        }
+    }
+    probes
+}
+
+fn assert_located_as_scanned(hull: &PlanHull) {
+    for m in band_probes(hull) {
+        let (face, near) = hull.locate(m);
+        assert!(std::ptr::eq(face, hull.face(m)), "m={m}: locate and face disagree");
+        assert_eq!(near, near_any_edge(hull, m), "m={m} in {:?}", hull.faces);
+        assert_eq!(hull.near_boundary(m), near);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// One face search decides the boundary band exactly as the scan
+    /// over every face edge did — also on hulls whose faces are
+    /// narrower than the band (or empty), where `m` is in the band of
+    /// edges that are not its own face's.
+    #[test]
+    fn locating_a_face_decides_the_band_as_the_full_scan_did(
+        start_milli in 0u64..200_000,
+        // Widths in units of 1e-7 B: at m ~ 100 the band is 1e-4 B
+        // wide, so these run from empty through sub-band to ordinary.
+        widths in proptest::collection::vec(
+            prop_oneof![0u64..4, 0u64..3_000, 0u64..400_000_000], 1..=9),
+    ) {
+        let mut edges = vec![0.0, start_milli as f64 / 1000.0];
+        for w in &widths {
+            edges.push(edges.last().unwrap() + *w as f64 * 1e-7);
+        }
+        edges.push(f64::INFINITY);
+        let faces = edges
+            .windows(2)
+            .enumerate()
+            .map(|(i, e)| AffineHullFace {
+                partition: Partition::new(vec![1]),
+                enum_index: i,
+                from: e[0],
+                to: e[1],
+                t0: 100.0 - i as f64,
+                slope: 1.0 / (1 + i) as f64,
+            })
+            .collect();
+        assert_located_as_scanned(&PlanHull { d: 1, saf: false, faces });
+    }
 
     /// Exact mode: a warm cache answer is bit-equal — partition and
     /// predicted time — to a direct `conditioned_best_partition` call.
@@ -147,4 +217,74 @@ fn evicted_then_requeried_answers_are_bit_equal() {
     let stats = engine.stats();
     assert_eq!(stats.misses, 4, "requery after eviction rebuilds");
     assert_eq!(stats.hits, 0);
+}
+
+/// The same agreement on hulls the model builds: every study-shaped
+/// condition at three dimensions, both switching disciplines.
+#[test]
+fn built_hulls_locate_as_they_scanned() {
+    let machine = MachineParams::ipsc860();
+    for d in [3u32, 6, 8] {
+        for kind in 0..4 {
+            let cond = summary_from(d, kind, 0x5eed + kind as u64, 77);
+            for switching in [SwitchingMode::Circuit, SwitchingMode::StoreAndForward] {
+                assert_located_as_scanned(&PlanHull::build(&machine, switching, d, &cond));
+            }
+        }
+    }
+}
+
+/// Eight threads, one engine, one shared query slice, each thread in
+/// its own order: every answer is the single-threaded one, and each
+/// is counted exactly once as a hit or a miss.
+#[test]
+fn concurrent_answers_equal_the_single_threaded_ones() {
+    const THREADS: usize = 8;
+    let machine = MachineParams::ipsc860();
+    let options = PlanOptions { fallback: FallbackPolicy::Never, ..PlanOptions::default() };
+    let mut queries = Vec::new();
+    for d in [4u32, 6] {
+        for kind in 0..4u32 {
+            // One summary per condition, cloned into its queries
+            // unkeyed: threads race to key equal summaries and to
+            // build the same hull.
+            let cond = summary_from(d, kind, 11 + kind as u64 * 977, 5);
+            for i in 0..16 {
+                let q = PlanQuery::clean(d, (2 + 9 * i) as f64, machine.clone());
+                queries.push(if kind == 0 && i % 2 == 0 {
+                    q
+                } else {
+                    q.with_summary(cond.clone())
+                });
+            }
+        }
+    }
+    let expect: Vec<_> = {
+        let alone = PlanEngine::new(options.clone());
+        queries.iter().map(|q| alone.answer(q)).collect()
+    };
+
+    assert_eq!(queries.len(), 128);
+    let engine = PlanEngine::new(options);
+    let barrier = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (engine, queries, expect, barrier) = (&engine, &queries, &expect, &barrier);
+            scope.spawn(move || {
+                // Its own order: an odd stride walks all 128 queries.
+                let n = queries.len();
+                let stride = 2 * t + 1;
+                barrier.wait();
+                for k in 0..n {
+                    let i = (t * 13 + k * stride) % n;
+                    assert_eq!(engine.answer(&queries[i]), expect[i], "thread {t} query {i}");
+                }
+            });
+        }
+    });
+    let stats = engine.stats();
+    assert_eq!(stats.hits + stats.misses, (THREADS * queries.len()) as u64);
+    // Racing builders may each build a hull, never fewer than one per key.
+    assert!(stats.misses >= 8, "{stats:?}");
+    assert_eq!((stats.evictions, stats.fallbacks), (0, 0));
 }
