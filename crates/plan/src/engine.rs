@@ -31,6 +31,9 @@ pub struct PlanStats {
     /// Fallback simulations that failed (typed) and degraded to the
     /// hull answer.
     pub fallback_errors: u64,
+    /// Candidate runs the fallback abandoned at the finish time of a
+    /// better candidate instead of simulating them to the end.
+    pub fallback_cut_runs: u64,
 }
 
 /// Most bytes of node memory (`4^d · m`: `2^d` nodes of `2^d` blocks)
@@ -96,6 +99,7 @@ pub struct PlanEngine {
     misses: AtomicU64,
     fallbacks: AtomicU64,
     fallback_errors: AtomicU64,
+    fallback_cut_runs: AtomicU64,
 }
 
 impl Default for PlanEngine {
@@ -115,6 +119,7 @@ impl PlanEngine {
             misses: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             fallback_errors: AtomicU64::new(0),
+            fallback_cut_runs: AtomicU64::new(0),
         }
     }
 
@@ -131,6 +136,7 @@ impl PlanEngine {
             evictions: self.cache.evictions(),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
             fallback_errors: self.fallback_errors.load(Ordering::Relaxed),
+            fallback_cut_runs: self.fallback_cut_runs.load(Ordering::Relaxed),
         }
     }
 
@@ -150,18 +156,23 @@ impl PlanEngine {
         wanted.then_some(cfg)
     }
 
-    /// The simulator's answer to a fallback-bound query; `None` when
-    /// the query is not fallback-bound, or when the simulation fails
-    /// (typed) and the caller degrades to the analytic answer.
-    fn try_fallback(&self, q: &PlanQuery, r: Resolved) -> Option<PlanAnswer> {
-        let cfg = self.fallback_cfg(q, r)?;
-        match simulate_answer(cfg, q.m.round() as usize) {
-            Ok((part, us)) => {
+    /// The simulator's answer to a fallback-bound query, `cfg` being
+    /// its [`PlanEngine::fallback_cfg`]; `None` when the simulation
+    /// fails (typed) and the caller degrades to the analytic answer.
+    fn simulate(
+        &self,
+        q: &PlanQuery,
+        cfg: &SimConfig,
+        summary: &ConditionSummary,
+    ) -> Option<PlanAnswer> {
+        match simulate_answer(cfg, summary, q.m.round() as usize) {
+            Ok(won) => {
                 self.fallbacks.fetch_add(1, Ordering::Relaxed);
+                self.fallback_cut_runs.fetch_add(u64::from(won.cut_runs), Ordering::Relaxed);
                 Some(PlanAnswer {
-                    algorithm: Algorithm::of(&part),
-                    best_partition: part,
-                    predicted_us: us,
+                    algorithm: Algorithm::of(&won.partition),
+                    best_partition: won.partition,
+                    predicted_us: won.simulated_us,
                     source: AnswerSource::Fallback,
                 })
             }
@@ -193,7 +204,8 @@ impl PlanEngine {
     /// for a query no plan exists for: `d = 0` or beyond
     /// [`MAX_DIMENSION`], a block size that is not a finite
     /// non-negative number, a summary of another cube or with a
-    /// non-finite or negative field.
+    /// non-finite or negative field, a network condition that does
+    /// not fit the cube.
     pub fn try_answer(&self, q: &PlanQuery) -> Result<PlanAnswer, PlanError> {
         check(q)?;
         Ok(self.answer_checked(q))
@@ -203,7 +215,8 @@ impl PlanEngine {
     fn answer_checked(&self, q: &PlanQuery) -> PlanAnswer {
         let net = resolve_net(q);
         let r = Resolved::of(q, &net);
-        if let Some(answer) = self.try_fallback(q, r) {
+        let simulated = self.fallback_cfg(q, r).and_then(|cfg| self.simulate(q, cfg, r.summary));
+        if let Some(answer) = simulated {
             return answer;
         }
         let machine = MachineKey::of(&q.machine);
@@ -237,19 +250,22 @@ impl PlanEngine {
     pub fn try_answer_batch(&self, queries: &[PlanQuery]) -> Result<Vec<PlanAnswer>, PlanError> {
         queries.iter().try_for_each(check)?;
         let nets: Vec<Option<NetResolved>> = queries.iter().map(resolve_net).collect();
-        let resolved: Vec<(Resolved, CacheKey)> = queries
+        // Per query: what it is priced under, its cache key, and the
+        // configuration to simulate when it is fallback-bound.
+        let resolved: Vec<(Resolved, CacheKey, Option<&SimConfig>)> = queries
             .iter()
             .zip(&nets)
             .map(|(q, net)| {
                 let r = Resolved::of(q, net);
-                (r, key_of(q, &MachineKey::of(&q.machine), r.summary).to_key())
+                let key = key_of(q, &MachineKey::of(&q.machine), r.summary).to_key();
+                (r, key, self.fallback_cfg(q, r))
             })
             .collect();
         // Distinct keys that need a hull and don't have one yet.
         let mut missing: Vec<usize> = Vec::new();
         let mut seen: HashSet<&CacheKey> = HashSet::new();
-        for (i, (q, (r, key))) in queries.iter().zip(&resolved).enumerate() {
-            if self.fallback_cfg(q, *r).is_some() {
+        for (i, (_, key, sim_cfg)) in resolved.iter().enumerate() {
+            if sim_cfg.is_some() {
                 continue;
             }
             if !seen.contains(key) && self.cache.get(key).is_none() {
@@ -271,8 +287,9 @@ impl PlanEngine {
         Ok(queries
             .iter()
             .zip(&resolved)
-            .map(|(q, (r, key))| {
-                if let Some(answer) = self.try_fallback(q, *r) {
+            .map(|(q, (r, key, sim_cfg))| {
+                let simulated = sim_cfg.and_then(|cfg| self.simulate(q, cfg, r.summary));
+                if let Some(answer) = simulated {
                     return answer;
                 }
                 let hull = match self.cache.get(key) {
@@ -368,6 +385,7 @@ fn check(q: &PlanQuery) -> Result<(), PlanError> {
             Err(PlanError::SummaryDimensionMismatch { summary: s.dimension(), query: q.d })
         }
         QueryCondition::Summary(s) if !s.is_well_formed() => Err(PlanError::InvalidSummary),
+        QueryCondition::Net(nc) => nc.validate(q.d).map_err(PlanError::InvalidCondition),
         _ => Ok(()),
     }
 }
@@ -378,6 +396,7 @@ mod tests {
     use mce_hypercube::NodeId;
     use mce_model::{conditioned_best_partition, MachineParams};
     use mce_simnet::conformance::hotspot_condition;
+    use mce_simnet::{BackgroundStream, NetCondition, SpeedProfile};
 
     #[test]
     fn clean_query_names_the_paper_winner() {
@@ -493,7 +512,32 @@ mod tests {
     #[test]
     fn malformed_queries_are_typed_errors_not_panics() {
         let machine = MachineParams::ipsc860();
+        // A condition `NetCondition::validate` rejects for a d3 cube:
+        // the first indexed past the link table and panicked, the
+        // second answered `Ok` with `predicted_us: NaN`, the last two
+        // `Ok` with numbers that meant nothing.
+        let bad_net = |nc: NetCondition| {
+            let why = nc.validate(3).expect_err("malformed by construction");
+            let q = PlanQuery::clean(3, 64.0, machine.clone()).with_netcond(nc);
+            (q, PlanError::InvalidCondition(why))
+        };
+        let stray_stream = BackgroundStream {
+            src: NodeId(100),
+            dst: NodeId(1),
+            bytes: 400,
+            start_ns: 0,
+            period_ns: 600_000,
+            count: 10,
+        };
+        let per_dimension = |v: Vec<f64>| NetCondition {
+            speed: SpeedProfile::PerDimension(v),
+            ..NetCondition::default()
+        };
         let cases = [
+            bad_net(NetCondition::default().with_background(stray_stream)),
+            bad_net(NetCondition::uniform_slowdown(f64::NAN)),
+            bad_net(NetCondition::uniform_slowdown(0.0)),
+            bad_net(per_dimension(vec![1.5; 9])),
             (PlanQuery::clean(0, 64.0, machine.clone()), PlanError::DimensionOutOfRange(0)),
             (
                 PlanQuery::clean(MAX_DIMENSION + 5, 64.0, machine.clone())

@@ -5,15 +5,17 @@
 //! multi-hop circuits out of the network entirely, a cliff the
 //! accuracy envelope in `crates/model/README.md` explicitly excludes.
 //! When a query's condition looks like that regime, the engine prices
-//! the candidate partitions by *running* them — a one-block-size
-//! conformance grid through `SimBatch` — and answers from measurement.
+//! the candidate partitions by *running* them and answers from
+//! measurement. The question is which candidate finishes first, so a
+//! candidate is simulated only as far as the best finish time seen so
+//! far: see [`simulate_answer`].
 
 use mce_core::builder::build_multiphase_programs;
 use mce_core::verify::stamped_memories;
 use mce_model::ConditionSummary;
 use mce_partitions::Partition;
-use mce_simnet::conformance::{candidate_partitions, run_scenario, ScenarioError};
-use mce_simnet::SimConfig;
+use mce_simnet::conformance::{candidate_partitions, predicted_us_with, ScenarioError};
+use mce_simnet::{SimArena, SimConfig, SimError, SimTime};
 
 /// Whether a condition sits outside the model's accuracy envelope:
 /// some dimension's *saturated hit rate* — the fraction of that
@@ -27,21 +29,98 @@ pub fn out_of_envelope(cond: &ConditionSummary, threshold: f64) -> bool {
     cond.contention().iter().any(|c| c.touch * (2.0 * c.util).min(1.0) >= threshold)
 }
 
-/// Simulate one query's candidate set at block size `m` and return the
-/// measured winner `(partition, simulated µs)`.
+/// The measured winner of one query's candidate set.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Simulated {
+    /// The candidate that finished first.
+    pub partition: Partition,
+    /// Its simulated finish time, µs.
+    pub simulated_us: f64,
+    /// Candidates abandoned at the incumbent's finish time instead of
+    /// being run to completion.
+    pub cut_runs: u32,
+}
+
+/// Simulate one query's candidate set at block size `m` under `cfg`,
+/// whose condition `cond` summarizes, and return the measured winner.
 ///
 /// Candidates are the same cast every conformance grid compares: the
-/// clean hull's partitions plus Standard Exchange. Errors are the
-/// typed [`ScenarioError`] (e.g. an unroutable pair under a faulted
-/// condition) — the caller degrades to the analytic hull answer.
-pub fn simulate_answer(cfg: &SimConfig, m: usize) -> Result<(Partition, f64), ScenarioError> {
+/// clean hull's partitions plus Standard Exchange, and the answer is
+/// the one `conformance::run_scenario` names over that cast at `[m]` —
+/// the least `(finish time, cast index)` — without running the losers
+/// out. The candidates run one after another on one arena, the one the
+/// model likes best first and each later one only
+/// [until](SimArena::run_until) the best finish time so far: a run cut
+/// there cannot be the minimum, and one that ties it finishes and is
+/// compared by cast index, so the order decides what the answer costs
+/// and never what it is.
+///
+/// # Errors
+///
+/// The typed [`ScenarioError`] of the first candidate in cast order
+/// whose simulation failed (e.g. an unroutable pair under a faulted
+/// condition) — the caller degrades to the analytic hull answer. A
+/// failure hidden behind a cut is not one: that candidate had lost.
+pub fn simulate_answer(
+    cfg: &SimConfig,
+    cond: &ConditionSummary,
+    m: usize,
+) -> Result<Simulated, ScenarioError> {
     let m_max = (4 * m).max(512) as f64;
-    let candidates = candidate_partitions(&cfg.params, cfg.dimension, m_max);
-    let outcome = run_scenario("plan/fallback", cfg, &candidates, &[m], |d, dims, bytes| {
-        (build_multiphase_programs(d, dims, bytes), stamped_memories(d, bytes))
-    })?;
-    let w = outcome.simulated_winner[0];
-    Ok((candidates[w].clone(), outcome.cells[w].simulated_us))
+    let cast = candidate_partitions(&cfg.params, cfg.dimension, m_max);
+    let predicted: Vec<f64> =
+        cast.iter().map(|p| predicted_us_with(cfg, cond, p.parts(), m)).collect();
+    let mut order: Vec<usize> = (0..cast.len()).collect();
+    order.sort_by(|&a, &b| predicted[a].total_cmp(&predicted[b]));
+    let (winner, finish, cut_runs) = simulate_in_order(cfg, &cast, &order, m)?;
+    Ok(Simulated { partition: cast[winner].clone(), simulated_us: finish.as_us(), cut_runs })
+}
+
+/// Run `cast`'s members in `order` (a permutation of its indices),
+/// each bounded by the best finish time before it, and return the
+/// winner's cast index, its finish time and how many runs were cut.
+fn simulate_in_order(
+    cfg: &SimConfig,
+    cast: &[Partition],
+    order: &[usize],
+    m: usize,
+) -> Result<(usize, SimTime, u32), ScenarioError> {
+    let d = cfg.dimension;
+    let mut arena = SimArena::new();
+    let mut best: Option<(SimTime, usize)> = None;
+    let mut failed: Option<(usize, SimError)> = None;
+    let mut cut_runs = 0;
+    for &i in order {
+        let programs = build_multiphase_programs(d, cast[i].parts(), m);
+        let memories = stamped_memories(d, m);
+        let run = match best {
+            None => arena.run(cfg, &programs, memories).map(Some),
+            Some((finish, _)) => arena.run_until(cfg, &programs, memories, finish),
+        };
+        match run {
+            Ok(Some(run)) => {
+                let key = (run.finish_time, i);
+                if best.is_none_or(|incumbent| key < incumbent) {
+                    best = Some(key);
+                }
+            }
+            Ok(None) => cut_runs += 1,
+            Err(error) if failed.as_ref().is_none_or(|&(first, _)| i < first) => {
+                failed = Some((i, error));
+            }
+            Err(_) => {}
+        }
+    }
+    if let Some((i, error)) = failed {
+        return Err(ScenarioError {
+            label: "plan/fallback".to_string(),
+            partition: cast[i].to_string(),
+            block_size: m,
+            error,
+        });
+    }
+    let (finish, winner) = best.expect("a cast is never empty, and no member failed");
+    Ok((winner, finish, cut_runs))
 }
 
 #[cfg(test)]
@@ -60,11 +139,30 @@ mod tests {
     }
 
     #[test]
+    fn the_order_of_the_runs_never_changes_the_answer() {
+        // A cast with a tie built in: {2,1} twice, around the
+        // singleton. Whichever runs first, the tie goes to the lower
+        // cast index and the time is the exhaustive minimum.
+        let d = 3u32;
+        let cfg = SimConfig::ipsc860(d).with_netcond(hotspot_condition(d, 8));
+        let cast =
+            [Partition::new(vec![2, 1]), Partition::new(vec![3]), Partition::new(vec![2, 1])];
+        let alone = |i: usize| simulate_in_order(&cfg, &cast, &[i], 64).unwrap().1;
+        assert_eq!(alone(0), alone(2));
+        assert!(alone(0) < alone(1), "the tied pair must be the one that wins");
+        for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            let (winner, finish, cut_runs) = simulate_in_order(&cfg, &cast, &order, 64).unwrap();
+            assert_eq!((winner, finish), (0, alone(0)), "order {order:?}");
+            assert!(cut_runs <= 1, "a tie finishes, it is not cut: order {order:?}");
+        }
+    }
+
+    #[test]
     fn simulated_winner_comes_from_the_candidate_cast() {
         let d = 3u32;
         let cfg = SimConfig::ipsc860(d).with_netcond(hotspot_condition(d, 8));
-        let (part, t) = simulate_answer(&cfg, 64).expect("routable scenario");
-        assert_eq!(part.total(), d);
-        assert!(t > 0.0);
+        let won = simulate_answer(&cfg, &condition_summary(&cfg), 64).expect("routable scenario");
+        assert_eq!(won.partition.total(), d);
+        assert!(won.simulated_us > 0.0);
     }
 }

@@ -34,9 +34,11 @@
 //!    answering everything from cache.
 //! 4. **Simulator fallback** — regimes the model's accuracy envelope
 //!    excludes (dense anti-phased hotspot ladders; see
-//!    `crates/model/README.md`) are routed through a [`SimBatch`](mce_simnet::SimBatch)
-//!    grid and answered from measurement, marked
-//!    [`AnswerSource::Fallback`]. A simulation *failure* (typed
+//!    `crates/model/README.md`) are answered from measurement, marked
+//!    [`AnswerSource::Fallback`]: the candidate partitions are
+//!    simulated one after another, each only as far as the best
+//!    finish time before it ([`fallback::simulate_answer`]). A
+//!    simulation *failure* (typed
 //!    [`ScenarioError`](mce_simnet::conformance::ScenarioError))
 //!    degrades to the analytic hull answer instead of aborting — the
 //!    service stays up.
@@ -44,7 +46,8 @@
 //! A query the caller built wrong (`d = 0` or beyond
 //! [`mce_hypercube::MAX_DIMENSION`], a block size that is not a finite
 //! non-negative number, a summary of another cube or with a NaN,
-//! infinite or negative field) is a typed [`PlanError`] from [`PlanEngine::try_answer`] /
+//! infinite or negative field, a [`NetCondition`] that fails its own
+//! `validate` for the cube) is a typed [`PlanError`] from [`PlanEngine::try_answer`] /
 //! [`PlanEngine::try_answer_batch`]; [`PlanEngine::answer`] and
 //! [`PlanEngine::answer_batch`] are the panicking forms.
 //!
@@ -167,6 +170,13 @@ pub enum PlanError {
     /// ([`ConditionSummary::is_well_formed`](mce_model::ConditionSummary::is_well_formed)):
     /// every prediction under it would be NaN or meaningless.
     InvalidSummary,
+    /// A [`QueryCondition::Net`] fails
+    /// [`NetCondition::validate`] for the query's cube (a stream or
+    /// cable outside it, a speed factor that is not finite and
+    /// positive, more per-dimension factors than dimensions); the
+    /// payload is that check's message. Summarizing such a condition
+    /// would index outside the cube's link table or price with NaN.
+    InvalidCondition(String),
 }
 
 impl std::fmt::Display for PlanError {
@@ -187,6 +197,7 @@ impl std::fmt::Display for PlanError {
             PlanError::InvalidSummary => {
                 write!(f, "condition summary has a non-finite or negative field")
             }
+            PlanError::InvalidCondition(why) => write!(f, "invalid network condition: {why}"),
         }
     }
 }

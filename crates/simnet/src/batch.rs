@@ -37,7 +37,10 @@
 //!   a whole [`RunSpec`] and picks between the two itself. These three
 //!   and `Simulator::run` are the only doors into the engine; tracing
 //!   is not a separate door but the [`RunSpec::trace`] field
-//!   ([`SimBatch::push_traced`]) or `Simulator::with_trace`.
+//!   ([`SimBatch::push_traced`]) or `Simulator::with_trace`, and a
+//!   bound is not one either: [`SimArena::run_until`] is `run` with
+//!   one more argument, for a caller that compares runs and holds a
+//!   finish time to beat.
 //! * N runs of *shared* programs (seed and config sweeps): a
 //!   [`SimBatch`] with `Arc`-shared programs and memories — compile
 //!   once, simulate N times.

@@ -62,6 +62,15 @@ use std::sync::Arc;
 /// Streams are assumed to outlast the run being predicted — the
 /// convention of every hotspot ladder in this repository; `start_ns`
 /// and `count` are not consulted.
+///
+/// Precondition: `cfg` passes [`SimConfig::validate`], which runs
+/// [`NetCondition::validate`] for the cube. A condition that does not
+/// — a stream endpoint outside the cube, a speed factor that is NaN,
+/// zero or negative, more per-dimension factors than dimensions —
+/// indexes past the link-factor table (a panic) or summarizes to NaN
+/// and meaningless fields. The engine validates before it runs and the
+/// planner before it summarizes (`PlanError::InvalidCondition`); a
+/// caller that builds conditions from outside input does the same.
 pub fn condition_summary(cfg: &SimConfig) -> ConditionSummary {
     let d = cfg.dimension;
     let Some(nc) = &cfg.netcond else {
@@ -289,9 +298,10 @@ pub fn crossover_takeover(crossover_bytes: f64, sizes: &[usize]) -> Option<usize
 ///
 /// Historically `run_scenario` panicked here. Conformance scenarios
 /// are routable by construction, so a failure *is* a harness bug in
-/// test context — but the planner (`mce_plan`) routes live
-/// out-of-envelope queries through the same entry point, and a service
-/// degrades to its analytic answer rather than aborting.
+/// test context — but the planner (`mce_plan`) simulates the same
+/// cells for live out-of-envelope queries and reports a failure in
+/// this type, and a service degrades to its analytic answer rather
+/// than aborting.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScenarioError {
     /// Scenario label the failing grid belonged to.
@@ -329,9 +339,11 @@ impl std::error::Error for ScenarioError {}
 ///
 /// Returns a [`ScenarioError`] naming the first cell whose simulation
 /// failed (e.g. an unroutable pair under a faulted condition). Test
-/// harnesses unwrap it — their grids are routable by construction —
-/// while the planner's simulator fallback degrades to the analytic
-/// answer instead of aborting.
+/// harnesses unwrap it — their grids are routable by construction.
+/// Every cell runs to completion: the harness and the perf ledger's
+/// `simnet.conformance.scenario_s` probe need all of them. The
+/// planner's fallback, which needs only the winner, runs the same
+/// cells bounded (`mce_plan::fallback::simulate_answer`).
 pub fn run_scenario(
     label: &str,
     cfg: &SimConfig,

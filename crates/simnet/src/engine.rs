@@ -642,8 +642,8 @@ pub struct SimArena {
     tr_free: Vec<u32>,
     id_to_slot: Vec<u32>,
     dirty: Vec<(u64, TransmissionId)>,
-    link_watch: FxHashMap<DirectedLink, Vec<TransmissionId>>,
     node_watch: Vec<Vec<TransmissionId>>,
+    woken: Vec<TransmissionId>,
     pool: Vec<Vec<u8>>,
     scratch: Vec<u8>,
     sched: Scheduler,
@@ -687,6 +687,31 @@ impl SimArena {
         self.run_one(cfg, programs, None, memories, None)
     }
 
+    /// [`SimArena::run`] given a bound: the run is abandoned
+    /// (`Ok(None)`) the first time simulated time would advance past
+    /// `until` with some program unfinished. When every program
+    /// finished by then (`until` itself included) the result carries
+    /// the unbounded run's `finish_time`, memories and statistics,
+    /// except that background traffic injected after `until` is
+    /// neither simulated nor counted (`background_*`; the `sched_*`
+    /// telemetry follows the events actually queued).
+    ///
+    /// For callers that compare runs and already hold a finish time to
+    /// beat. The bound is an argument because it belongs to one
+    /// question about a run, not to the machine a [`SimConfig`]
+    /// describes; a bounded run is sequential whatever `cfg.shards`
+    /// says, and an abandoned run leaves the arena as an errored one
+    /// does: ready for the next.
+    pub fn run_until(
+        &mut self,
+        cfg: &SimConfig,
+        programs: &[Program],
+        memories: Vec<Vec<u8>>,
+        until: SimTime,
+    ) -> Result<Option<SimResult>, SimError> {
+        self.run_bounded(cfg, programs, None, memories, None, Some(until))
+    }
+
     /// Run a *shared* program set (identified by its `Arc`): the
     /// compile pass is cached, so seed sweeps and config sweeps over
     /// one program set compile once instead of once per run.
@@ -699,9 +724,9 @@ impl SimArena {
         self.run_one(cfg, programs, Some(programs), memories, None)
     }
 
-    /// The one run path behind every public door ([`Simulator::run`],
-    /// [`SimArena::run`], [`SimArena::run_shared`] and
-    /// [`SimArena::run_spec`]). `shared` is the compile-cache key: the
+    /// The one run path behind every unbounded public door
+    /// ([`Simulator::run`], [`SimArena::run`], [`SimArena::run_shared`]
+    /// and [`SimArena::run_spec`]). `shared` is the compile-cache key: the
     /// `Arc` identity of `programs` when later runs may present the
     /// same set again, `None` to compile for this run only. `trace`
     /// enables structured event capture (`None` = off).
@@ -713,6 +738,21 @@ impl SimArena {
         memories: Vec<Vec<u8>>,
         trace: Option<&TraceConfig>,
     ) -> Result<SimResult, SimError> {
+        let out = self.run_bounded(cfg, programs, shared, memories, trace, None)?;
+        Ok(out.expect("only a bounded run is abandoned"))
+    }
+
+    /// [`SimArena::run_one`] with the bound of [`SimArena::run_until`]
+    /// (`None` = run to the end, which always yields a result).
+    fn run_bounded(
+        &mut self,
+        cfg: &SimConfig,
+        programs: &[Program],
+        shared: Option<&Arc<Vec<Program>>>,
+        memories: Vec<Vec<u8>>,
+        trace: Option<&TraceConfig>,
+        until: Option<SimTime>,
+    ) -> Result<Option<SimResult>, SimError> {
         check_shape(cfg, programs.len(), memories.len())?;
         let t0 = std::time::Instant::now();
         let (compiled, source) = match shared {
@@ -720,14 +760,16 @@ impl SimArena {
             None => (Arc::new(compile(programs, &memories)?), CompileSource::Miss),
         };
         let compile_ns = t0.elapsed().as_nanos() as u64;
-        let mut out = self.run_compiled(cfg, &compiled, memories, trace)?;
+        let Some(mut out) = self.run_compiled(cfg, &compiled, memories, trace, until)? else {
+            return Ok(None);
+        };
         out.stats.compile_ns = compile_ns;
         match source {
             CompileSource::LocalHit => out.stats.compile_local_hits = 1,
             CompileSource::SharedHit => out.stats.compile_shared_hits = 1,
             CompileSource::Miss => out.stats.compile_misses = 1,
         }
-        Ok(out)
+        Ok(Some(out))
     }
 
     /// Cached compile keyed on program-set identity + memory lengths
@@ -779,7 +821,8 @@ impl SimArena {
         compiled: &Compiled,
         mut memories: Vec<Vec<u8>>,
         trace: Option<&TraceConfig>,
-    ) -> Result<SimResult, SimError> {
+        until: Option<SimTime>,
+    ) -> Result<Option<SimResult>, SimError> {
         if cfg.num_jobs() > 1 {
             // Jobs share links, never messages: a send whose xor-mask
             // leaves the physical-node bits would alias another job's
@@ -801,7 +844,7 @@ impl SimArena {
                 }
             }
         }
-        if crate::shard::eligible(cfg, trace.is_some()) {
+        if crate::shard::eligible(cfg, trace.is_some(), until.is_some()) {
             // The sharded attempt consumes the memories; keep a
             // pristine copy so a window violation can fall back to the
             // sequential engine on the original inputs (see
@@ -820,7 +863,7 @@ impl SimArena {
             match self.run_sharded(cfg, compiled, memories) {
                 ShardedRun::Finished(out) => {
                     self.pristine = pristine;
-                    return out;
+                    return out.map(Some);
                 }
                 ShardedRun::SequentialFallback(_) if cfg.declared_sync => {
                     self.pristine = pristine;
@@ -860,7 +903,7 @@ impl SimArena {
             rt.links.set_speeds(cfg.dimension, &nc.resolve_speeds(cfg.dimension));
             rt.conditioned = conditioned;
         }
-        let out = rt.run(compiled);
+        let out = rt.run(compiled, until);
         rt.reclaim(self);
         out
     }
@@ -1146,14 +1189,12 @@ struct Runtime<'c> {
     /// queue sequence (global issue order). Almost always one entry
     /// deep, so a sorted vector beats a tree.
     dirty: Vec<(u64, TransmissionId)>,
-    /// Transmissions watching a directed link for acquires/releases.
-    link_watch: FxHashMap<DirectedLink, Vec<TransmissionId>>,
-    /// Live registrations across all link watch lists; zero lets the
-    /// wake path skip its hash lookups entirely on contention-free
-    /// runs.
-    link_watch_entries: usize,
-    /// Transmissions watching a node's NIC intervals.
+    /// Transmissions watching a node's NIC intervals. (Those watching
+    /// a directed link for acquires/releases wait in `links`.)
     node_watch: Vec<Vec<TransmissionId>>,
+    /// Scratch a wake-up drains wait lists into, so that the lists
+    /// themselves keep their allocations.
+    woken: Vec<TransmissionId>,
     /// Reusable payload buffers.
     pool: Vec<Vec<u8>>,
     /// Pool retention cap: scaled to the cube so a full wave of
@@ -1272,6 +1313,10 @@ struct Scheduler {
     /// Sequence stamp of the last queued event; orders same-time
     /// entries by push order.
     seq: u64,
+    /// A bounded run's last instant ([`SimArena::run_until`]):
+    /// [`Scheduler::pop_next`] hands out no event scheduled after it.
+    /// `None` — what every re-arm leaves — bounds nothing.
+    until: Option<SimTime>,
 }
 
 impl Scheduler {
@@ -1285,6 +1330,7 @@ impl Scheduler {
         self.lapse.reset(width, 64);
         self.fifo.clear();
         self.seq = 0;
+        self.until = None;
     }
 
     /// Drop all entries (post-run or post-error), keeping allocations.
@@ -1313,7 +1359,10 @@ impl Scheduler {
     /// Next event in exact `(time, seq)` order: queued entries for the
     /// current instant precede FIFO entries (they carry smaller
     /// sequence numbers), the FIFO drains next, and only then does
-    /// time advance to the queue's next instant.
+    /// time advance to the queue's next instant — unless that instant
+    /// lies past `until`, where a bounded run stops with the event
+    /// still queued. Time advances nowhere else, so the bound is
+    /// tested once per instant, not once per event.
     #[inline]
     fn pop_next(&mut self, cur_t: &mut SimTime) -> Option<(SimTime, EventKey)> {
         if let Some((t, _, key)) = self.events.pop_if_time(cur_t.as_ns()) {
@@ -1321,6 +1370,11 @@ impl Scheduler {
         }
         if let Some(key) = self.fifo.pop_front() {
             return Some((*cur_t, key));
+        }
+        if let Some(until) = self.until {
+            if self.events.peek()?.0 > until.as_ns() {
+                return None;
+            }
         }
         let (t, _, key) = self.events.pop()?;
         *cur_t = SimTime(t);
@@ -1466,9 +1520,8 @@ impl<'c> Runtime<'c> {
             tr_free: std::mem::take(&mut arena.tr_free),
             id_to_slot,
             dirty: std::mem::take(&mut arena.dirty),
-            link_watch: std::mem::take(&mut arena.link_watch),
-            link_watch_entries: 0,
             node_watch,
+            woken: std::mem::take(&mut arena.woken),
             pool: std::mem::take(&mut arena.pool),
             pool_cap: (2 * n).max(64),
             scratch: std::mem::take(&mut arena.scratch),
@@ -1548,8 +1601,8 @@ impl<'c> Runtime<'c> {
             mut tr_free,
             mut id_to_slot,
             mut dirty,
-            mut link_watch,
             mut node_watch,
+            woken,
             pool,
             scratch,
             mut sched,
@@ -1567,9 +1620,7 @@ impl<'c> Runtime<'c> {
         tr_free.clear();
         id_to_slot.clear();
         dirty.clear();
-        for watchers in link_watch.values_mut() {
-            watchers.clear();
-        }
+        links.clear_watchers();
         for watchers in node_watch.iter_mut() {
             watchers.clear();
         }
@@ -1591,8 +1642,8 @@ impl<'c> Runtime<'c> {
         arena.tr_free = tr_free;
         arena.id_to_slot = id_to_slot;
         arena.dirty = dirty;
-        arena.link_watch = link_watch;
         arena.node_watch = node_watch;
+        arena.woken = woken;
         arena.pool = pool;
         arena.scratch = scratch;
         arena.sched = sched;
@@ -1658,10 +1709,32 @@ impl<'c> Runtime<'c> {
         }
     }
 
-    fn run(&mut self, compiled: &Compiled) -> Result<SimResult, SimError> {
+    /// Run to the end, or — bounded — to the first instant past
+    /// `until`: `None` when that leaves a program unfinished.
+    fn run(
+        &mut self,
+        compiled: &Compiled,
+        until: Option<SimTime>,
+    ) -> Result<Option<SimResult>, SimError> {
+        self.sched.until = until;
         self.seed();
         self.drain(compiled)?;
-        self.finish(compiled)
+        // Events left behind a drained scheduler are the ones a bound
+        // held back.
+        if !self.sched.events.is_empty() {
+            if self.nodes.iter().any(|s| s.status != Status::Done) {
+                return Ok(None);
+            }
+            // Every program finished by `until`, so `finish_time` is
+            // settled and what is still queued is background traffic —
+            // unless a store-and-forward payload nobody waits for is
+            // still hopping towards a memory: that tail runs out.
+            if self.transmissions.iter().flatten().any(|tr| !tr.background) {
+                self.sched.until = None;
+                self.drain(compiled)?;
+            }
+        }
+        self.finish(compiled).map(Some)
     }
 
     /// Queue the run's initial events: every node context ready at its
@@ -2295,25 +2368,13 @@ impl<'c> Runtime<'c> {
     /// flag and contention accounting updated) and releases (a watcher
     /// may now start).
     fn wake_link_watchers(&mut self, segment: &[DirectedLink]) {
-        if self.link_watch_entries == 0 {
+        if !self.links.has_watchers() {
             return;
         }
-        for link in segment {
-            let Some(watchers) = self.link_watch.get_mut(link) else { continue };
-            if watchers.is_empty() {
-                continue;
-            }
-            let woken = std::mem::take(watchers);
-            self.link_watch_entries -= woken.len();
-            for id in woken {
-                if let Some(tr) = self.tr_live(id) {
-                    if tr.pending {
-                        let key = (tr.qseq, id);
-                        self.dirty_insert(key);
-                    }
-                }
-            }
-        }
+        let mut woken = std::mem::take(&mut self.woken);
+        self.links.drain_watchers(segment, &mut woken);
+        self.mark_dirty(&mut woken);
+        self.woken = woken;
     }
 
     /// Move every watcher of node `x`'s NIC state onto the dirty set.
@@ -2321,8 +2382,16 @@ impl<'c> Runtime<'c> {
         if self.node_watch[x.index()].is_empty() {
             return;
         }
-        let woken = std::mem::take(&mut self.node_watch[x.index()]);
-        for id in woken {
+        let mut woken = std::mem::take(&mut self.woken);
+        woken.append(&mut self.node_watch[x.index()]);
+        self.mark_dirty(&mut woken);
+        self.woken = woken;
+    }
+
+    /// Empty `woken` onto the dirty set, skipping registrations that
+    /// outlived their transmission or its wait.
+    fn mark_dirty(&mut self, woken: &mut Vec<TransmissionId>) {
+        for id in woken.drain(..) {
             if let Some(tr) = self.tr_live(id) {
                 if tr.pending {
                     let key = (tr.qseq, id);
@@ -2407,7 +2476,7 @@ impl<'c> Runtime<'c> {
                         let queued = segment
                             .iter()
                             .filter(|l| !self.links.all_free(std::slice::from_ref(l)))
-                            .map(|l| self.link_watch.get(l).map_or(0, Vec::len))
+                            .map(|l| self.links.watchers(l))
                             .max()
                             .unwrap_or(0);
                         if queued as u32 >= queue_limit {
@@ -2426,7 +2495,7 @@ impl<'c> Runtime<'c> {
                     self.stats.edge_contention_events += 1;
                 }
             }
-            self.watch_segment(id, segment);
+            self.links.watch(segment, id);
             return false;
         }
         // NIC concurrency window (Section 7.2): outgoing at `src` may
@@ -2466,7 +2535,7 @@ impl<'c> Runtime<'c> {
             // Wake when one of our links is touched, when the blocking
             // endpoints' NIC intervals change, or when the earliest
             // blocking interval lapses by the passage of time alone.
-            self.watch_segment(id, segment);
+            self.links.watch(segment, id);
             let mut next_lapse = u64::MAX;
             if first_hop {
                 if !self.node_watch[phys_src].contains(&id) {
@@ -2583,17 +2652,6 @@ impl<'c> Runtime<'c> {
         }
         self.push(end, Event::TransmissionEnd(id));
         true
-    }
-
-    /// Register `id` on every directed link of its current segment.
-    fn watch_segment(&mut self, id: TransmissionId, segment: &[DirectedLink]) {
-        for link in segment {
-            let watchers = self.link_watch.entry(*link).or_default();
-            if !watchers.contains(&id) {
-                watchers.push(id);
-                self.link_watch_entries += 1;
-            }
-        }
     }
 
     fn finish_transmission(&mut self, id: TransmissionId, t: SimTime) -> Result<(), SimError> {

@@ -9,6 +9,12 @@
 //! checks with no hashing on the engine's hot path. The table grows on
 //! demand, so a [`LinkTable::new`] built without a dimension hint
 //! still works for any cube.
+//!
+//! The same index addresses each link's *wait list*: the transmissions
+//! blocked on the link, re-examined by the engine whenever it is
+//! acquired or released. The lists are allocated by the first
+//! registration, so a contention-free run (and every contention-free
+//! shard window) carries none.
 
 use mce_hypercube::routing::DirectedLink;
 
@@ -41,6 +47,14 @@ pub struct LinkTable {
     /// Per-link slowdown factors, same indexing as `busy`; empty for
     /// unconditioned runs (factor `1.0` everywhere).
     speeds: Vec<f64>,
+    /// Per-link wait lists, same indexing as `busy`; empty until the
+    /// first [`LinkTable::watch`]. A drained list keeps its capacity,
+    /// so a link that blocks circuits again and again allocates once.
+    watch: Vec<Vec<TransmissionId>>,
+    /// Registrations across all wait lists; zero lets the engine skip
+    /// a wake-up and [`LinkTable::clear_watchers`] return without
+    /// touching a list.
+    watch_entries: usize,
 }
 
 impl Default for LinkTable {
@@ -53,7 +67,15 @@ impl LinkTable {
     /// Fresh, all-free table for an unknown cube size. Uses a stride
     /// wide enough for any supported dimension.
     pub fn new() -> Self {
-        LinkTable { busy: Vec::new(), stride: 32, from_base: 0, busy_links: 0, speeds: Vec::new() }
+        LinkTable {
+            busy: Vec::new(),
+            stride: 32,
+            from_base: 0,
+            busy_links: 0,
+            speeds: Vec::new(),
+            watch: Vec::new(),
+            watch_entries: 0,
+        }
     }
 
     /// Fresh table sized for a `d`-dimensional cube (tighter stride
@@ -75,6 +97,8 @@ impl LinkTable {
             from_base: base,
             busy_links: 0,
             speeds: Vec::new(),
+            watch: Vec::new(),
+            watch_entries: 0,
         }
     }
 
@@ -152,6 +176,55 @@ impl LinkTable {
     pub fn clear(&mut self) {
         self.busy.fill(FREE);
         self.busy_links = 0;
+    }
+
+    /// Register `id` on the wait list of every link in `path` (once
+    /// per link, however often it asks).
+    pub(crate) fn watch(&mut self, path: &[DirectedLink], id: TransmissionId) {
+        for l in path {
+            let i = self.index(l);
+            if i >= self.watch.len() {
+                self.watch.resize_with(self.busy.len().max(i + 1), Vec::new);
+            }
+            let waiting = &mut self.watch[i];
+            if !waiting.contains(&id) {
+                waiting.push(id);
+                self.watch_entries += 1;
+            }
+        }
+    }
+
+    /// Transmissions registered on `l`'s wait list.
+    pub(crate) fn watchers(&self, l: &DirectedLink) -> usize {
+        self.watch.get(self.index(l)).map_or(0, Vec::len)
+    }
+
+    /// Whether any wait list holds a registration.
+    #[inline]
+    pub(crate) fn has_watchers(&self) -> bool {
+        self.watch_entries > 0
+    }
+
+    /// Move every registration on `path`'s links to the end of `out`,
+    /// leaving those lists empty with their capacity.
+    pub(crate) fn drain_watchers(&mut self, path: &[DirectedLink], out: &mut Vec<TransmissionId>) {
+        for l in path {
+            let i = self.index(l);
+            if let Some(waiting) = self.watch.get_mut(i) {
+                self.watch_entries -= waiting.len();
+                out.append(waiting);
+            }
+        }
+    }
+
+    /// Forget every registration, keeping the lists. A run that
+    /// registered none — or whose wake-ups drained them all — pays one
+    /// comparison.
+    pub(crate) fn clear_watchers(&mut self) {
+        if self.watch_entries > 0 {
+            self.watch.iter_mut().for_each(Vec::clear);
+            self.watch_entries = 0;
+        }
     }
 
     /// Install per-directed-link slowdown factors for a conditioned
@@ -307,6 +380,34 @@ mod tests {
         table.clear_speeds();
         assert!(!table.has_speeds());
         assert_eq!(table.factor(&l01), 1.0);
+    }
+
+    #[test]
+    fn wait_lists_register_once_drain_whole_and_keep_their_capacity() {
+        let mut table = LinkTable::for_cube(3);
+        let p = links_of(0, 7);
+        assert!(!table.has_watchers());
+        table.clear_watchers(); // nothing allocated, nothing to walk
+        table.watch(&p, 4);
+        table.watch(&p, 4);
+        table.watch(&p[..1], 9);
+        assert_eq!(table.watchers(&p[0]), 2);
+        assert_eq!(table.watchers(&p[2]), 1);
+        assert_eq!(table.watchers(&links_of(7, 0)[0]), 0, "other direction");
+        let mut woken = vec![77];
+        table.drain_watchers(&p[..2], &mut woken);
+        assert_eq!(woken, [77, 4, 9, 4]);
+        assert_eq!(table.watchers(&p[0]), 0);
+        assert!(table.has_watchers(), "4 still waits on the last hop");
+        let kept = table.watch[table.index(&p[0])].capacity();
+        assert!(kept >= 2, "a drained list keeps its allocation");
+        table.clear_watchers();
+        assert!(!table.has_watchers());
+        assert_eq!(table.watchers(&p[2]), 0);
+        // A table built without a size hint grows its lists on demand.
+        let mut grown = LinkTable::new();
+        grown.watch(&p, 1);
+        assert_eq!(grown.watchers(&p[1]), 1);
     }
 
     #[test]

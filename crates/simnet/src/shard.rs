@@ -242,13 +242,17 @@ pub(crate) enum PhaseMode {
 /// sequential: shard windows run per-subcube slices whose
 /// [`crate::stats::JobStats`] cannot be merged across windows, and
 /// staggered job starts break the quiescent-barrier argument.
-pub(crate) fn eligible(cfg: &SimConfig, trace: bool) -> bool {
+/// A bounded run ([`crate::SimArena::run_until`]) stays sequential as
+/// well: its bound is tested where the one scheduler advances time,
+/// and shard windows advance their own clocks.
+pub(crate) fn eligible(cfg: &SimConfig, trace: bool, bounded: bool) -> bool {
     cfg.shards > 1
         && cfg.switching == SwitchingMode::Circuit
         && cfg.jitter_frac == 0.0
         && cfg.netcond.is_none()
         && cfg.jobs.is_empty()
         && !trace
+        && !bounded
 }
 
 #[cfg(test)]
@@ -345,17 +349,22 @@ mod tests {
     #[test]
     fn eligibility_gates_on_the_proven_configuration() {
         let base = SimConfig::ipsc860(4).with_shards(4);
-        assert!(eligible(&base, false));
-        assert!(!eligible(&base, true), "traced runs stay sequential");
-        assert!(!eligible(&SimConfig::ipsc860(4), false), "shards: 1");
-        assert!(!eligible(&base.clone().with_store_and_forward(), false));
-        assert!(!eligible(&base.clone().with_jitter(0.1, 7), false));
+        assert!(eligible(&base, false, false));
+        assert!(!eligible(&base, true, false), "traced runs stay sequential");
+        assert!(!eligible(&base, false, true), "bounded runs stay sequential");
+        assert!(!eligible(&SimConfig::ipsc860(4), false, false), "shards: 1");
+        assert!(!eligible(&base.clone().with_store_and_forward(), false, false));
+        assert!(!eligible(&base.clone().with_jitter(0.1, 7), false, false));
         assert!(
-            !eligible(&base.clone().with_jobs(vec![crate::traffic::JobSpec::default()]), false),
+            !eligible(
+                &base.clone().with_jobs(vec![crate::traffic::JobSpec::default()]),
+                false,
+                false
+            ),
             "multi-tenant runs stay sequential"
         );
         let mut conditioned = base;
         conditioned.netcond = Some(NetCondition::default());
-        assert!(!eligible(&conditioned, false));
+        assert!(!eligible(&conditioned, false, false));
     }
 }

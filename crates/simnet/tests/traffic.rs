@@ -9,7 +9,7 @@ use mce_simnet::batch::SimBatch;
 use mce_simnet::traffic::{compose_memories, compose_programs};
 use mce_simnet::{
     CwndAlg, FlowCtl, JobSpec, LinkPolicy, NetCondition, Op, Program, SimArena, SimConfig,
-    SimError, Tag,
+    SimError, SimTime, Tag,
 };
 use std::sync::Arc;
 
@@ -312,4 +312,57 @@ fn traffic_batch_sweeps_cover_staggers_and_policies() {
     let agg = mce_simnet::batch::agg::aggregate(&results);
     assert_eq!(agg.jain_fairness.n, results.len());
     assert!(agg.job_slowdown_max.max > 1.0);
+}
+
+/// A drop-tail / NACK switch refuses a circuit when the blocking
+/// link's wait list already holds `queue_limit` transmissions, so the
+/// refusal counts read the wait lists' lengths directly. Three
+/// reactive tenants queue behind a blocking hog on the 0-1 cable; the
+/// counts are the ones the engine produced when those lists were hash
+/// map entries (commit 99f8196), and they hold on an arena whose
+/// previous run was abandoned with the tenants still queued.
+#[test]
+fn traffic_queue_limit_counts_the_links_wait_list() {
+    let d = 2;
+    let flow =
+        FlowCtl { rto_ns: 100_000, max_retries: 2000, cwnd: CwndAlg::Aimd { window_max: 8 } };
+    let tenants =
+        [one_way(d, 20_000, 1), one_way(d, 100, 2), one_way(d, 100, 3), one_way(d, 100, 4)];
+    let programs: Vec<Vec<Program>> = tenants.iter().map(|(p, _)| p.clone()).collect();
+    let programs = compose_programs(d, &programs);
+    let memories: Vec<Vec<Vec<u8>>> = tenants.iter().map(|(_, m)| m.clone()).collect();
+    let memories = compose_memories(d, &memories);
+    let mut jobs = vec![JobSpec::default()];
+    jobs.extend((1..=3u64).map(|k| JobSpec::at(1_000 * k).with_flow(flow)));
+    // (queue_limit, nack) -> (retransmissions == flow_drops, finish ns).
+    let pinned = [
+        ((0, false), (39, 10_347_700)),
+        ((0, true), (1953, 8_435_200)),
+        ((1, false), (24, 8_891_400)),
+        ((1, true), (1290, 8_419_400)),
+        ((2, false), (12, 8_747_700)),
+        ((2, true), (639, 8_419_400)),
+    ];
+    let mut used = SimArena::new();
+    for ((queue_limit, nack), (drops, finish_ns)) in pinned {
+        let policy = if nack {
+            LinkPolicy::Nack { queue_limit }
+        } else {
+            LinkPolicy::DropTail { queue_limit }
+        };
+        let cfg = SimConfig::ipsc860(d)
+            .with_netcond(NetCondition::default().with_link_policy(policy))
+            .with_jobs(jobs.clone());
+        let fresh = SimArena::new().run(&cfg, &programs, memories.clone()).unwrap();
+        let seen = (fresh.stats.retransmissions, fresh.finish_time.as_ns());
+        assert_eq!(seen, (drops, finish_ns), "{policy:?}");
+        assert_eq!(fresh.stats.flow_drops, drops, "{policy:?}");
+        // Abandon a run while the hog still holds the cable, then run
+        // it again on the same arena.
+        let cut = used.run_until(&cfg, &programs, memories.clone(), SimTime(4_000_000)).unwrap();
+        assert!(cut.is_none(), "{policy:?}: the hog alone takes 8 ms");
+        let again = used.run(&cfg, &programs, memories.clone()).unwrap();
+        assert_eq!(again.stats, fresh.stats, "{policy:?} on a used arena");
+        assert_eq!(again.finish_time, fresh.finish_time, "{policy:?} on a used arena");
+    }
 }
