@@ -128,6 +128,10 @@ pub fn switching_study(d: u32, sizes: &[usize]) -> Vec<SwitchingRow> {
         let (circuit_best, _) = mce_model::best_partition(&params, m as f64, d);
         let circuit_best = circuit_best.parts().to_vec();
         let (saf_best, _) = best_saf_partition(&params, m as f64, d);
+        // One stamp per size: the three runs start from the same
+        // memories, so they share a template and each clones it as it
+        // starts instead of all three sitting in the queue.
+        let memories = Arc::new(stamped_memories(d, m));
         let mut queue = |dims: &[u32], saf: bool| {
             let cfg = if saf {
                 SimConfig::ipsc860(d).with_store_and_forward()
@@ -137,7 +141,7 @@ pub fn switching_study(d: u32, sizes: &[usize]) -> Vec<SwitchingRow> {
             batch.push_with_config(
                 cfg,
                 Arc::new(build_multiphase_programs(d, dims, m)),
-                stamped_memories(d, m),
+                Arc::clone(&memories),
             );
         };
         queue(&circuit_best, false);

@@ -564,7 +564,7 @@ pub(crate) fn compile_pipeline(
     // bench container this is one chunk lowered inline with zero
     // thread overhead — and zero concatenation copy below.
     let n = programs.len();
-    let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
+    let cores = rayon::current_num_threads();
     let per = n.div_ceil(cores.min(n).max(1)).max(1);
     let descs: Vec<(u32, u32)> =
         (0..n).step_by(per).map(|first| (first as u32, (n - first).min(per) as u32)).collect();

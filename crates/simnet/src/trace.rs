@@ -44,11 +44,38 @@
 //! derive summary views: a per-dimension link-utilization timeline,
 //! the top-k longest stalls, and a greedy critical-path chain of
 //! blocking spans.
+//!
+//! # What an export may cost
+//!
+//! Both exporters write the trace **once**, into one output `String`
+//! reserved from `events.len()`, and allocate nothing per event:
+//!
+//! * the distinct tracks are found in one hashing pass and only those
+//!   few hundred are sorted (`TrackTable`); an event's lane is then an
+//!   index, and its `"pid":P,"tid":T` a slice rendered once per track;
+//! * an event's name is a `Display` streamed into the output through
+//!   an escaping `fmt::Write` adapter — no name `String`, no escaped
+//!   copy, no per-row `format!`;
+//! * punctuation and `args` are literals, integers are pushed digit by
+//!   digit, and a time is `ns / 1000 '.' ns % 1000` (see `push_us` for
+//!   why that is the float formatting it replaces, byte for byte).
+//!
+//! A per-event `format!`, `to_string()` or `String::new()` in either
+//! exporter's event loop is a regression against this contract. The
+//! bytes themselves are pinned twice: against the past by the golden
+//! digests in `crates/bench/tests/trace_golden.rs`, and against the
+//! per-event-`String` implementation this one replaced, kept test-only
+//! in `trace/reference.rs`, by a differential property test.
 
+use crate::fxhash::FxHashMap;
 use crate::message::Tag;
 use crate::time::SimTime;
 use mce_hypercube::NodeId;
 use std::collections::VecDeque;
+use std::fmt::{self, Write as _};
+
+#[cfg(test)]
+mod reference;
 
 /// Configuration of the trace sink: currently just the ring capacity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -294,9 +321,11 @@ impl TraceRing {
         self.dropped
     }
 
-    /// Move the retained events out, oldest first.
+    /// Move the retained events out, oldest first. The ring's buffer
+    /// becomes the result (rotated in place if eviction wrapped it);
+    /// no event is copied a second time.
     pub fn drain(&mut self) -> Vec<TraceEvent> {
-        self.buf.drain(..).collect()
+        Vec::from(std::mem::take(&mut self.buf))
     }
 }
 
@@ -335,7 +364,10 @@ fn link_dim(from: NodeId, to: NodeId) -> u32 {
 }
 
 /// A display track: the `(process, thread)` lane an event renders on.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// Lanes are laid out in this type's order (kind, then ids); its
+/// `Display` is the human lane label (link lanes always contain the
+/// word "link").
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 enum Track {
     Link { from: u32, to: u32 },
     NicSend { node: u32 },
@@ -358,7 +390,8 @@ impl Track {
         }
     }
 
-    /// Perfetto process id grouping tracks of one kind.
+    /// Perfetto process id grouping tracks of one kind (non-decreasing
+    /// in track order).
     fn pid(&self) -> u32 {
         match self {
             Track::Link { .. } => 1,
@@ -378,68 +411,192 @@ impl Track {
             _ => "shards",
         }
     }
+}
 
-    /// Human lane label (link lanes always contain the word "link").
-    fn name(&self) -> String {
+impl fmt::Display for Track {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
             Track::Link { from, to } => {
-                format!("link {from}->{to} (dim {})", link_dim(NodeId(from), NodeId(to)))
+                write!(f, "link {from}->{to} (dim {})", link_dim(NodeId(from), NodeId(to)))
             }
-            Track::NicSend { node } => format!("nic {node} send"),
-            Track::NicRecv { node } => format!("nic {node} recv"),
-            Track::Node { node } => format!("node {node}"),
-            Track::Job { job } => format!("job {job}"),
-            Track::Shard { shard } => format!("shard {shard}"),
+            Track::NicSend { node } => write!(f, "nic {node} send"),
+            Track::NicRecv { node } => write!(f, "nic {node} recv"),
+            Track::Node { node } => write!(f, "node {node}"),
+            Track::Job { job } => write!(f, "job {job}"),
+            Track::Shard { shard } => write!(f, "shard {shard}"),
         }
     }
 }
 
-/// Event display name shared by both exporters.
-fn event_name(ev: &TraceEvent) -> String {
-    match ev {
-        TraceEvent::LinkHold { tag, background, .. } => {
-            if *background {
-                format!("bg hold {tag:?}")
-            } else {
-                format!("hold {tag:?}")
+/// An event's display name, shared by both exporters and
+/// [`critical_path`]. A `Display`, so an exporter streams it into its
+/// output (through an escaping adapter) without an owned `String`.
+struct EventName<'a>(&'a TraceEvent);
+
+impl fmt::Display for EventName<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            TraceEvent::LinkHold { tag, background: true, .. } => write!(f, "bg hold {tag:?}"),
+            TraceEvent::LinkHold { tag, .. } => write!(f, "hold {tag:?}"),
+            TraceEvent::NicSend { tag, .. } => write!(f, "send {tag:?}"),
+            TraceEvent::NicRecv { tag, .. } => write!(f, "recv {tag:?}"),
+            TraceEvent::Wait { cause, .. } => f.write_str(cause.label()),
+            TraceEvent::Barrier { .. } => f.write_str("barrier"),
+            TraceEvent::Flow { kind, .. } => match kind {
+                FlowKind::Backoff { until } => write!(f, "backoff until {until}"),
+                FlowKind::Cwnd { window } => write!(f, "cwnd={window}"),
+                other => f.write_str(other.label()),
+            },
+            TraceEvent::ForcedDrop { src, tag, .. } => {
+                write!(f, "forced drop {tag:?} from n{}", src.0)
             }
+            TraceEvent::ShardWindow { .. } => f.write_str("window"),
         }
-        TraceEvent::NicSend { tag, .. } => format!("send {tag:?}"),
-        TraceEvent::NicRecv { tag, .. } => format!("recv {tag:?}"),
-        TraceEvent::Wait { cause, .. } => cause.label().to_string(),
-        TraceEvent::Barrier { .. } => "barrier".to_string(),
-        TraceEvent::Flow { kind, .. } => match kind {
-            FlowKind::Backoff { until } => format!("backoff until {until}"),
-            FlowKind::Cwnd { window } => format!("cwnd={window}"),
-            other => other.label().to_string(),
-        },
-        TraceEvent::ForcedDrop { src, tag, .. } => format!("forced drop {tag:?} from n{}", src.0),
-        TraceEvent::ShardWindow { .. } => "window".to_string(),
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// Escapes what is written through it for a JSON string literal and
+/// appends it to the wrapped buffer.
+struct JsonEscaped<'a>(&'a mut String);
+
+impl fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        // Every escaped character is ASCII, so cutting at its byte
+        // keeps both halves valid UTF-8.
+        let mut rest = s;
+        while let Some(i) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+            self.0.push_str(&rest[..i]);
+            match rest.as_bytes()[i] {
+                b'"' => self.0.push_str("\\\""),
+                b'\\' => self.0.push_str("\\\\"),
+                control => write!(self.0, "\\u{control:04x}")?,
+            }
+            rest = &rest[i + 1..];
         }
+        self.0.push_str(rest);
+        Ok(())
     }
-    out
 }
 
-/// Sorted distinct tracks of a trace, with a dense per-process thread
-/// id for each (Perfetto tid / HTML lane index).
-fn assign_tracks(events: &[TraceEvent]) -> Vec<Track> {
-    let mut tracks: Vec<Track> = events.iter().map(Track::of).collect();
-    tracks.sort();
-    tracks.dedup();
-    tracks
+/// Escapes what is written through it for HTML text content and
+/// appends it to the wrapped buffer.
+struct HtmlEscaped<'a>(&'a mut String);
+
+impl fmt::Write for HtmlEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut rest = s;
+        while let Some(i) = rest.bytes().position(|b| matches!(b, b'&' | b'<' | b'>')) {
+            self.0.push_str(&rest[..i]);
+            self.0.push_str(match rest.as_bytes()[i] {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                _ => "&gt;",
+            });
+            rest = &rest[i + 1..];
+        }
+        self.0.push_str(rest);
+        Ok(())
+    }
 }
+
+/// Why the exporters' `write!`s into their output are `expect`ed.
+const INFALLIBLE: &str = "writing to a String cannot fail";
+
+/// Append `n` in decimal.
+fn push_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+}
+
+/// Times below this many ns are written in fixed point by
+/// [`push_us`]; see there for why the bound is safe.
+const FIXED_POINT_BELOW_NS: u64 = 1 << 52;
+
+/// Append `ns` as microseconds with three decimals: the bytes of
+/// `format!("{:.3}", ns as f64 / 1000.0)`, the form both exporters'
+/// timestamps have always had.
+///
+/// Below [`FIXED_POINT_BELOW_NS`] that is `ns / 1000`, a point and
+/// `ns % 1000` zero-padded, with no float in sight: `ns as f64` is
+/// exact below 2^53, the division rounds the exact quotient — which
+/// has at most three decimals — by at most half an ulp, and below
+/// 2^52 / 1000 < 2^43 half an ulp is at most 2^-11 < 0.0005, so
+/// rounding the float to three decimals lands back on the exact
+/// quotient. From the bound up (52 simulated days) the float path
+/// itself is kept, so the output never depends on the argument.
+fn push_us(out: &mut String, ns: u64) {
+    if ns < FIXED_POINT_BELOW_NS {
+        push_u64(out, ns / 1000);
+        let frac = ns % 1000;
+        let digit = |n: u64| b'0' + (n % 10) as u8;
+        let point = [b'.', digit(frac / 100), digit(frac / 10), digit(frac)];
+        out.push_str(std::str::from_utf8(&point).expect("ascii digits"));
+    } else {
+        write!(out, "{:.3}", ns as f64 / 1000.0).expect(INFALLIBLE);
+    }
+}
+
+/// The distinct tracks of a trace in lane order and the lane of every
+/// event, built in one pass over the events: tracks are numbered as
+/// they first appear (one hash probe per event), and only the distinct
+/// few hundred are sorted.
+struct TrackTable {
+    /// Distinct tracks, sorted; the index is the lane.
+    tracks: Vec<Track>,
+    /// `"pid":P,"tid":T` of each lane, `T` dense per pid in lane order.
+    pid_tid: Vec<String>,
+    /// Lane of each event, in event order.
+    lane_of: Vec<u32>,
+}
+
+impl TrackTable {
+    fn build(events: &[TraceEvent]) -> TrackTable {
+        let mut first_seen: FxHashMap<Track, u32> = FxHashMap::default();
+        let mut tracks: Vec<Track> = Vec::new();
+        let mut lane_of: Vec<u32> = Vec::with_capacity(events.len());
+        for ev in events {
+            let track = Track::of(ev);
+            lane_of.push(*first_seen.entry(track).or_insert_with(|| {
+                tracks.push(track);
+                tracks.len() as u32 - 1
+            }));
+        }
+        let mut ranked: Vec<(Track, u32)> = tracks.into_iter().zip(0..).collect();
+        ranked.sort_unstable();
+        let mut lane_of_seen = vec![0u32; ranked.len()];
+        for (lane, &(_, seen)) in ranked.iter().enumerate() {
+            lane_of_seen[seen as usize] = lane as u32;
+        }
+        for lane in &mut lane_of {
+            *lane = lane_of_seen[*lane as usize];
+        }
+        let tracks: Vec<Track> = ranked.into_iter().map(|(track, _)| track).collect();
+        let mut pid_tid = Vec::with_capacity(tracks.len());
+        let (mut pid, mut tid) = (0, 0);
+        for track in &tracks {
+            if track.pid() != pid {
+                (pid, tid) = (track.pid(), 0);
+            }
+            pid_tid.push(format!("\"pid\":{pid},\"tid\":{tid}"));
+            tid += 1;
+        }
+        TrackTable { tracks, pid_tid, lane_of }
+    }
+}
+
+/// Output bytes reserved per event by [`export_perfetto_json`]: the
+/// longest common row (a link hold with a two-word tag, six-digit
+/// times and a three-digit lane) is about this long.
+const PERFETTO_ROW_BYTES: usize = 136;
 
 /// Export a trace as Chrome/Perfetto trace-event JSON (the
 /// `traceEvents` array format). Tracks become `(pid, tid)` lanes with
@@ -447,104 +604,71 @@ fn assign_tracks(events: &[TraceEvent]) -> Vec<Track> {
 /// events and instants are `"i"` events, timestamps in microseconds.
 /// The output loads offline in `ui.perfetto.dev` or `chrome://tracing`.
 pub fn export_perfetto_json(events: &[TraceEvent]) -> String {
-    let tracks = assign_tracks(events);
-    // Dense tid per pid, in sorted-track order (deterministic).
-    let mut tids: Vec<u32> = Vec::with_capacity(tracks.len());
-    {
-        let mut next: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new();
-        for t in &tracks {
-            let n = next.entry(t.pid()).or_insert(0);
-            tids.push(*n);
-            *n += 1;
-        }
-    }
-    let tid_of = |track: &Track| -> (u32, u32) {
-        let i = tracks.binary_search(track).expect("track assigned");
-        (track.pid(), tids[i])
-    };
-    let us = |t: SimTime| format!("{:.3}", t.as_ns() as f64 / 1000.0);
-    let dur_us = |a: SimTime, b: SimTime| format!("{:.3}", b.since(a) as f64 / 1000.0);
-    let mut out = String::from("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
-    let mut first = true;
-    let push = |out: &mut String, first: &mut bool, item: String| {
-        if !*first {
-            out.push(',');
-        }
-        *first = false;
-        out.push_str(&item);
-    };
+    let table = TrackTable::build(events);
+    let mut out = String::with_capacity(
+        64 + table.tracks.len() * PERFETTO_ROW_BYTES + events.len() * PERFETTO_ROW_BYTES,
+    );
+    out.push_str("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[");
+    // Every row ends in a comma; the last one is taken back below.
     // Metadata: one process_name per pid, one thread_name per track.
-    let mut seen_pid: Vec<u32> = Vec::new();
-    for (i, t) in tracks.iter().enumerate() {
-        let pid = t.pid();
-        if !seen_pid.contains(&pid) {
-            seen_pid.push(pid);
-            push(
-                &mut out,
-                &mut first,
-                format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":\"{}\"}}}}",
-                    Track::process_name(pid)
-                ),
-            );
+    let mut named_pid = 0;
+    for (track, pid_tid) in table.tracks.iter().zip(&table.pid_tid) {
+        let pid = track.pid();
+        if pid != named_pid {
+            named_pid = pid;
+            out.push_str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
+            push_u64(&mut out, pid as u64);
+            out.push_str(",\"tid\":0,\"args\":{\"name\":\"");
+            out.push_str(Track::process_name(pid));
+            out.push_str("\"}},");
         }
-        push(
-            &mut out,
-            &mut first,
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\
-                 \"args\":{{\"name\":\"{}\"}}}}",
-                tids[i],
-                json_escape(&t.name())
-            ),
-        );
+        out.push_str("{\"name\":\"thread_name\",\"ph\":\"M\",");
+        out.push_str(pid_tid);
+        out.push_str(",\"args\":{\"name\":\"");
+        write!(JsonEscaped(&mut out), "{track}").expect(INFALLIBLE);
+        out.push_str("\"}},");
     }
-    for ev in events {
-        let (pid, tid) = tid_of(&Track::of(ev));
-        let name = json_escape(&event_name(ev));
+    for (ev, &lane) in events.iter().zip(&table.lane_of) {
+        let pid_tid = &table.pid_tid[lane as usize];
+        out.push_str("{\"name\":\"");
+        write!(JsonEscaped(&mut out), "{}", EventName(ev)).expect(INFALLIBLE);
         match ev.span_ns() {
-            Some(_) => {
-                let (start, end) = match *ev {
-                    TraceEvent::LinkHold { start, end, .. }
-                    | TraceEvent::NicSend { start, end, .. }
-                    | TraceEvent::NicRecv { start, end, .. }
-                    | TraceEvent::Wait { start, end, .. }
-                    | TraceEvent::Barrier { start, end, .. }
-                    | TraceEvent::ShardWindow { start, end, .. } => (start, end),
-                    _ => unreachable!(),
-                };
-                let args = match ev {
+            Some((start, end)) => {
+                out.push_str("\",\"ph\":\"X\",\"ts\":");
+                push_us(&mut out, start);
+                out.push_str(",\"dur\":");
+                push_us(&mut out, end.saturating_sub(start));
+                out.push(',');
+                out.push_str(pid_tid);
+                match *ev {
                     TraceEvent::LinkHold { bytes, background, .. } => {
-                        format!("{{\"bytes\":{bytes},\"background\":{background}}}")
+                        out.push_str(",\"args\":{\"bytes\":");
+                        push_u64(&mut out, bytes as u64);
+                        out.push_str(if background {
+                            ",\"background\":true}},"
+                        } else {
+                            ",\"background\":false}},"
+                        });
                     }
-                    TraceEvent::NicSend { bytes, .. } => format!("{{\"bytes\":{bytes}}}"),
-                    _ => "{}".to_string(),
-                };
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                         \"pid\":{pid},\"tid\":{tid},\"args\":{args}}}",
-                        us(start),
-                        dur_us(start, end)
-                    ),
-                );
+                    TraceEvent::NicSend { bytes, .. } => {
+                        out.push_str(",\"args\":{\"bytes\":");
+                        push_u64(&mut out, bytes as u64);
+                        out.push_str("}},");
+                    }
+                    _ => out.push_str(",\"args\":{}},"),
+                }
             }
             None => {
-                let at = SimTime(ev.at_ns());
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        "{{\"name\":\"{name}\",\"ph\":\"i\",\"ts\":{},\"pid\":{pid},\
-                         \"tid\":{tid},\"s\":\"t\",\"args\":{{}}}}",
-                        us(at)
-                    ),
-                );
+                out.push_str("\",\"ph\":\"i\",\"ts\":");
+                push_us(&mut out, ev.at_ns());
+                out.push(',');
+                out.push_str(pid_tid);
+                out.push_str(",\"s\":\"t\",\"args\":{}},");
             }
         }
+    }
+    if out.ends_with(',') {
+        out.pop();
     }
     out.push_str("]}");
     out
@@ -567,12 +691,17 @@ fn event_color(ev: &TraceEvent) -> &'static str {
     }
 }
 
+/// Output bytes reserved per event by [`export_html`] (a rect with its
+/// tooltip).
+const HTML_ROW_BYTES: usize = 176;
+
 /// Export a trace as a fully self-contained single-file HTML timeline:
 /// one inline-SVG lane per track, span rects with native `<title>`
 /// hover detail, instant ticks, and no scripts, styles from the net,
 /// or external resources — it opens offline in any browser.
 pub fn export_html(events: &[TraceEvent], title: &str) -> String {
-    let tracks = assign_tracks(events);
+    let table = TrackTable::build(events);
+    let tracks = &table.tracks;
     let (t0, t1) = events.iter().fold((u64::MAX, 0u64), |(lo, hi), ev| {
         let (a, b) = ev.span_ns().unwrap_or_else(|| (ev.at_ns(), ev.at_ns()));
         (lo.min(a), hi.max(b))
@@ -584,75 +713,76 @@ pub fn export_html(events: &[TraceEvent], title: &str) -> String {
     let top = 24.0f64;
     let height = top + lane_h * tracks.len() as f64 + 24.0;
     let x_of = |ns: u64| label_w + (ns - t0) as f64 / (t1 - t0) as f64 * plot_w;
-    let mut svg = String::new();
-    svg.push_str(&format!(
-        "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{:.0}\" \
+    let mut out = String::with_capacity(
+        512 + 2 * title.len() + tracks.len() * HTML_ROW_BYTES + events.len() * HTML_ROW_BYTES,
+    );
+    out.push_str("<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\"><title>");
+    HtmlEscaped(&mut out).write_str(title).expect(INFALLIBLE);
+    out.push_str("</title></head>\n<body style=\"font-family:monospace\">\n<h2>");
+    HtmlEscaped(&mut out).write_str(title).expect(INFALLIBLE);
+    write!(
+        out,
+        "</h2>\n<p>{} events · {} tracks · window {:.1}..{:.1} us</p>\n\
+         <svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{:.0}\" height=\"{height:.0}\" \
          font-family=\"monospace\" font-size=\"10\">\n",
+        events.len(),
+        tracks.len(),
+        t0 as f64 / 1000.0,
+        t1 as f64 / 1000.0,
         label_w + plot_w + 10.0,
-        height
-    ));
-    // Lane backgrounds + labels.
-    for (i, t) in tracks.iter().enumerate() {
+    )
+    .expect(INFALLIBLE);
+    // Lane backgrounds + labels. The escaped labels are kept: every
+    // tooltip ends in its lane's.
+    let mut labels: Vec<String> = Vec::with_capacity(tracks.len());
+    for (i, track) in tracks.iter().enumerate() {
         let y = top + i as f64 * lane_h;
         let shade = if i % 2 == 0 { "#f4f4f4" } else { "#ebebeb" };
-        svg.push_str(&format!(
+        let mut label = String::new();
+        write!(HtmlEscaped(&mut label), "{track}").expect(INFALLIBLE);
+        write!(
+            out,
             "<rect x=\"{label_w}\" y=\"{y:.1}\" width=\"{plot_w}\" height=\"{lane_h}\" \
-             fill=\"{shade}\"/>\n"
-        ));
-        svg.push_str(&format!(
-            "<text x=\"4\" y=\"{:.1}\">{}</text>\n",
+             fill=\"{shade}\"/>\n<text x=\"4\" y=\"{:.1}\">{label}</text>\n",
             y + lane_h - 4.0,
-            html_escape(&t.name())
-        ));
+        )
+        .expect(INFALLIBLE);
+        labels.push(label);
     }
     // Time axis endpoints (µs).
-    svg.push_str(&format!("<text x=\"{label_w}\" y=\"14\">{:.1} us</text>\n", t0 as f64 / 1000.0));
-    svg.push_str(&format!(
-        "<text x=\"{:.1}\" y=\"14\" text-anchor=\"end\">{:.1} us</text>\n",
+    write!(
+        out,
+        "<text x=\"{label_w}\" y=\"14\">{:.1} us</text>\n\
+         <text x=\"{:.1}\" y=\"14\" text-anchor=\"end\">{:.1} us</text>\n",
+        t0 as f64 / 1000.0,
         label_w + plot_w,
-        t1 as f64 / 1000.0
-    ));
+        t1 as f64 / 1000.0,
+    )
+    .expect(INFALLIBLE);
     // Events.
-    for ev in events {
-        let track = Track::of(ev);
-        let lane = tracks.binary_search(&track).expect("track assigned");
+    let h = lane_h - 3.0;
+    for (ev, &lane) in events.iter().zip(&table.lane_of) {
         let y = top + lane as f64 * lane_h + 1.5;
-        let h = lane_h - 3.0;
         let (a, b) = ev.span_ns().unwrap_or_else(|| (ev.at_ns(), ev.at_ns()));
         let x = x_of(a);
         let w = (x_of(b) - x).max(1.2);
-        let tip = format!(
-            "{} [{:.3}..{:.3} us] on {}",
-            event_name(ev),
-            a as f64 / 1000.0,
-            b as f64 / 1000.0,
-            track.name()
-        );
-        svg.push_str(&format!(
-            "<rect x=\"{x:.2}\" y=\"{y:.1}\" width=\"{w:.2}\" height=\"{h}\" \
-             fill=\"{}\"><title>{}</title></rect>\n",
+        write!(
+            out,
+            "<rect x=\"{x:.2}\" y=\"{y:.1}\" width=\"{w:.2}\" height=\"{h}\" fill=\"{}\"><title>",
             event_color(ev),
-            html_escape(&tip)
-        ));
+        )
+        .expect(INFALLIBLE);
+        write!(HtmlEscaped(&mut out), "{}", EventName(ev)).expect(INFALLIBLE);
+        out.push_str(" [");
+        push_us(&mut out, a);
+        out.push_str("..");
+        push_us(&mut out, b);
+        out.push_str(" us] on ");
+        out.push_str(&labels[lane as usize]);
+        out.push_str("</title></rect>\n");
     }
-    svg.push_str("</svg>\n");
-    format!(
-        "<!DOCTYPE html>\n<html><head><meta charset=\"utf-8\">\
-         <title>{t}</title></head>\n<body style=\"font-family:monospace\">\n\
-         <h2>{t}</h2>\n<p>{n} events · {k} tracks · window {lo:.1}..{hi:.1} us</p>\n{svg}\
-         </body></html>\n",
-        t = html_escape(title),
-        n = events.len(),
-        k = tracks.len(),
-        lo = t0 as f64 / 1000.0,
-        hi = t1 as f64 / 1000.0,
-        svg = svg
-    )
-}
-
-/// Escape a string for embedding in HTML text content.
-fn html_escape(s: &str) -> String {
-    s.replace('&', "&amp;").replace('<', "&lt;").replace('>', "&gt;")
+    out.push_str("</svg>\n</body></html>\n");
+    out
 }
 
 /// One bucket of the per-dimension link-utilization timeline.
@@ -670,7 +800,11 @@ pub struct UtilizationBucket {
 /// Derive the per-dimension link-utilization timeline of a trace:
 /// the hold time of every [`TraceEvent::LinkHold`] is spread over
 /// `buckets` equal time slices and normalized by each dimension's
-/// directed-link capacity (`2^d` links per dimension).
+/// directed-link capacity (`2^d` links per dimension, saturating). A
+/// row has `d` entries — at least one, at most the 32 dimensions a
+/// `u32` node id can address — or more when the trace holds a link of
+/// a dimension `d` does not cover: every observed dimension gets its
+/// column, whatever `d` the caller passed.
 pub fn link_utilization(events: &[TraceEvent], d: u32, buckets: usize) -> Vec<UtilizationBucket> {
     let buckets = buckets.max(1);
     let holds: Vec<(u64, u64, u32)> = events
@@ -687,8 +821,9 @@ pub fn link_utilization(events: &[TraceEvent], d: u32, buckets: usize) -> Vec<Ut
     }
     let t0 = holds.iter().map(|h| h.0).min().unwrap();
     let t1 = holds.iter().map(|h| h.1).max().unwrap().max(t0 + 1);
-    let dims = d.max(1) as usize;
-    let links_per_dim = 1u64 << d;
+    let observed = holds.iter().map(|h| h.2 + 1).max().unwrap_or(0);
+    let dims = d.min(u32::BITS).max(observed).max(1) as usize;
+    let links_per_dim = 1u64.checked_shl(d).unwrap_or(u64::MAX);
     let bucket_ns = (t1 - t0).div_ceil(buckets as u64).max(1);
     let mut busy = vec![vec![0u64; dims]; buckets];
     for (a, b, dim) in holds {
@@ -706,7 +841,7 @@ pub fn link_utilization(events: &[TraceEvent], d: u32, buckets: usize) -> Vec<Ut
             start_ns: t0 + bi as u64 * bucket_ns,
             end_ns: (t0 + (bi as u64 + 1) * bucket_ns).min(t1),
             busy_frac: (0..dims)
-                .map(|dim| busy[bi][dim] as f64 / (links_per_dim * bucket_ns) as f64)
+                .map(|dim| busy[bi][dim] as f64 / links_per_dim.saturating_mul(bucket_ns) as f64)
                 .collect(),
         })
         .collect()
@@ -770,34 +905,40 @@ pub struct CriticalSpan {
 /// the current span's start. The result (earliest first) is a chain of
 /// non-overlapping blocking spans that "explains" the tail of the run.
 pub fn critical_path(events: &[TraceEvent]) -> Vec<CriticalSpan> {
-    let mut spans: Vec<CriticalSpan> = events
+    // `(end, start, event)` of every span, sorted: "latest end ≤
+    // cutoff" is a binary search. Spans equal in both times are told
+    // apart by label, so the walk labels them — them and the chain,
+    // not the whole trace.
+    let mut spans: Vec<(u64, u64, usize)> = events
         .iter()
-        .filter_map(|ev| {
-            ev.span_ns().map(|(a, b)| CriticalSpan {
-                label: format!("{} on {}", event_name(ev), Track::of(ev).name()),
-                start_ns: a,
-                end_ns: b,
-            })
-        })
+        .enumerate()
+        .filter_map(|(i, ev)| ev.span_ns().map(|(start, end)| (end, start, i)))
         .collect();
-    // Sort by end (then start, then label) so "latest end ≤ cutoff" is
-    // a deterministic scan from the back.
-    spans.sort_by(|a, b| {
-        a.end_ns.cmp(&b.end_ns).then(a.start_ns.cmp(&b.start_ns)).then(a.label.cmp(&b.label))
-    });
-    let mut chain: Vec<CriticalSpan> = Vec::new();
-    let Some(last) = spans.last().cloned() else {
-        return chain;
+    spans.sort_unstable();
+    // The chain link at sorted position `at`: of the spans with its
+    // exact times (they sit together, ending at `at`), the one whose
+    // label sorts last.
+    let link_at = |at: usize| {
+        let (end_ns, start_ns, _) = spans[at];
+        let label = spans[..=at]
+            .iter()
+            .rev()
+            .take_while(|s| (s.0, s.1) == (end_ns, start_ns))
+            .map(|&(_, _, i)| format!("{} on {}", EventName(&events[i]), Track::of(&events[i])))
+            .max()
+            .expect("the span at `at` itself");
+        CriticalSpan { label, start_ns, end_ns }
     };
-    let mut cutoff = last.start_ns;
-    chain.push(last);
-    while cutoff > 0 {
-        // `start < cutoff` guarantees strict progress (terminates).
-        let Some(s) = spans.iter().rev().find(|s| s.end_ns <= cutoff && s.start_ns < cutoff) else {
-            break;
-        };
-        cutoff = s.start_ns;
-        chain.push(s.clone());
+    let mut chain: Vec<CriticalSpan> = Vec::new();
+    let mut next = spans.len().checked_sub(1);
+    while let Some(at) = next {
+        let link = link_at(at);
+        let cutoff = link.start_ns;
+        chain.push(link);
+        // `start < cutoff` guarantees strict progress (terminates); it
+        // can only fail on zero-length spans at the cutoff itself.
+        let ended = spans.partition_point(|s| s.0 <= cutoff);
+        next = spans[..ended].iter().rposition(|s| s.1 < cutoff);
     }
     chain.reverse();
     chain
@@ -806,6 +947,7 @@ pub fn critical_path(events: &[TraceEvent]) -> Vec<CriticalSpan> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hold(from: u32, to: u32, a: u64, b: u64) -> TraceEvent {
         TraceEvent::LinkHold {
@@ -951,7 +1093,179 @@ mod tests {
 
     #[test]
     fn json_escaping_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(html_escape("a<b&c>"), "a&lt;b&amp;c&gt;");
+        let mut json = String::new();
+        JsonEscaped(&mut json).write_str("a\"b\\c").unwrap();
+        assert_eq!(json, "a\\\"b\\\\c");
+        // Quote, backslash and a control character, split over several
+        // writes the way a `Display` delivers them, around multi-byte
+        // text the cuts must not land in.
+        let name = "hold \"µs\" \\ \u{1}→\ttail\u{1f}";
+        let mut json = String::new();
+        let (quote, backslash) = ('"', '\\');
+        write!(JsonEscaped(&mut json), "{quote}{name}{backslash}").unwrap();
+        assert_eq!(json, reference::json_escape(&format!("\"{name}\\")));
+        assert!(json.contains("\\u0001") && json.contains("\\u0009") && json.contains("\\u001f"));
+        let mut html = String::new();
+        let tail = "µ&&>";
+        write!(HtmlEscaped(&mut html), "a<b&c>{tail}").unwrap();
+        assert_eq!(html, "a&lt;b&amp;c&gt;µ&amp;&amp;&gt;");
+        assert_eq!(html, reference::html_escape("a<b&c>µ&&>"));
+    }
+
+    #[test]
+    fn utilization_covers_dimensions_the_caller_did_not_declare() {
+        // A d6-shaped trace (links of dimensions 0, 3 and 5) summarized
+        // with a `d` that is too small, zero, and too large to shift by.
+        let events = vec![hold(0, 1, 0, 4_000), hold(8, 0, 0, 2_000), hold(1, 33, 1_000, 4_000)];
+        for d in [4, 0, 64, u32::MAX] {
+            let buckets = link_utilization(&events, d, 4);
+            assert_eq!(buckets.len(), 4, "d = {d}");
+            for b in &buckets {
+                assert_eq!(b.busy_frac.len(), d.clamp(6, 32) as usize, "d = {d}");
+                assert!(b.busy_frac.iter().all(|f| (0.0..=1.0).contains(f)), "d = {d}: {b:?}");
+            }
+            assert!(buckets[0].busy_frac[3] > 0.0 && buckets[3].busy_frac[5] > 0.0, "d = {d}");
+        }
+        // A `d` that covers the trace reads as it always did.
+        let exact = link_utilization(&events, 6, 4);
+        assert_eq!(exact[0].busy_frac.len(), 6);
+        assert!((exact[0].busy_frac[0] - 1.0 / 64.0).abs() < 1e-12, "{:?}", exact[0]);
+    }
+
+    fn push_us_string(ns: u64) -> String {
+        let mut out = String::new();
+        push_us(&mut out, ns);
+        out
+    }
+
+    #[test]
+    fn fixed_point_timestamps_match_float_formatting_at_the_edges() {
+        let edges = [0, 1, 999, 1000, 999_999, 1_000_000, u64::MAX];
+        let bound = FIXED_POINT_BELOW_NS;
+        for ns in edges.into_iter().chain([bound - 1, bound, bound + 1, 1 << 53, (1 << 53) + 1]) {
+            assert_eq!(push_us_string(ns), format!("{:.3}", ns as f64 / 1000.0), "ns = {ns}");
+        }
+        assert_eq!(push_us_string(1_002_030), "1002.030");
+        assert_eq!(push_us_string(7), "0.007");
+    }
+
+    /// Times at every scale: ticks, a run's microseconds, the
+    /// neighbourhood of the fixed-point bound, and far past it.
+    fn arb_ns() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..64,
+            0u64..5_000_000,
+            (FIXED_POINT_BELOW_NS - 4096)..(FIXED_POINT_BELOW_NS + 4096),
+            0u64..FIXED_POINT_BELOW_NS,
+            0u64..(1u64 << 60),
+        ]
+    }
+
+    /// Any of the eight variants, on a small cast of nodes, links and
+    /// jobs so that tracks repeat.
+    fn arb_event() -> impl Strategy<Value = TraceEvent> {
+        ((0u8..8, 0u32..24, 0u32..5), arb_ns(), arb_ns(), 0u64..u64::MAX).prop_map(
+            |((variant, id, bit), at, len, word)| {
+                let (node, start, end) = (NodeId(id), SimTime(at), SimTime(at.saturating_add(len)));
+                let tag = Tag::raw(word >> (word % 64));
+                match variant {
+                    0 => TraceEvent::LinkHold {
+                        from: node,
+                        to: NodeId(id ^ (1 << bit)),
+                        start,
+                        end,
+                        tag,
+                        bytes: (word % 100_000) as usize,
+                        background: word % 3 == 0,
+                    },
+                    1 => {
+                        TraceEvent::NicSend { node, start, end, tag, bytes: (word % 4096) as usize }
+                    }
+                    2 => TraceEvent::NicRecv { node, start, end, tag },
+                    3 => {
+                        let cause =
+                            [WaitCause::Contention, WaitCause::NicLapse, WaitCause::Barrier]
+                                [bit as usize % 3];
+                        TraceEvent::Wait { node, cause, start, end }
+                    }
+                    4 => TraceEvent::Barrier { job: bit, start, end },
+                    5 => {
+                        let kind = match word % 4 {
+                            0 => FlowKind::Drop,
+                            1 => FlowKind::Backoff { until: end },
+                            2 => FlowKind::Retransmit,
+                            _ => FlowKind::Cwnd { window: id },
+                        };
+                        TraceEvent::Flow { job: bit, node, kind, at: start }
+                    }
+                    6 => TraceEvent::ForcedDrop { src: node, dst: NodeId(bit), tag, at: start },
+                    _ => TraceEvent::ShardWindow { shard: bit, start, end },
+                }
+            },
+        )
+    }
+
+    fn assert_matches_reference(events: &[TraceEvent]) {
+        assert_eq!(export_perfetto_json(events), reference::export_perfetto_json(events));
+        let title = "t <&> \"q\"";
+        assert_eq!(export_html(events, title), reference::export_html(events, title));
+        assert_eq!(critical_path(events), reference::critical_path(events));
+    }
+
+    #[test]
+    fn exporters_match_the_reference_on_empty_and_single_event_traces() {
+        assert_matches_reference(&[]);
+        assert_matches_reference(&[hold(0, 1, 0, 0)]);
+        assert_matches_reference(&[TraceEvent::Flow {
+            job: 3,
+            node: NodeId(1),
+            kind: FlowKind::Backoff { until: SimTime(1 << 55) },
+            at: SimTime(5),
+        }]);
+    }
+
+    proptest! {
+        #[test]
+        fn exporters_and_critical_path_match_the_reference(
+            events in proptest::collection::vec(arb_event(), 0..120),
+        ) {
+            assert_matches_reference(&events);
+        }
+
+        /// Few distinct instants: many spans tie in both times, so the
+        /// label tie-break decides the chain.
+        #[test]
+        fn critical_path_matches_the_reference_under_ties(
+            spans in proptest::collection::vec((0u8..8, 0u32..6, 0u32..3, 0u64..6, 0u64..4), 1..80),
+        ) {
+            let events: Vec<TraceEvent> = spans
+                .into_iter()
+                .map(|(variant, id, bit, at, len)| {
+                    let (node, start, end) = (NodeId(id), SimTime(at), SimTime(at + len));
+                    match variant % 4 {
+                        0 => TraceEvent::LinkHold {
+                            from: node,
+                            to: NodeId(id ^ (1 << bit)),
+                            start,
+                            end,
+                            tag: Tag::raw(bit as u64),
+                            bytes: 8,
+                            background: variant >= 4,
+                        },
+                        1 => TraceEvent::NicRecv { node, start, end, tag: Tag::raw(bit as u64) },
+                        2 => TraceEvent::Wait { node, cause: WaitCause::Contention, start, end },
+                        _ => TraceEvent::Barrier { job: bit, start, end },
+                    }
+                })
+                .collect();
+            prop_assert_eq!(critical_path(&events), reference::critical_path(&events));
+        }
+
+        #[test]
+        fn fixed_point_timestamps_match_float_formatting(ns in arb_ns(), raw in 0u64..u64::MAX) {
+            for ns in [ns, raw, raw >> (raw % 64)] {
+                prop_assert_eq!(push_us_string(ns), format!("{:.3}", ns as f64 / 1000.0));
+            }
+        }
     }
 }
