@@ -613,7 +613,7 @@ pub(crate) enum CompileSource {
     /// Served by the process-wide shared cache (another arena, or an
     /// earlier epoch of this one, compiled it).
     SharedHit,
-    /// Nobody had it: this call ran the compile pipeline.
+    /// Nobody had it: this call ran the compiler.
     Miss,
 }
 

@@ -98,10 +98,11 @@ impl Program {
 
     /// Validate static properties: every `WaitRecv` and every expected
     /// delivery has a matching earlier `PostRecv`, and memory ranges
-    /// fit within `memory_len`.
+    /// are ordered and fit within `memory_len`.
     ///
-    /// The engine's compile pass (`engine.rs`) re-implements these
-    /// checks fused with program compilation for speed; when adding or
+    /// The engine's compiler (`compile.rs`) re-implements these checks
+    /// fused with program compilation for speed (the range and
+    /// permute-span checks are shared functions); when adding or
     /// changing a check here, mirror it there and extend the
     /// `compile_checks_match_program_validate` parity test.
     pub fn validate(&self, memory_len: usize) -> Result<(), String> {
@@ -109,20 +110,16 @@ impl Program {
         for (i, op) in self.ops.iter().enumerate() {
             match op {
                 Op::PostRecv { src, tag, into } => {
-                    if into.end > memory_len {
-                        return Err(format!(
-                            "op {i}: recv range {into:?} exceeds memory {memory_len}"
-                        ));
+                    if let Some(msg) = range_error("recv", into, memory_len) {
+                        return Err(format!("op {i}: {msg}"));
                     }
                     if !posted.insert((*src, *tag)) {
                         return Err(format!("op {i}: duplicate post for ({src}, {tag})"));
                     }
                 }
                 Op::Send { from, .. } => {
-                    if from.end > memory_len {
-                        return Err(format!(
-                            "op {i}: send range {from:?} exceeds memory {memory_len}"
-                        ));
+                    if let Some(msg) = range_error("send", from, memory_len) {
+                        return Err(format!("op {i}: {msg}"));
                     }
                 }
                 Op::WaitRecv { src, tag } => {
@@ -132,11 +129,8 @@ impl Program {
                 }
                 Op::Permute { perm, block_bytes } => {
                     let n = perm.len();
-                    if n * block_bytes > memory_len {
-                        return Err(format!(
-                            "op {i}: permute covers {} bytes > memory {memory_len}",
-                            n * block_bytes
-                        ));
+                    if let Some(msg) = permute_span_error(n, *block_bytes, memory_len) {
+                        return Err(format!("op {i}: {msg}"));
                     }
                     let mut seen = vec![false; n];
                     for &p in perm.iter() {
@@ -151,6 +145,35 @@ impl Program {
         }
         Ok(())
     }
+}
+
+/// The byte-range check [`Program::validate`] and the compiler share:
+/// the reason (without its `op i: ` prefix) when `range` is reversed or
+/// reaches past `memory_len`.
+#[inline]
+pub(crate) fn range_error(what: &str, range: &Range<usize>, memory_len: usize) -> Option<String> {
+    if range.start > range.end {
+        Some(format!("{what} range {range:?} is reversed"))
+    } else if range.end > memory_len {
+        Some(format!("{what} range {range:?} exceeds memory {memory_len}"))
+    } else {
+        None
+    }
+}
+
+/// The permute-span check [`Program::validate`] and the compiler share:
+/// the reason when `perm_len` blocks of `block_bytes` reach past
+/// `memory_len`. The span is taken in `u128`, where the product of two
+/// `usize`s cannot wrap back under the memory size.
+#[inline]
+pub(crate) fn permute_span_error(
+    perm_len: usize,
+    block_bytes: usize,
+    memory_len: usize,
+) -> Option<String> {
+    let span = perm_len as u128 * block_bytes as u128;
+    (span > memory_len as u128)
+        .then(|| format!("permute covers {span} bytes > memory {memory_len}"))
 }
 
 #[cfg(test)]

@@ -89,8 +89,8 @@ pub struct SimStats {
     /// Compile telemetry: 1 if it was served by the process-wide
     /// shared cache (compiled earlier by another worker arena).
     pub compile_shared_hits: u64,
-    /// Compile telemetry: 1 if this run actually ran the compile
-    /// pipeline. Summed over a sweep, this counts distinct
+    /// Compile telemetry: 1 if this run actually ran the compiler.
+    /// Summed over a sweep, this counts distinct
     /// compilations: a `SimBatch` over one shared program set totals
     /// exactly 1 regardless of worker count.
     pub compile_misses: u64,

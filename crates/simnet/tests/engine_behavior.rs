@@ -2,7 +2,7 @@
 //! contention, NIC serialization, FORCED/UNFORCED semantics, barriers.
 
 use mce_hypercube::NodeId;
-use mce_simnet::{MsgKind, Op, Program, SimConfig, SimError, Simulator, Tag};
+use mce_simnet::{MsgKind, Op, Program, SimArena, SimConfig, SimError, Simulator, Tag};
 
 fn empty_memories(n: usize, bytes: usize) -> Vec<Vec<u8>> {
     vec![vec![0u8; bytes]; n]
@@ -598,4 +598,44 @@ fn compile_checks_match_program_validate() {
     let mut sim =
         Simulator::new(SimConfig::ipsc860(1), vec![good, echo], empty_memories(2, memory_len));
     sim.run().unwrap();
+}
+
+/// A reversed byte range, and a permute span whose `usize` product
+/// wraps back under the memory size, are rejected up front by both the
+/// compiler and `Program::validate`, with one message. Before, the
+/// reversed send underflowed mid-run (a panic in debug builds, a
+/// nonsense `SizeMismatch` in release) and the wrapped span aborted
+/// the process on a 16 GiB allocation.
+#[test]
+#[allow(clippy::reversed_empty_ranges)] // the reversed ranges are the input under test
+fn reversed_ranges_and_overflowing_permute_spans_are_rejected_up_front() {
+    let memory_len = 64usize;
+    let block_bytes = usize::MAX / 4 + 2; // 4 blocks wrap to 4 bytes
+    let span = 4 * block_bytes as u128;
+    let cases = [
+        (
+            Op::send(NodeId(1), 8..4, Tag::data(0, 1)),
+            "op 0: send range 8..4 is reversed".to_string(),
+        ),
+        (
+            Op::post_recv(NodeId(1), Tag::data(0, 1), 12..8),
+            "op 0: recv range 12..8 is reversed".to_string(),
+        ),
+        (
+            Op::Permute { perm: std::sync::Arc::new((0..4u32).collect()), block_bytes },
+            format!("op 0: permute covers {span} bytes > memory {memory_len}"),
+        ),
+    ];
+    let mut arena = SimArena::new();
+    for (op, expected) in cases {
+        let bad = Program { ops: vec![op] };
+        assert_eq!(bad.validate(memory_len), Err(expected.clone()));
+        let programs = [bad, Program::empty()];
+        match arena.run(&SimConfig::ipsc860(1), &programs, empty_memories(2, memory_len)) {
+            Err(SimError::InvalidProgram { node, reason }) => {
+                assert_eq!((node, reason), (NodeId(0), expected));
+            }
+            other => panic!("expected InvalidProgram({expected}), got {other:?}"),
+        }
+    }
 }
