@@ -12,10 +12,14 @@
 //! # The walk
 //!
 //! `compile` is one sequential pass, nodes in index order and each
-//! node's ops in program order:
+//! node's ops in program order, then one pass over the sends:
 //!
-//! 1. **Slot maps**: each node's posted `(src, tag)` keys are numbered
-//!    in first-post order into a per-node hash map.
+//! 1. **Slots as it walks**: each node numbers its posted `(src, tag)`
+//!    keys into its own hash map during its own walk. A `PostRecv` takes
+//!    the map's length as its slot through one `entry` probe (so slots
+//!    follow first-post order; an occupied entry is a duplicate post),
+//!    and a `WaitRecv` is one `get` (a missing key — never posted, or
+//!    posted only later — is "never posted").
 //! 2. **Fused validation and lowering**: one `match` per op checks it
 //!    (byte ranges, duplicate posts, self-sends, the hop limit, the
 //!    permute span) and emits its `CompiledOp`. The first failing check
@@ -26,9 +30,15 @@
 //!    validated once, when first seen. Ops store a `u32` index into the
 //!    side table (`Compiled::perms`), keeping `CompiledOp` `Copy` and
 //!    32 bytes.
-//! 4. **Receiver-slot fixup**: the sends are counting-sorted by
-//!    destination (`O(sends + nodes)`) and resolved against one
-//!    destination's slot map at a time.
+//! 4. **Receiver slots**: once every map is complete, one sequential
+//!    pass over the compiled ops in node order looks each `Send`'s key
+//!    up in its destination's map and writes the slot into the op in
+//!    place (`NO_SLOT` if the receiver never posts it). A send to a
+//!    node outside the set is reported here, after every check of the
+//!    walk.
+//!
+//! A message key thus costs one probe where it is posted, one where it
+//! is waited on and one where a send resolves it.
 //!
 //! PR 10's parallel two-stage pipeline used to take every set of
 //! 8 192 ops or more; it was slower than this walk on every d5–d9
@@ -37,7 +47,8 @@
 //! `crates/simnet/README.md`, "Compiler"). The compiled tables are
 //! pinned byte for byte by frozen digests ([`compiled_digest`]: this
 //! module's tests and `tests/compile_pipeline.rs`), recorded while both
-//! compilers existed and agreed.
+//! compilers existed and agreed (the d9 and d11 sets: on the walk
+//! before it numbered slots as it went).
 //!
 //! # Process-wide shared compile cache
 //!
@@ -59,6 +70,7 @@ use crate::fxhash::FxHashMap;
 use crate::message::{MsgKind, Tag};
 use crate::program::{permute_span_error, range_error, Op, Program};
 use mce_hypercube::NodeId;
+use std::collections::hash_map::Entry;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -135,27 +147,16 @@ fn clamp_block(block_bytes: usize) -> u32 {
     block_bytes.min(u32::MAX as usize) as u32
 }
 
-/// Map each node's posted `(src, tag)` keys to dense slot ids in
-/// first-post order.
-fn slot_map(program: &Program) -> FxHashMap<u128, u32> {
-    let mut map: FxHashMap<u128, u32> = Default::default();
-    map.reserve(program.ops.len() / 2);
-    for op in &program.ops {
-        if let Op::PostRecv { src, tag, .. } = op {
-            let next = map.len() as u32;
-            map.entry(pack_key(*src, *tag)).or_insert(next);
-        }
-    }
-    map
-}
-
 /// Compile and validate a program set (see the module docs).
 pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Compiled, SimError> {
-    let keys: Vec<FxHashMap<u128, u32>> = programs.iter().map(slot_map).collect();
-    let slot_of =
-        |node: usize, key: u128| -> u32 { keys[node].get(&key).copied().unwrap_or(NO_SLOT) };
-    // Entries are `(dst, src, op_idx, tag)`.
-    let mut send_fixes: Vec<(u32, u32, u32, Tag)> = Vec::new();
+    if memories.len() != programs.len() {
+        let n = programs.len();
+        let reason = format!("{n} programs need {n} memories, got {}", memories.len());
+        return Err(SimError::InvalidConfig { reason });
+    }
+    // Per node, its posted `(src, tag)` keys numbered in first-post
+    // order, filled by that node's own walk.
+    let mut keys: Vec<FxHashMap<u128, u32>> = Vec::with_capacity(programs.len());
     // Shuffle permutations are shared (`Arc`) across nodes: validate
     // each distinct one once, in first-sight order.
     let mut perm_ids: FxHashMap<usize, u32> = Default::default();
@@ -165,7 +166,6 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
     let mut flat_ops: Vec<CompiledOp> =
         Vec::with_capacity(programs.iter().map(|p| p.ops.len()).sum());
     let mut flat_segs: Vec<(u32, u32)> = Vec::new();
-    let mut posted_bits: Vec<u64> = Vec::new();
     for (x, program) in programs.iter().enumerate() {
         let memory_len = memories[x].len();
         let invalid = |i: usize, msg: String| SimError::InvalidProgram {
@@ -178,8 +178,11 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
                 reason: format!("memory of {memory_len} bytes exceeds 4 GiB"),
             });
         }
-        posted_bits.clear();
-        posted_bits.resize(keys[x].len().div_ceil(64), 0);
+        // Nodes of one exchange post alike: size for the previous one's keys.
+        let mut slots: FxHashMap<u128, u32> = FxHashMap::with_capacity_and_hasher(
+            keys.last().map_or(0, FxHashMap::len),
+            Default::default(),
+        );
         let ops_start = flat_ops.len() as u32;
         let segs_start = flat_segs.len() as u32;
         let (mut seg_pc, mut seg_mask) = (0u32, 0u32);
@@ -197,12 +200,11 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
                     if let Some(msg) = range_error("recv", into, memory_len) {
                         return Err(invalid(i, msg));
                     }
-                    let slot = slot_of(x, pack_key(*src, *tag));
-                    let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
-                    if posted_bits[word] & bit != 0 {
+                    let slot = slots.len() as u32;
+                    let Entry::Vacant(entry) = slots.entry(pack_key(*src, *tag)) else {
                         return Err(invalid(i, format!("duplicate post for ({src}, {tag})")));
-                    }
-                    posted_bits[word] |= bit;
+                    };
+                    entry.insert(slot);
                     CompiledOp::PostRecv {
                         slot,
                         start: into.start as u32,
@@ -225,23 +227,19 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
                         ));
                     }
                     total_sends += 1;
-                    send_fixes.push((dst.0, x as u32, i as u32, *tag));
                     CompiledOp::Send {
                         dst: *dst,
                         start: from.start as u32,
                         end: from.end as u32,
-                        dst_slot: NO_SLOT, // resolved by the fixup pass
+                        dst_slot: NO_SLOT, // resolved by the receiver pass
                         tag: *tag,
                         kind: *kind,
                     }
                 }
                 Op::WaitRecv { src, tag } => {
-                    let slot = slot_of(x, pack_key(*src, *tag));
-                    let posted = slot != NO_SLOT
-                        && posted_bits[slot as usize / 64] & (1u64 << (slot % 64)) != 0;
-                    if !posted {
+                    let Some(&slot) = slots.get(&pack_key(*src, *tag)) else {
                         return Err(invalid(i, format!("WaitRecv ({src}, {tag}) never posted")));
-                    }
+                    };
                     CompiledOp::WaitRecv { slot, src: *src, tag: *tag }
                 }
                 Op::Permute { perm, block_bytes } => {
@@ -281,34 +279,29 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
         compiled.push(CompiledProgram {
             ops_start,
             ops_end: flat_ops.len() as u32,
-            num_slots: keys[x].len() as u32,
+            num_slots: slots.len() as u32,
             segs_start,
             segs_end: flat_segs.len() as u32,
         });
+        keys.push(slots);
     }
-    // Receiver-slot fixup pass: counting-sort the sends by destination
-    // (O(sends + nodes)), then resolve each group against one hot slot
-    // table.
-    let mut starts = vec![0u32; programs.len() + 1];
-    for &(dst, ..) in &send_fixes {
-        starts[dst as usize + 1] += 1;
-    }
-    for i in 1..starts.len() {
-        starts[i] += starts[i - 1];
-    }
-    let mut ordered = vec![(0u32, 0u32, 0u32, Tag(0)); send_fixes.len()];
-    let mut cursor = starts.clone();
-    for &fix in &send_fixes {
-        let c = &mut cursor[fix.0 as usize];
-        ordered[*c as usize] = fix;
-        *c += 1;
-    }
-    for (dst, src, op_idx, tag) in ordered {
-        let slot = slot_of(dst as usize, pack_key(NodeId(src), tag));
-        if slot != NO_SLOT {
-            let flat_idx = compiled[src as usize].ops_start + op_idx;
-            if let CompiledOp::Send { dst_slot, .. } = &mut flat_ops[flat_idx as usize] {
-                *dst_slot = slot;
+    // Receiver slots: one sequential pass over the ops, each send
+    // looking its key up in its destination's map (`NO_SLOT` if never
+    // posted there).
+    for (x, program) in compiled.iter().enumerate() {
+        let src = NodeId(x as u32);
+        let ops = &mut flat_ops[program.ops_start as usize..program.ops_end as usize];
+        for (i, op) in ops.iter_mut().enumerate() {
+            if let CompiledOp::Send { dst, tag, dst_slot, .. } = op {
+                let Some(receiver) = keys.get(dst.index()) else {
+                    return Err(SimError::InvalidProgram {
+                        node: src,
+                        reason: format!("op {i}: send to {dst}: no such node"),
+                    });
+                };
+                if let Some(&slot) = receiver.get(&pack_key(src, *tag)) {
+                    *dst_slot = slot;
+                }
             }
         }
     }
@@ -388,7 +381,8 @@ pub(crate) fn shared_compiled_for(
 /// the program table, the flat ops, the segments and `total_sends`,
 /// then the permutation table as the `(node, op)` that first references
 /// each entry (pointers are not stable across runs); an error digests
-/// as its `Debug` text.
+/// as its `Debug` text — `memories.len() != programs.len()` included,
+/// which is a [`SimError::InvalidConfig`].
 pub fn compiled_digest(programs: &[Program], memories: &[Vec<u8>]) -> u64 {
     use std::fmt::Write;
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
@@ -481,6 +475,87 @@ mod tests {
             compile(&programs, &memories).unwrap_err(),
             invalid(0, format!("op 2: duplicate post for ({}, {tag})", NodeId(1)))
         );
+    }
+
+    #[test]
+    fn compile_wait_before_its_own_post_was_never_posted() {
+        // The key is posted, but only after the wait: at the wait it has
+        // not been posted yet.
+        let tag = Tag::data(0, 1);
+        let programs = vec![Program { ops: vec![wait(1, tag), post(1, tag, 0..4)] }];
+        let memories = vec![vec![0u8; 4]];
+        assert_eq!(
+            compile(&programs, &memories).unwrap_err(),
+            invalid(0, "op 0: WaitRecv (1, data:p0s1) never posted")
+        );
+    }
+
+    #[test]
+    fn compile_duplicate_post_after_a_wait_on_another_key_is_rejected() {
+        let (a, b) = (Tag::data(0, 1), Tag::sync(0, 1));
+        let programs = vec![Program {
+            ops: vec![post(1, a, 0..4), post(1, b, 0..0), wait(1, b), post(1, a, 4..8)],
+        }];
+        let memories = vec![vec![0u8; 8]];
+        assert_eq!(
+            compile(&programs, &memories).unwrap_err(),
+            invalid(0, "op 3: duplicate post for (1, data:p0s1)")
+        );
+    }
+
+    #[test]
+    fn compile_send_to_a_receiver_that_never_posts_keeps_no_slot() {
+        // Node 1 posts the tag for source 2 only: node 0's send finds no
+        // slot there, node 2's finds slot 0.
+        let tag = Tag::data(0, 1);
+        let programs = vec![
+            Program { ops: vec![send(1, 0..4, tag)] },
+            Program { ops: vec![post(2, tag, 0..4), wait(2, tag)] },
+            Program { ops: vec![send(1, 0..4, tag)] },
+            Program::empty(),
+        ];
+        let memories = vec![vec![0u8; 4]; 4];
+        let c = compile(&programs, &memories).unwrap();
+        let dst_slot = |node: usize| match c.programs[node].ops(&c.ops) {
+            [CompiledOp::Send { dst_slot, .. }] => *dst_slot,
+            other => panic!("unexpected {other:?}"),
+        };
+        assert_eq!((dst_slot(0), dst_slot(2)), (NO_SLOT, 0));
+        assert_eq!(c.total_sends, 2);
+    }
+
+    #[test]
+    fn compile_send_outside_the_set_is_a_typed_error_after_the_walk() {
+        // Node 0 sends to node 2 of a two-node set; node 1 is clean.
+        let programs = vec![
+            Program { ops: vec![Op::Barrier, send(2, 0..4, Tag::data(0, 1))] },
+            Program::empty(),
+        ];
+        let memories = vec![vec![0u8; 4]; 2];
+        assert_eq!(
+            compile(&programs, &memories).unwrap_err(),
+            invalid(0, "op 1: send to 2: no such node")
+        );
+        // Every check of the walk comes first, as in any later node.
+        let programs = vec![programs[0].clone(), Program { ops: vec![wait(0, Tag::data(0, 1))] }];
+        assert_eq!(
+            compile(&programs, &memories).unwrap_err(),
+            invalid(1, "op 0: WaitRecv (0, data:p0s1) never posted")
+        );
+    }
+
+    #[test]
+    fn compile_rejects_mismatched_shapes_with_a_typed_error() {
+        let programs = vec![Program::empty(), Program::empty()];
+        let one = vec![Vec::new()];
+        let err = SimError::InvalidConfig { reason: "2 programs need 2 memories, got 1".into() };
+        assert_eq!(compile(&programs, &one).unwrap_err(), err);
+        // The public digest digests it as its `Debug` text instead of
+        // panicking.
+        use std::fmt::Write;
+        let mut expected = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(expected, "{err:?}").unwrap();
+        assert_eq!(compiled_digest(&programs, &one), expected.0);
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Black-box suite for the compiler (see `mce_simnet::compile`): the
 //! compiled tables of the *real* exchange builders pinned by frozen
-//! digests, the arena memo's LRU behaviour, the process-wide shared
-//! cache, and the exactly-once compile guarantee under `SimBatch`.
+//! digests (d3–d9 in the default suite, the d11 `bigcube_cold` sets
+//! behind `--ignored`), the arena memo's LRU behaviour, the
+//! process-wide shared cache, and the exactly-once compile guarantee
+//! under `SimBatch`.
 //!
 //! The file keeps the name it had when the repository had two
 //! compilers (a parallel pipeline and a sequential reference) and this
@@ -89,7 +91,85 @@ fn builder_programs_compile_identically_to_reference() {
     }
 }
 
-/// Prints [`BUILDER_DIGESTS`] as source.
+/// A large multiphase set at m = 8 (the ledger's `bigcube_cold` block),
+/// optionally with one permutation `Arc` per node and phase.
+struct LargeCase {
+    d: u32,
+    dims: &'static [u32],
+    per_node_perms: bool,
+}
+
+impl LargeCase {
+    fn label(&self) -> String {
+        let perms = if self.per_node_perms { " per-node perms" } else { "" };
+        format!("multiphase d{} {:?}{perms}", self.d, self.dims)
+    }
+
+    /// Builds the set, digests it and drops it again, so at most one
+    /// large set is alive at a time.
+    fn digest(&self) -> u64 {
+        let mut programs = build_multiphase_programs(self.d, self.dims, 8);
+        if self.per_node_perms {
+            unshare_perms(&mut programs);
+        }
+        compiled_digest(&programs, &exchange_memories(self.d, 8))
+    }
+}
+
+/// The d9 sets, cheap enough for a debug build.
+const D9_CASES: [LargeCase; 2] = [
+    LargeCase { d: 9, dims: &[5, 4], per_node_perms: false },
+    LargeCase { d: 9, dims: &[5, 4], per_node_perms: true },
+];
+
+/// The three `bigcube_cold` partitions (1.17 M, 1.17 M and 0.48 M ops).
+const D11_CASES: [LargeCase; 3] = [
+    LargeCase { d: 11, dims: &[5, 6], per_node_perms: false },
+    LargeCase { d: 11, dims: &[6, 5], per_node_perms: false },
+    LargeCase { d: 11, dims: &[4, 4, 3], per_node_perms: false },
+];
+
+/// `compiled_digest` of [`D9_CASES`] and [`D11_CASES`], recorded on
+/// d0817c6 (the walk with a slot-map pre-pass and a counting-sorted
+/// receiver fixup), before the compiler numbered slots as it walked.
+const D9_DIGESTS: [(&str, u64); 2] = [
+    ("multiphase d9 [5, 4]", 7329571951127674544),
+    ("multiphase d9 [5, 4] per-node perms", 13423478855544742334),
+];
+const D11_DIGESTS: [(&str, u64); 3] = [
+    ("multiphase d11 [5, 6]", 10955465116518331062),
+    ("multiphase d11 [6, 5]", 8246309236180171400),
+    ("multiphase d11 [4, 4, 3]", 9238644537722827516),
+];
+
+fn assert_large_digests(cases: &[LargeCase], frozen: &[(&str, u64)]) {
+    assert_eq!(cases.len(), frozen.len(), "regenerate with --ignored print_digests");
+    for (case, &(frozen_label, digest)) in cases.iter().zip(frozen) {
+        assert_eq!(case.label(), frozen_label);
+        assert_eq!(case.digest(), digest, "{frozen_label}");
+    }
+}
+
+/// The d9 builder sets, shared and per-node permutations, compile to
+/// the frozen tables.
+#[test]
+fn d9_builder_programs_compile_to_frozen_tables() {
+    assert_large_digests(&D9_CASES, &D9_DIGESTS);
+}
+
+/// The d11 builder sets compile to the frozen tables. Ignored in the
+/// default (debug) suite, where it takes about 3 s and over 100 MB,
+/// ten times the rest of this file; CI runs it with `cargo test
+/// --release -p mce-simnet --test compile_pipeline -- --ignored
+/// d11_builder`.
+#[test]
+#[ignore]
+fn d11_builder_programs_compile_to_frozen_tables() {
+    assert_large_digests(&D11_CASES, &D11_DIGESTS);
+}
+
+/// Prints [`BUILDER_DIGESTS`], [`D9_DIGESTS`] and [`D11_DIGESTS`] as
+/// source.
 #[test]
 #[ignore]
 fn print_digests() {
@@ -99,6 +179,13 @@ fn print_digests() {
         println!("    ({label:?}, {}),", compiled_digest(programs, memories));
     }
     println!("];");
+    for (name, large) in [("D9_DIGESTS", &D9_CASES[..]), ("D11_DIGESTS", &D11_CASES[..])] {
+        println!("const {name}: [(&str, u64); {}] = [", large.len());
+        for case in large {
+            println!("    ({:?}, {}),", case.label(), case.digest());
+        }
+        println!("];");
+    }
 }
 
 fn tiny_set(stamp: u8) -> (Arc<Vec<Program>>, Vec<Vec<u8>>) {
