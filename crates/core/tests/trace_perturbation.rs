@@ -181,8 +181,6 @@ fn trace_on_is_bit_identical_co_tenant_lossy() {
 /// differs between the sharded and the trace-forced sequential path.
 fn simulation_observables(mut stats: SimStats) -> SimStats {
     stats.sched_peak_pending = 0;
-    stats.sched_bucket_resizes = 0;
-    stats.sched_overflow_spills = 0;
     stats.shard_windows = 0;
     stats.shard_barrier_stalls = 0;
     stats.shard_cross_events = 0;

@@ -599,7 +599,6 @@ mod tests {
         assert!(agg.sched_peak_pending.min >= 1.0, "{:?}", agg.sched_peak_pending);
         assert_eq!(agg.sched_peak_pending.n, 8);
         assert_eq!(agg.sched_peak_pending.stddev, 0.0, "same workload, same queue shape");
-        assert!(agg.sched_overflow_spills.n == 8);
         // Failures are counted, not folded.
         let mut batch = SimBatch::new(SimConfig::ipsc860(3));
         batch.seed_sweep(0.05, 1..=2, &programs, &memories);

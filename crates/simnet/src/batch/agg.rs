@@ -124,9 +124,6 @@ pub struct RunAggregate {
     /// (see [`crate::sched`]); sweeps report it alongside finish times
     /// so queue load is visible per cell.
     pub sched_peak_pending: MetricSummary,
-    /// Scheduler far-future overflow spills (events that missed the
-    /// calendar ring's window).
-    pub sched_overflow_spills: MetricSummary,
     /// Sharded-driver phases that ran windowed (see [`crate::shard`]);
     /// all-zero for sequential (`shards: 1`) or ineligible runs.
     pub shard_windows: MetricSummary,
@@ -207,7 +204,6 @@ pub fn aggregate(results: &[Result<SimResult, SimError>]) -> RunAggregate {
         forced_drops: col(&|r| r.stats.forced_drops as f64),
         background_transmissions: col(&|r| r.stats.background_transmissions as f64),
         sched_peak_pending: col(&|r| r.stats.sched_peak_pending as f64),
-        sched_overflow_spills: col(&|r| r.stats.sched_overflow_spills as f64),
         shard_windows: col(&|r| r.stats.shard_windows as f64),
         shard_barrier_stalls: col(&|r| r.stats.shard_barrier_stalls as f64),
         shard_cross_events: col(&|r| r.stats.shard_cross_events as f64),

@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::netcond::NetCondition;
-use crate::time::us_to_ns;
+use crate::time::{us_to_ns, SimTime};
 use crate::traffic::JobSpec;
 use mce_model::MachineParams;
 use serde::{Deserialize, Serialize};
@@ -189,7 +189,9 @@ impl SimConfig {
     /// timing parameter must be finite and non-negative. The time
     /// conversions (`us_to_ns`, `SimTime::from_us`) only debug-assert,
     /// so this is the release-build gate keeping negative or NaN
-    /// durations from silently saturating to 0 ns.
+    /// durations from silently saturating to 0 ns. Job starts,
+    /// background injections and flow-control backoffs must stay
+    /// within [`SimTime::HORIZON`].
     pub fn validate(&self) -> Result<(), String> {
         if self.dimension > mce_hypercube::MAX_DIMENSION {
             return Err(format!(
@@ -230,6 +232,13 @@ impl SimConfig {
             ));
         }
         for (j, job) in self.jobs.iter().enumerate() {
+            if SimTime(job.start_ns) > SimTime::HORIZON {
+                return Err(format!(
+                    "job {j} starts at {} ns, past the simulated-time horizon ({} ns)",
+                    job.start_ns,
+                    SimTime::HORIZON.as_ns()
+                ));
+            }
             if let Some(flow) = &job.flow {
                 flow.validate().map_err(|e| format!("job {j}: {e}"))?;
             }
@@ -296,13 +305,12 @@ impl SimConfig {
         us_to_ns(self.params.rho) * bytes as u64
     }
 
-    /// Calendar-queue bucket width in `SimTime` ticks (ns), derived
-    /// from the machine's transmission granularity: successive event
-    /// times are spaced by roughly one transmission latency
-    /// `g = max(λ, λ₀) + δ·d`, and up to `2^d` transmissions complete
-    /// per such interval, so the scheduler targets about one distinct
-    /// event time per bucket with `width ≈ g / 2^d` (clamped so
-    /// degenerate parameter sets keep a sane ring).
+    /// The retired calendar queue's bucket width in `SimTime` ticks
+    /// (ns): `g / 2^d` with `g = max(λ, λ₀) + δ·d`, clamped to
+    /// `[16, 2^20]`. The engine no longer reads it; it stays for the
+    /// perf ledger's scheduler probe, which passes it to
+    /// [`crate::CalendarQueue::new`] (where it is ignored), until that
+    /// probe's next revision.
     pub fn sched_bucket_width_ns(&self) -> u64 {
         let g = us_to_ns(self.params.lambda.max(self.params.lambda_zero))
             + us_to_ns(self.params.delta) * self.dimension.max(1) as u64;

@@ -39,12 +39,11 @@
 //!   reproducing the start order, one-shot blocking flags and wait
 //!   accounting of the previous full-rescan implementation (see the
 //!   determinism-snapshot suite in `mce-core`).
-//! * **Calendar-queue scheduling** — pending events (and NIC-lapse
-//!   wake-ups) live in [`CalendarQueue`]s instead of binary heaps:
-//!   amortized-O(1) push/pop over a ring of time buckets whose width
-//!   derives from the machine's transmission granularity, backed by a
-//!   sorted overflow tier for far-future events, preserving exact
-//!   `(time, seq)` pop order (see the [`crate::sched`] module docs).
+//! * **Same-instant FIFO** — events scheduled for the instant being
+//!   drained (the bulk of the mix) append to a FIFO and never touch a
+//!   queue; later events (and NIC-lapse wake-ups) wait in binary
+//!   min-heaps ([`CalendarQueue`]) keyed by `(time, seq)`, so pops keep
+//!   exact `(time, seq)` order (see the [`crate::sched`] module docs).
 
 use crate::compile::{compile, shared_compiled_for, Compiled, CompiledOp, CompiledProgram};
 use crate::config::{SimConfig, SwitchingMode};
@@ -1080,7 +1079,7 @@ impl SimArena {
                 last_entry = srt.last_barrier_entry;
             }
             violated |= srt.lapse_pushes > 0;
-            let peak = srt.sched.events.telemetry().peak_pending;
+            let peak = srt.sched.events.peak_pending();
             if peak > rt.stats.shard_peak_pending {
                 rt.stats.shard_peak_pending = peak;
             }
@@ -1202,7 +1201,7 @@ struct Runtime<'c> {
     pool_cap: usize,
     /// Reusable scratch for block permutations.
     scratch: Vec<u8>,
-    /// The event scheduler (calendar queues + same-time FIFO); one
+    /// The event scheduler (event heaps + same-time FIFO); one
     /// struct shared with [`SimArena`] so reclaim cannot drift from
     /// the run state.
     sched: Scheduler,
@@ -1294,10 +1293,10 @@ impl From<Event> for EventKey {
     }
 }
 
-/// The engine's event scheduler: the main [`CalendarQueue`] over
+/// The engine's event scheduler: the main [`CalendarQueue`] heap over
 /// `(time, seq, EventKey)`, the same-time FIFO (events scheduled for
-/// the instant currently being drained skip the queue entirely — they
-/// dominate the event mix), and the NIC-lapse calendar queue of
+/// the instant currently being drained skip the heap entirely — they
+/// dominate the event mix), and the NIC-lapse heap of
 /// `(time_ns, qseq, tid)` wake-ups for concurrency-window conditions
 /// that expire by the passage of time alone.
 ///
@@ -1320,25 +1319,15 @@ struct Scheduler {
 }
 
 impl Scheduler {
-    /// Re-arm for a run: `width` is the calendar bucket width in
-    /// `SimTime` ticks, `bucket_hint` the expected concurrency (ring
-    /// size). Keeps all allocations, zeroes telemetry.
-    fn reset(&mut self, width: u64, bucket_hint: usize) {
-        self.events.reset(width, bucket_hint);
-        // The lapse tier sees only blocked-NIC wake-ups — orders of
-        // magnitude fewer entries — so a small ring suffices.
-        self.lapse.reset(width, 64);
-        self.fifo.clear();
-        self.seq = 0;
-        self.until = None;
-    }
-
-    /// Drop all entries (post-run or post-error), keeping allocations.
-    fn clear(&mut self) {
+    /// Empty after a run (finished, failed or abandoned), so the next
+    /// run starts from the `Default` state: drop all entries, zero the
+    /// telemetry and the bound, keep every allocation.
+    fn reset(&mut self) {
         self.events.clear();
         self.lapse.clear();
         self.fifo.clear();
         self.seq = 0;
+        self.until = None;
     }
 
     /// Schedule `ev` at `at`, given the instant currently draining.
@@ -1498,14 +1487,6 @@ impl<'c> Runtime<'c> {
                 })
                 .collect();
         }
-        let mut sched = std::mem::take(&mut arena.sched);
-        // Calendar sizing: bucket width targets one distinct event
-        // time per bucket, ring size the cube's concurrency (up to
-        // `n` transmissions complete per granularity interval, plus
-        // headroom for the in-flight spread). Shard windows scale the
-        // ring to the subcube they own.
-        let concurrency = shard.map_or(n, <[u32]>::len);
-        sched.reset(cfg.sched_bucket_width_ns(), (4 * concurrency).clamp(64, 1 << 14));
         Runtime {
             cfg,
             nodes,
@@ -1525,7 +1506,7 @@ impl<'c> Runtime<'c> {
             pool: std::mem::take(&mut arena.pool),
             pool_cap: (2 * n).max(64),
             scratch: std::mem::take(&mut arena.scratch),
-            sched,
+            sched: std::mem::take(&mut arena.sched),
             conditioned: None,
             ns_lambda: crate::time::us_to_ns(cfg.params.lambda),
             ns_lambda0: crate::time::us_to_ns(cfg.params.lambda_zero),
@@ -1624,7 +1605,7 @@ impl<'c> Runtime<'c> {
         for watchers in node_watch.iter_mut() {
             watchers.clear();
         }
-        sched.clear();
+        sched.reset();
         if links.busy_count() > 0 {
             links.clear();
         }
@@ -1812,12 +1793,8 @@ impl<'c> Runtime<'c> {
         if !stuck.is_empty() {
             return Err(SimError::Deadlock { stuck, forced_drops: self.stats.forced_drops });
         }
-        // Scheduler telemetry: peak pending of the main event queue,
-        // resize/spill counts summed over both calendar tiers.
-        let (ev, lapse) = (self.sched.events.telemetry(), self.sched.lapse.telemetry());
-        self.stats.sched_peak_pending = ev.peak_pending;
-        self.stats.sched_bucket_resizes = ev.bucket_resizes + lapse.bucket_resizes;
-        self.stats.sched_overflow_spills = ev.overflow_spills + lapse.overflow_spills;
+        // Scheduler telemetry: peak pending of the main event heap.
+        self.stats.sched_peak_pending = self.sched.events.peak_pending();
         let finish_time = self.nodes.iter().map(|s| s.finish).max().unwrap_or(SimTime::ZERO);
         // Per-job finish: the job's last context to complete.
         if !self.stats.jobs.is_empty() {
@@ -2034,7 +2011,18 @@ impl<'c> Runtime<'c> {
                 }
                 CompiledOp::Compute { ns } => {
                     self.nodes[xi].pc += 1;
-                    self.push(t.plus_ns(*ns), Event::NodeReady(x));
+                    let Some(done) = t.checked_plus_ns(*ns) else {
+                        return Err(SimError::InvalidProgram {
+                            node: x,
+                            reason: format!(
+                                "Compute of {ns} ns at {} ns passes the simulated-time horizon \
+                                 ({} ns)",
+                                t.as_ns(),
+                                SimTime::HORIZON.as_ns()
+                            ),
+                        });
+                    };
+                    self.push(done, Event::NodeReady(x));
                     return Ok(());
                 }
                 CompiledOp::Mark { label } => {

@@ -38,9 +38,9 @@
 //! delivery (one copy, with copy-on-write materialization if a
 //! delivery lands in the in-flight range); blocked transmissions sit
 //! on per-link / per-NIC wait-queues so a released circuit wakes only
-//! the transmissions actually blocked on it; and pending events live
-//! in an amortized-O(1) calendar queue ([`sched`]) instead of a
-//! binary heap. See the `engine` and [`sched`] module docs for the
+//! the transmissions actually blocked on it; and events of the current
+//! instant bypass the pending-event heap ([`sched`]) through a FIFO.
+//! See the `engine` and [`sched`] module docs for the
 //! full design and the determinism-snapshot suite in `mce-core` that
 //! pins its behaviour.
 //!
@@ -121,7 +121,7 @@ pub use engine::{SimError, SimResult, Simulator};
 pub use message::{MsgKind, Tag};
 pub use netcond::{BackgroundStream, Cable, LinkPolicy, NetCondition, SpeedProfile};
 pub use program::{Op, Program};
-pub use sched::{CalendarQueue, SchedTelemetry};
+pub use sched::CalendarQueue;
 pub use stats::{JobStats, SimStats};
 pub use time::SimTime;
 pub use trace::{FlowKind, TraceConfig, TraceEvent, TraceRing, WaitCause};

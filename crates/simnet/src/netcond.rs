@@ -44,6 +44,7 @@
 
 use crate::fxhash::FxHashSet;
 use crate::message::Tag;
+use crate::time::SimTime;
 use mce_hypercube::routing::DirectedLink;
 use mce_hypercube::NodeId;
 use serde::{Deserialize, Serialize};
@@ -310,8 +311,9 @@ impl NetCondition {
     }
 
     /// Static validity for a `d`-dimensional cube: factors finite and
-    /// positive, cables within the cube, streams within the cube and
-    /// non-degenerate.
+    /// positive, cables within the cube, streams within the cube,
+    /// non-degenerate and injecting no later than
+    /// [`SimTime::HORIZON`].
     pub fn validate(&self, d: u32) -> Result<(), String> {
         let n = 1u64 << d;
         let check_factor = |what: &str, f: f64| -> Result<(), String> {
@@ -363,6 +365,16 @@ impl NetCondition {
             }
             if s.count > 1 && s.period_ns == 0 {
                 return Err(format!("background stream {i} repeats with zero period"));
+            }
+            // The last injection fires at start + (count − 1)·period.
+            let last = u64::from(s.count.saturating_sub(1))
+                .checked_mul(s.period_ns)
+                .and_then(|span| SimTime(s.start_ns).checked_plus_ns(span));
+            if s.count > 0 && last.is_none() {
+                return Err(format!(
+                    "background stream {i} injects past the simulated-time horizon ({} ns)",
+                    SimTime::HORIZON.as_ns()
+                ));
             }
         }
         if let Some(LinkPolicy::Lossy { loss_per_myriad, .. }) = self.link_policy {

@@ -1,444 +1,116 @@
-//! Calendar-queue event scheduling.
+//! Event scheduling: one binary min-heap.
 //!
-//! The engine's pending-event set used to live in two `BinaryHeap`s
-//! (the main event queue and the NIC-lapse wake-up queue). A binary
-//! heap costs O(log n) per push and pop and sifts 32-byte entries
-//! through cache-unfriendly strides, which becomes the dominant
-//! non-linear cost once the cube reaches d9–d10 (512–1024 nodes with
-//! thousands of pending transmissions). Event timestamps in this
-//! simulator are *dense*, *nearly monotone* and *bounded* — every
-//! event is scheduled at most one transmission duration past the
-//! current instant — which is exactly the regime where a
-//! calendar/ladder queue replaces the heap with amortized-O(1)
-//! operations.
-//!
-//! [`CalendarQueue`] is a deterministic two-tier structure:
-//!
-//! * **Near-future ring** — a window of `nb` time buckets of
-//!   `width` ticks each, starting at `ring_start`. Bucket `i` covers
-//!   `[ring_start + i·width, ring_start + (i+1)·width)`. Each bucket
-//!   keeps its entries **sorted** by the full `(time, seq, item)`
-//!   tuple; pushes append when they arrive in order (the common case —
-//!   event times grow with simulated time) and binary-insert
-//!   otherwise. A cursor walks the ring forward, so a pop is "take the
-//!   next entry of the current bucket".
-//! * **Sorted overflow tier** — events beyond the ring window land in
-//!   an overflow vector, kept sorted descending *lazily* (appends mark
-//!   it dirty; one `sort_unstable` pays for the whole batch). When the
-//!   ring drains, the window is re-anchored at the earliest overflow
-//!   entry and the in-window suffix migrates into the buckets — each
-//!   event passes through the overflow tier at most once per window
-//!   rebase, and near-future events (the vast majority) never touch
-//!   it.
+//! The engine's pending events (and the NIC-lapse wake-ups of the
+//! concurrency-window rule) wait in a [`CalendarQueue`]: a
+//! `BinaryHeap<Reverse<(time, seq, item)>>` that also records its
+//! high-water length. Same-instant events never reach it — the
+//! engine's FIFO takes them — so what the heap holds is the spread of
+//! in-flight transmissions, barrier releases and background injections,
+//! a few times the node count at most.
 //!
 //! **Determinism.** Pops return the minimum entry by the full
-//! `(time, seq, item)` lexicographic order — bit-identical to a
-//! `BinaryHeap<Reverse<(time, seq, item)>>` fed the same pushes, for
-//! *any* interleaving of pushes and pops, including out-of-order
-//! pushes earlier than entries already popped (the cursor backtracks
-//! into the — necessarily empty — earlier bucket). The differential
-//! property test in `crates/simnet/tests/scheduler_differential.rs`
-//! pins this equivalence against a reference heap.
+//! `(time, seq, item)` lexicographic order, for any interleaving of
+//! pushes and pops, duplicate `(time, seq)` keys included (the item
+//! breaks the tie). `crates/simnet/tests/scheduler_differential.rs`
+//! pins that contract against a sorted-`Vec` reference.
 //!
-//! **Sizing.** `width` starts from the machine's transmission
-//! granularity (see `SimConfig::sched_bucket_width_ns`): event times
-//! are spaced by roughly one transmission duration and up to `2^d`
-//! transmissions complete concurrently, so the width targets about one
-//! distinct event time per bucket. That static estimate is only a
-//! seed — each window rebase re-derives the width from the *observed*
-//! spacing of the backlog it is about to distribute (the ring is
-//! empty at that moment, so retuning is free and cannot affect pop
-//! order), keeping workloads whose real event spacing diverges from
-//! the configured estimate (conditioned slowdowns, sparse barrier
-//! tails) at about one entry per bucket. The ring grows (doubling,
-//! counted in [`SchedTelemetry::bucket_resizes`]) when a window
-//! rebase finds more pending events than buckets.
-//!
-//! Allocations (bucket vectors, overflow, migration scratch) are
-//! retained across [`CalendarQueue::reset`], so arena-driven batch
-//! runs reuse them run after run.
+//! The type keeps the name of the calendar queue it replaced because
+//! the perf ledger's scheduler probe constructs it as
+//! `CalendarQueue::new(width, hint)`; `crates/simnet/README.md`, "Event
+//! scheduler", says why the calendar lost.
+
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::BinaryHeap;
 
 /// One scheduled entry: `(time, seq, item)`, ordered lexicographically.
 type Entry<T> = (u64, u64, T);
 
-/// Scheduler telemetry of one run (see `SimStats`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedTelemetry {
-    /// Largest number of simultaneously pending entries.
-    pub peak_pending: u64,
-    /// Ring growths (bucket-count doublings) during the run.
-    pub bucket_resizes: u64,
-    /// Entries that landed in the far-future overflow tier.
-    pub overflow_spills: u64,
-}
-
-/// One time bucket: entries sorted ascending by `(time, seq, item)`,
-/// with `pos` marking the popped prefix.
-#[derive(Debug, Clone)]
-struct Bucket<T> {
-    entries: Vec<Entry<T>>,
-    pos: usize,
-}
-
-impl<T> Default for Bucket<T> {
-    fn default() -> Self {
-        Bucket { entries: Vec::new(), pos: 0 }
-    }
-}
-
-/// Hard ceiling on the ring size; beyond this the overflow tier
-/// absorbs the spread (2^16 buckets ≈ 2 MiB of headers).
-const MAX_BUCKETS: usize = 1 << 16;
-
-/// Ring size used when a queue is grown from its `Default` (empty)
-/// state without an explicit hint.
-const DEFAULT_BUCKETS: usize = 64;
-
-/// Backlog size below which a window rebase keeps its current width —
-/// too few samples to estimate the event spacing, and small backlogs
-/// drain fine under any width.
-const WIDTH_RETUNE_MIN_BACKLOG: usize = 64;
-
-/// Bounds on the adaptively retuned bucket width (ticks), mirroring
-/// the clamp of `SimConfig::sched_bucket_width_ns`.
-const WIDTH_RETUNE_MIN: u64 = 16;
-const WIDTH_RETUNE_MAX: u64 = 1 << 20;
-
-/// A deterministic two-tier calendar queue over `(time, seq, item)`
-/// entries; see the module docs for the design and determinism
-/// contract.
+/// A deterministic min-priority queue over `(time, seq, item)`
+/// entries; see the module docs for the ordering contract.
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<T> {
-    buckets: Vec<Bucket<T>>,
-    /// Logical ring size (`<= buckets.len()`; extra buckets from a
-    /// larger earlier run keep their allocations but are not scanned).
-    nb: usize,
-    /// Bucket width in time ticks (nanoseconds), `>= 1`.
-    width: u64,
-    /// Time at which bucket 0's window starts (multiple of `width`).
-    ring_start: u64,
-    /// Ring cursor: buckets before it are drained (and cleared).
-    cur: usize,
-    /// Total entries across ring + overflow.
-    len: usize,
-    /// Far-future tier; sorted descending when `overflow_sorted`.
-    overflow: Vec<Entry<T>>,
-    overflow_sorted: bool,
-    /// Reused staging buffer for backward rebases.
-    scratch: Vec<Entry<T>>,
+    heap: BinaryHeap<Reverse<Entry<T>>>,
+    /// Largest number of simultaneously pending entries since the last
+    /// [`CalendarQueue::clear`].
     peak: usize,
-    resizes: u64,
-    spills: u64,
 }
 
-impl<T> Default for CalendarQueue<T> {
+impl<T: Ord> Default for CalendarQueue<T> {
     fn default() -> Self {
-        CalendarQueue::new(1, 0)
-    }
-}
-
-impl<T> CalendarQueue<T> {
-    /// Queue with the given bucket width (ticks, clamped to `>= 1`)
-    /// and initial ring size (rounded up to a power of two; `0` defers
-    /// allocation to first use).
-    pub fn new(width: u64, bucket_hint: usize) -> Self {
-        let mut q = CalendarQueue {
-            buckets: Vec::new(),
-            nb: 0,
-            width: width.max(1),
-            ring_start: 0,
-            cur: 0,
-            len: 0,
-            overflow: Vec::new(),
-            overflow_sorted: true,
-            scratch: Vec::new(),
-            peak: 0,
-            resizes: 0,
-            spills: 0,
-        };
-        if bucket_hint > 0 {
-            q.grow_ring(bucket_hint.next_power_of_two().min(MAX_BUCKETS));
-        }
-        q
-    }
-
-    /// Re-arm for a new run: drop all entries and zero the telemetry,
-    /// keeping every allocation. The ring never shrinks below its
-    /// high-water size, so arena reuse across heterogeneous runs keeps
-    /// the largest footprint warm.
-    pub fn reset(&mut self, width: u64, bucket_hint: usize) {
-        self.clear();
-        self.width = width.max(1);
-        let want = bucket_hint.next_power_of_two().min(MAX_BUCKETS);
-        if want > self.nb {
-            self.grow_ring(want);
-        }
-        self.peak = 0;
-        self.resizes = 0;
-        self.spills = 0;
-    }
-
-    /// Drop all entries, keeping allocations and telemetry.
-    pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.entries.clear();
-            b.pos = 0;
-        }
-        self.overflow.clear();
-        self.overflow_sorted = true;
-        self.ring_start = 0;
-        self.cur = 0;
-        self.len = 0;
-    }
-
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no entries are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Current bucket width in ticks: the configured width until the
-    /// first adaptive retune (each window rebase re-derives it from
-    /// the backlog's observed event spacing).
-    pub fn bucket_width(&self) -> u64 {
-        self.width
-    }
-
-    /// This run's telemetry so far.
-    pub fn telemetry(&self) -> SchedTelemetry {
-        SchedTelemetry {
-            peak_pending: self.peak as u64,
-            bucket_resizes: self.resizes,
-            overflow_spills: self.spills,
-        }
-    }
-
-    /// Grow the logical ring to `want` buckets (allocating if needed).
-    fn grow_ring(&mut self, want: usize) {
-        if self.buckets.len() < want {
-            self.buckets.resize_with(want, Bucket::default);
-        }
-        self.nb = self.nb.max(want);
-    }
-
-    /// Ring bucket holding `time`, or `None` for the overflow tier.
-    /// Callers guarantee `time >= self.ring_start`.
-    #[inline]
-    fn bucket_index(&self, time: u64) -> Option<usize> {
-        debug_assert!(time >= self.ring_start);
-        let idx = (time - self.ring_start) / self.width;
-        if idx < self.nb as u64 {
-            Some(idx as usize)
-        } else {
-            None
-        }
+        CalendarQueue { heap: BinaryHeap::new(), peak: 0 }
     }
 }
 
 impl<T: Copy + Ord> CalendarQueue<T> {
-    /// Keep `b` sorted: append when the entry arrives in order (the
-    /// common case), binary-insert into the live suffix otherwise.
-    /// Entries before `b.pos` are already popped; an insertion below
-    /// them lands at `pos` — it is the minimum of what *remains*,
-    /// which is all a priority queue promises.
-    #[inline]
-    fn bucket_insert(b: &mut Bucket<T>, e: Entry<T>) {
-        match b.entries.last() {
-            Some(last) if *last > e => {
-                let at = b.pos + b.entries[b.pos..].partition_point(|x| *x <= e);
-                b.entries.insert(at, e);
-            }
-            _ => b.entries.push(e),
-        }
+    /// An empty queue with room for `hint` entries. `width` is ignored:
+    /// it was the calendar's bucket width, and the argument stays until
+    /// the perf ledger's probe, which passes it, stops doing so.
+    pub fn new(width: u64, hint: usize) -> Self {
+        let mut q = CalendarQueue::default();
+        q.reset(width, hint);
+        q
     }
 
-    /// Append to the overflow tier, tracking its lazy descending sort.
-    #[inline]
-    fn overflow_push(&mut self, e: Entry<T>) {
-        self.spills += 1;
-        if let Some(last) = self.overflow.last() {
-            if *last < e {
-                self.overflow_sorted = false;
-            }
-        }
-        self.overflow.push(e);
+    /// [`CalendarQueue::clear`], then make room for `hint` entries.
+    /// `width` is ignored, as in [`CalendarQueue::new`].
+    pub fn reset(&mut self, _width: u64, hint: usize) {
+        self.clear();
+        self.heap.reserve(hint);
+    }
+
+    /// Drop all entries and zero the peak, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.heap.clear();
+        self.peak = 0;
+    }
+
+    /// Number of pending entries.
+    pub fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Whether no entries are pending.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Largest number of simultaneously pending entries since the last
+    /// clear (see `SimStats::sched_peak_pending`).
+    pub fn peak_pending(&self) -> u64 {
+        self.peak as u64
     }
 
     /// Schedule `item` at `(time, seq)`.
-    pub fn push(&mut self, time: u64, seq: u64, item: T) {
-        self.len += 1;
-        if self.len > self.peak {
-            self.peak = self.len;
-        }
-        if self.len == 1 {
-            // Queue was empty: re-anchor the window at this event so a
-            // sparse tail (or a far-future first event) costs nothing.
-            if self.nb == 0 {
-                self.grow_ring(DEFAULT_BUCKETS);
-            }
-            self.ring_start = time - time % self.width;
-            self.cur = 0;
-        } else if time < self.ring_start {
-            self.rebase_backward(time);
-        }
-        let e = (time, seq, item);
-        match self.bucket_index(time) {
-            Some(idx) => {
-                if idx < self.cur {
-                    // Out-of-order push behind the cursor: that bucket
-                    // was drained (hence empty); back the cursor up.
-                    self.cur = idx;
-                }
-                Self::bucket_insert(&mut self.buckets[idx], e);
-            }
-            None => self.overflow_push(e),
-        }
-    }
-
-    /// An out-of-order push landed before the window: re-anchor the
-    /// window at it and redistribute the ring (entries past the new
-    /// window spill to overflow). Never hit by the engine — simulated
-    /// time only moves forward — but required for drop-in
-    /// `BinaryHeap` semantics.
-    fn rebase_backward(&mut self, min_time: u64) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        for b in &mut self.buckets[..self.nb] {
-            scratch.extend_from_slice(&b.entries[b.pos..]);
-            b.entries.clear();
-            b.pos = 0;
-        }
-        self.ring_start = min_time - min_time % self.width;
-        self.cur = 0;
-        for e in scratch.drain(..) {
-            match self.bucket_index(e.0) {
-                Some(idx) => Self::bucket_insert(&mut self.buckets[idx], e),
-                None => {
-                    // Re-spills of already-counted entries: keep the
-                    // spill count monotone anyway, it is telemetry.
-                    self.overflow_push(e);
-                }
-            }
-        }
-        self.scratch = scratch;
-    }
-
-    /// The ring is fully drained but entries remain: re-anchor the
-    /// window at the earliest overflow entry, growing the ring first
-    /// when the backlog outnumbers the buckets, and migrate the
-    /// in-window suffix out of the overflow tier.
-    fn refill_from_overflow(&mut self) {
-        debug_assert!(!self.overflow.is_empty());
-        if !self.overflow_sorted {
-            self.overflow.sort_unstable_by(|a, b| b.cmp(a));
-            self.overflow_sorted = true;
-        }
-        if self.len > self.nb * 2 && self.nb < MAX_BUCKETS {
-            self.grow_ring((self.nb * 2).clamp(DEFAULT_BUCKETS, MAX_BUCKETS));
-            self.resizes += 1;
-        }
-        // The ring is empty here, so retuning the width is free and
-        // cannot affect pop order (pops compare full `(time, seq,
-        // item)` tuples regardless of bucketing). Target about one
-        // entry per bucket using the backlog's observed spacing; the
-        // overflow tier is sorted descending, so front/back are the
-        // extremes.
-        if self.overflow.len() >= WIDTH_RETUNE_MIN_BACKLOG {
-            let span = self.overflow[0].0 - self.overflow[self.overflow.len() - 1].0;
-            self.width =
-                (span / self.overflow.len() as u64).clamp(WIDTH_RETUNE_MIN, WIDTH_RETUNE_MAX);
-        }
-        let min_time = self.overflow.last().expect("nonempty overflow").0;
-        self.ring_start = min_time - min_time % self.width;
-        self.cur = 0;
-        while let Some(&e) = self.overflow.last() {
-            match self.bucket_index(e.0) {
-                Some(idx) => {
-                    self.overflow.pop();
-                    // Ascending off the back of the descending sort:
-                    // always the append fast path.
-                    Self::bucket_insert(&mut self.buckets[idx], e);
-                }
-                None => break,
-            }
-        }
-        if self.overflow.is_empty() {
-            self.overflow_sorted = true;
-        }
-    }
-
-    /// Advance the cursor to the next live entry. Returns `false` only
-    /// when the queue is empty; otherwise `buckets[cur].entries[pos]`
-    /// is the minimum pending entry.
     #[inline]
-    fn settle(&mut self) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        loop {
-            while self.cur < self.nb {
-                let b = &mut self.buckets[self.cur];
-                if b.pos < b.entries.len() {
-                    return true;
-                }
-                if !b.entries.is_empty() {
-                    b.entries.clear();
-                    b.pos = 0;
-                }
-                self.cur += 1;
-            }
-            self.refill_from_overflow();
-        }
+    pub fn push(&mut self, time: u64, seq: u64, item: T) {
+        self.heap.push(Reverse((time, seq, item)));
+        self.peak = self.peak.max(self.heap.len());
+    }
+
+    /// The minimum pending entry, without removing it.
+    #[inline]
+    pub fn peek(&self) -> Option<Entry<T>> {
+        self.heap.peek().map(|e| e.0)
+    }
+
+    /// Remove and return the minimum pending entry.
+    #[inline]
+    pub fn pop(&mut self) -> Option<Entry<T>> {
+        self.heap.pop().map(|e| e.0)
     }
 
     /// Remove and return the minimum pending entry only when it is
     /// scheduled exactly at `time` — the event loop's "drain the
-    /// current instant first" probe, fused so the cursor settles once.
+    /// current instant first" probe.
+    #[inline]
     pub fn pop_if_time(&mut self, time: u64) -> Option<Entry<T>> {
-        if !self.settle() {
-            return None;
+        let top = self.heap.peek_mut()?;
+        if top.0 .0 == time {
+            Some(PeekMut::pop(top).0)
+        } else {
+            None
         }
-        let b = &mut self.buckets[self.cur];
-        if b.entries[b.pos].0 != time {
-            return None;
-        }
-        let e = b.entries[b.pos];
-        b.pos += 1;
-        if b.pos == b.entries.len() {
-            b.entries.clear();
-            b.pos = 0;
-        }
-        self.len -= 1;
-        Some(e)
-    }
-
-    /// The minimum pending entry, without removing it.
-    pub fn peek(&mut self) -> Option<Entry<T>> {
-        if !self.settle() {
-            return None;
-        }
-        let b = &self.buckets[self.cur];
-        Some(b.entries[b.pos])
-    }
-
-    /// Remove and return the minimum pending entry.
-    pub fn pop(&mut self) -> Option<Entry<T>> {
-        if !self.settle() {
-            return None;
-        }
-        let b = &mut self.buckets[self.cur];
-        let e = b.entries[b.pos];
-        b.pos += 1;
-        if b.pos == b.entries.len() {
-            b.entries.clear();
-            b.pos = 0;
-        }
-        self.len -= 1;
-        Some(e)
     }
 }
 
@@ -472,7 +144,7 @@ mod tests {
         let mut rng = Rng(7);
         let mut expect = Vec::new();
         for seq in 0..5_000u64 {
-            let t = rng.next() % 1_000_000; // spans ring + overflow
+            let t = rng.next() % 1_000_000;
             q.push(t, seq, (seq % 17) as u32);
             expect.push((t, seq, (seq % 17) as u32));
         }
@@ -509,7 +181,7 @@ mod tests {
     #[test]
     fn scheduler_interleaves_pushes_and_pops() {
         // Mirror the engine's pattern: pop an event, push a handful of
-        // near-future events relative to it.
+        // future events relative to it.
         let mut q: CalendarQueue<u32> = CalendarQueue::new(1_000, 8);
         let mut seq = 0u64;
         let mut rng = Rng(3);
@@ -525,16 +197,14 @@ mod tests {
             popped += 1;
             if popped < 5_000 {
                 for _ in 0..(1 + rng.next() % 2) {
-                    let dur = 1 + rng.next() % 500_000; // spills sometimes
+                    let dur = 1 + rng.next() % 500_000;
                     q.push(t + dur, seq, (seq % 1024) as u32);
                     seq += 1;
                 }
             }
         }
         assert!(popped >= 5_000, "generator starved early: {popped}");
-        let tel = q.telemetry();
-        assert!(tel.peak_pending > 0);
-        assert!(tel.overflow_spills > 0, "test meant to exercise the overflow tier");
+        assert!(q.peak_pending() >= 64);
     }
 
     #[test]
@@ -546,66 +216,13 @@ mod tests {
         for _ in 0..10 {
             q.pop();
         }
-        // Earlier than everything popped — and earlier than the window.
+        // Earlier than everything already popped.
         q.push(5, 100, 1);
         assert_eq!(q.pop(), Some((5, 100, 1)), "late push must still pop first");
-        // Earlier than the remaining entries but inside the window.
+        // Earlier than the remaining entries only.
         q.push(950, 101, 2);
         assert_eq!(q.pop(), Some((950, 101, 2)));
         assert_eq!(q.pop(), Some((1000, 10, 0)));
-    }
-
-    #[test]
-    fn scheduler_ring_grows_under_backlog() {
-        // Tiny ring + entries spread far past it: the first refill
-        // finds more pending than buckets and doubles the ring.
-        let mut q: CalendarQueue<u32> = CalendarQueue::new(1, 2);
-        for seq in 0..1_000u64 {
-            q.push(10_000 + seq * 7, seq, 0);
-        }
-        let mut prev = None;
-        while let Some(e) = q.pop() {
-            if let Some(p) = prev {
-                assert!(p <= e);
-            }
-            prev = Some(e);
-        }
-        let tel = q.telemetry();
-        assert!(tel.bucket_resizes > 0, "backlog should have grown the ring: {tel:?}");
-        assert!(tel.overflow_spills > 0);
-        assert_eq!(tel.peak_pending, 1_000);
-    }
-
-    #[test]
-    fn scheduler_adapts_bucket_width_on_rebase() {
-        // Configured width wildly wrong for the actual spacing: the
-        // static estimate says 16 ticks, but events arrive ~1M ticks
-        // apart. The first window rebase re-derives the width from the
-        // backlog, so subsequent windows hold ~one entry per bucket
-        // instead of forcing a refill per pop.
-        let mut q: CalendarQueue<u32> = CalendarQueue::new(16, 4);
-        let mut expect = Vec::new();
-        for seq in 0..200u64 {
-            q.push(seq * 1_000_000, seq, 0);
-            expect.push((seq * 1_000_000, seq, 0));
-        }
-        assert_eq!(q.bucket_width(), 16, "width must not move before a rebase");
-        assert_eq!(drain(&mut q), expect, "retuning must not change pop order");
-        assert!(
-            q.bucket_width() > 16,
-            "rebase should have widened the buckets toward the ~1M observed spacing: {}",
-            q.bucket_width()
-        );
-        // A sub-threshold backlog keeps whatever width is in force.
-        let w = q.bucket_width();
-        for seq in 0..(WIDTH_RETUNE_MIN_BACKLOG as u64 - 1) {
-            q.push(seq * 3, seq, 0);
-        }
-        drain(&mut q);
-        assert_eq!(q.bucket_width(), w);
-        // Reset re-seeds the width from the caller's static estimate.
-        q.reset(37, 4);
-        assert_eq!(q.bucket_width(), 37);
     }
 
     #[test]
@@ -615,9 +232,9 @@ mod tests {
             q.push(seq * 1_000, seq, 0);
         }
         drain(&mut q);
-        assert!(q.telemetry().peak_pending == 500);
+        assert_eq!(q.peak_pending(), 500);
         q.reset(20, 4);
-        assert_eq!(q.telemetry(), SchedTelemetry::default());
+        assert_eq!(q.peak_pending(), 0);
         assert!(q.is_empty());
         for seq in 0..10u64 {
             q.push(seq, seq, 1);

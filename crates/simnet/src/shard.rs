@@ -3,7 +3,7 @@
 //! At d11–d12 (2048–4096 nodes) a single event loop over the whole
 //! cube is the bottleneck of every sweep: the working set (node
 //! memories, the flat slot table, the link occupancy table, the
-//! calendar ring) is tens to hundreds of megabytes and every event
+//! event heap) is tens to hundreds of megabytes and every event
 //! touches a pseudo-random corner of it. Sharding splits one run into
 //! `2^k` *subcube shards* so that, for the phases that allow it, each
 //! shard advances on state that fits in cache — and, on a multicore

@@ -44,13 +44,16 @@ pub struct SimStats {
     /// node memories).
     pub background_bytes: u64,
     /// Scheduler telemetry: largest number of simultaneously pending
-    /// events in the main calendar queue (see [`crate::sched`]).
+    /// events in the main event heap (see [`crate::sched`]).
     pub sched_peak_pending: u64,
-    /// Scheduler telemetry: calendar-ring growths (bucket-count
-    /// doublings), summed over the event and lapse queues.
+    /// Always 0: counted the retired calendar queue's ring growths.
+    /// Kept because the perf ledger folds it into its `sim_digest` and
+    /// reports it as `simnet.sched.bucket_resizes`; goes with the
+    /// ledger's next revision.
     pub sched_bucket_resizes: u64,
-    /// Scheduler telemetry: events that landed in the far-future
-    /// overflow tier, summed over the event and lapse queues.
+    /// Always 0: counted events that took the retired calendar queue's
+    /// overflow tier. Kept for the perf ledger like
+    /// `sched_bucket_resizes` (`simnet.sched.overflow_spills`).
     pub sched_overflow_spills: u64,
     /// Shard telemetry (see [`crate::shard`]): phase windows the
     /// sharded driver executed with shards advancing independently.

@@ -17,6 +17,15 @@ impl SimTime {
     /// Simulation origin.
     pub const ZERO: SimTime = SimTime(0);
 
+    /// Latest instant a caller's input may schedule: a tenant job's
+    /// start, a background stream's last injection, the end of a
+    /// `Compute`, a flow-control backoff. Half the `u64` range
+    /// (2^63 − 1 ns, about 292 years), so the transmissions, barriers
+    /// and shuffles the engine adds on top cannot wrap the clock.
+    /// Inputs past it are typed errors (`SimError::InvalidConfig`, or
+    /// `InvalidProgram` for a `Compute`).
+    pub const HORIZON: SimTime = SimTime(u64::MAX / 2);
+
     /// Construct from microseconds (the paper's unit), rounding to the
     /// nearest nanosecond.
     ///
@@ -43,10 +52,19 @@ impl SimTime {
         self.0
     }
 
-    /// Advance by a duration in nanoseconds.
+    /// Advance by a duration in nanoseconds. Panics in every build —
+    /// never wraps — if the sum passes `u64::MAX`; validated inputs
+    /// keep the engine's clock near [`SimTime::HORIZON`] at most.
     #[inline]
     pub fn plus_ns(self, ns: u64) -> SimTime {
-        SimTime(self.0 + ns)
+        SimTime(self.0.checked_add(ns).expect("simulated time passed u64::MAX ns"))
+    }
+
+    /// `self + ns`, or `None` when the sum passes [`SimTime::HORIZON`]
+    /// (or `u64::MAX`): the check for additions a caller controls.
+    #[inline]
+    pub fn checked_plus_ns(self, ns: u64) -> Option<SimTime> {
+        self.0.checked_add(ns).map(SimTime).filter(|&t| t <= SimTime::HORIZON)
     }
 
     /// Saturating difference in nanoseconds.
@@ -98,6 +116,17 @@ mod tests {
         assert_eq!(t.as_ns(), 1500);
         assert_eq!(t.since(SimTime::from_us(1.0)), 500);
         assert_eq!(SimTime::ZERO.since(t), 0, "saturating");
+        assert_eq!(t.checked_plus_ns(500), Some(SimTime(2000)));
+        let h = SimTime::HORIZON;
+        assert_eq!(SimTime::ZERO.checked_plus_ns(h.as_ns()), Some(h));
+        assert_eq!(h.checked_plus_ns(1), None, "past the horizon");
+        assert_eq!(t.checked_plus_ns(u64::MAX), None, "past u64::MAX");
+    }
+
+    #[test]
+    #[should_panic(expected = "simulated time passed u64::MAX ns")]
+    fn plus_ns_panics_instead_of_wrapping() {
+        let _ = SimTime(10).plus_ns(u64::MAX - 3);
     }
 
     #[test]

@@ -48,6 +48,7 @@
 //! sequence numbers — same config, same bits.
 
 use crate::program::{Op, Program};
+use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// Congestion-control hooks, in the style of a `CongAlg` trait: the
@@ -220,10 +221,18 @@ impl FlowCtl {
     }
 
     /// Static validity: a zero `rto` would retry at the same instant
-    /// forever.
+    /// forever, and the longest backoff (`rto · window_max`) must stay
+    /// within [`SimTime::HORIZON`].
     pub fn validate(&self) -> Result<(), String> {
         if self.rto_ns == 0 {
             return Err("flow control rto_ns must be positive".into());
+        }
+        let window_max = u64::from(self.cwnd.instantiate().window_max());
+        if self.rto_ns.checked_mul(window_max).is_none_or(|b| b > SimTime::HORIZON.as_ns()) {
+            return Err(format!(
+                "flow control backoff rto_ns · window_max passes the simulated-time horizon ({} ns)",
+                SimTime::HORIZON.as_ns()
+            ));
         }
         match self.cwnd {
             CwndAlg::Fixed { window: 0 } => Err("fixed congestion window must be ≥ 1".into()),

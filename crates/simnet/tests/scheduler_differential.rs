@@ -1,128 +1,188 @@
-//! Differential pin of the calendar-queue scheduler against a
-//! reference `BinaryHeap`: identical random event streams — random
-//! times including duplicates, duplicate `(time, seq)` keys,
-//! interleaved pushes and pops, pathological bucket widths — must pop
-//! in exactly the same order from both structures. This is the
-//! scheduler's standalone correctness pin; the engine-level
-//! determinism snapshots in `mce-core` depend on it holding for every
-//! interleaving.
+//! The event queue's contract, pinned against a sorted-`Vec`
+//! reference: for any interleaving of pushes, pops, peeks and
+//! `pop_if_time` probes — duplicate times, duplicate `(time, seq)` keys
+//! and times up to `u64::MAX` included — the queue hands out exactly
+//! the reference's minimum by the full `(time, seq, item)` order, and a
+//! reset queue behaves like a fresh one. The engine-level determinism
+//! snapshots in `mce-core` depend on this holding for every stream.
 
 use mce_simnet::sched::CalendarQueue;
 use proptest::prelude::*;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 type Entry = (u64, u64, u32);
 
-/// Drive both queues through one op stream, checking every pop.
-///
-/// `ops` is interpreted per element as `(time_seed, kind)`:
-/// `kind % 4 == 0` pops one entry from both, anything else pushes at a
-/// time derived from `time_seed` (clustered to force same-bucket and
-/// same-time collisions, with occasional far-future spikes to force
-/// overflow spills).
-fn run_differential(ops: &[(u64, u8)], width: u64, hint: usize) {
-    let mut cal: CalendarQueue<u32> = CalendarQueue::new(width, hint);
-    let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
+/// The obviously correct priority queue: a `Vec` kept sorted
+/// descending, so the minimum is its last element.
+#[derive(Default)]
+struct Reference(Vec<Entry>);
+
+impl Reference {
+    fn push(&mut self, e: Entry) {
+        let at = self.0.partition_point(|x| *x > e);
+        self.0.insert(at, e);
+    }
+
+    fn peek(&self) -> Option<Entry> {
+        self.0.last().copied()
+    }
+
+    fn pop(&mut self) -> Option<Entry> {
+        self.0.pop()
+    }
+}
+
+/// A push time from a seed: mostly a small cluster (duplicate times),
+/// sometimes far ahead, sometimes at the very top of the range.
+fn time_of(seed: u64) -> u64 {
+    match seed % 8 {
+        0 => seed * 1_001,
+        1 => u64::MAX - seed % 3,
+        _ => seed % 512,
+    }
+}
+
+/// Drive the queue and the reference through one op stream, checking
+/// every answer. Per element `(seed, kind)`: `kind % 4 == 0` pops,
+/// `kind % 4 == 1` probes `pop_if_time` (at the head's time when
+/// `seed` is even, at `time_of(seed)` otherwise), anything else pushes
+/// at `time_of(seed)`; every third push reuses the previous sequence
+/// number so duplicate `(time, seq)` keys occur and the item breaks the
+/// tie.
+fn run_contract(q: &mut CalendarQueue<u32>, ops: &[(u64, u8)]) {
+    let mut reference = Reference::default();
     let mut seq = 0u64;
-    for &(time_seed, kind) in ops {
-        if kind % 4 == 0 {
-            let expect = heap.pop().map(|Reverse(e)| e);
-            assert_eq!(cal.peek(), expect, "peek diverged from reference heap");
-            assert_eq!(cal.pop(), expect, "pop diverged from reference heap");
-        } else {
-            // Cluster most times into a small range (duplicates, dense
-            // buckets); every 7th push jumps far ahead (overflow tier).
-            let time = if time_seed % 7 == 0 { time_seed * 1_001 } else { time_seed % 512 };
-            // Every third push reuses the previous sequence number so
-            // duplicate (time, seq) keys occur and the payload breaks
-            // the tie, exactly as the heap's full-tuple Ord would.
-            if kind % 3 != 0 {
-                seq += 1;
+    for &(seed, kind) in ops {
+        match kind % 4 {
+            0 => {
+                let expect = reference.pop();
+                assert_eq!(q.peek(), expect, "peek is not the minimum");
+                assert_eq!(q.pop(), expect, "pop is not the minimum");
             }
-            let item = (time_seed % 11) as u32;
-            cal.push(time, seq, item);
-            heap.push(Reverse((time, seq, item)));
+            1 => {
+                let head = reference.peek();
+                let probe = match head {
+                    Some((t, _, _)) if seed % 2 == 0 => t,
+                    _ => time_of(seed),
+                };
+                let expect = match head {
+                    Some(e) if e.0 == probe => reference.pop(),
+                    _ => None,
+                };
+                assert_eq!(q.pop_if_time(probe), expect, "pop_if_time({probe}) with head {head:?}");
+            }
+            _ => {
+                if kind % 3 != 0 {
+                    seq += 1;
+                }
+                let e = (time_of(seed), seq, (seed % 11) as u32);
+                q.push(e.0, e.1, e.2);
+                reference.push(e);
+            }
         }
-        assert_eq!(cal.len(), heap.len());
+        assert_eq!(q.len(), reference.0.len());
     }
-    loop {
-        let expect = heap.pop().map(|Reverse(e)| e);
-        let got = cal.pop();
-        assert_eq!(got, expect, "drain diverged from reference heap");
-        if got.is_none() {
-            break;
-        }
+    while let Some(expect) = reference.pop() {
+        assert_eq!(q.pop(), Some(expect), "drain diverged");
     }
+    assert!(q.is_empty());
+    assert_eq!(q.pop(), None);
 }
 
 proptest! {
     #[test]
-    fn scheduler_matches_binary_heap_reference(
+    fn scheduler_matches_sorted_vec_reference(
         ops in proptest::collection::vec((0u64..100_000, 0u8..8), 1..400),
-        width in 1u64..4_000,
         hint in 0usize..64,
     ) {
-        run_differential(&ops, width, hint);
+        run_contract(&mut CalendarQueue::new(0, hint), &ops);
     }
 
     /// Engine-shaped stream: monotone pops, each followed by a few
-    /// near-future pushes (the dense, nearly-sorted regime the ring is
-    /// sized for).
+    /// pushes one duration ahead of the popped time.
     #[test]
-    fn scheduler_matches_heap_on_monotone_streams(
+    fn scheduler_matches_reference_on_monotone_streams(
         durs in proptest::collection::vec(1u64..300_000, 1..300),
-        width in 16u64..100_000,
     ) {
-        let mut cal: CalendarQueue<u32> = CalendarQueue::new(width, 16);
-        let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
-        cal.push(0, 0, 0);
-        heap.push(Reverse((0, 0, 0)));
+        let mut q: CalendarQueue<u32> = CalendarQueue::default();
+        let mut reference = Reference::default();
+        q.push(0, 0, 0);
+        reference.push((0, 0, 0));
         let mut seq = 0u64;
         let mut i = 0usize;
         loop {
-            let expect = heap.pop().map(|Reverse(e)| e);
-            let got = cal.pop();
-            assert_eq!(got, expect);
-            let Some((t, _, _)) = got else { break };
-            // Schedule a couple of follow-up events, engine style.
+            let expect = reference.pop();
+            assert_eq!(q.pop(), expect);
+            let Some((t, _, _)) = expect else { break };
             while i < durs.len() && i % 3 != 2 {
                 seq += 1;
-                cal.push(t + durs[i], seq, (i % 5) as u32);
-                heap.push(Reverse((t + durs[i], seq, (i % 5) as u32)));
+                let e = (t + durs[i], seq, (i % 5) as u32);
+                q.push(e.0, e.1, e.2);
+                reference.push(e);
                 i += 1;
             }
             if i < durs.len() {
                 i += 1; // consume the "stop" draw
             }
         }
-        assert!(cal.is_empty());
+        assert!(q.is_empty());
     }
 }
 
-/// The reuse cycle the arena drives: reset between runs must behave
-/// like a fresh queue for any stream.
+/// The reuse cycle the arena drives: a queue reset after any stream —
+/// entries left pending included — behaves like a fresh queue, and its
+/// peak restarts from zero.
 #[test]
 fn scheduler_reset_matches_fresh_queue() {
     let ops: Vec<(u64, u8)> =
-        (0..200u64).map(|i| (i.wrapping_mul(0x9E37_79B9) % 65_536, (i % 5) as u8)).collect();
+        (0..200u64).map(|i| (i.wrapping_mul(0x9E37_79B9) % 65_536, (i % 7) as u8)).collect();
     let mut reused: CalendarQueue<u32> = CalendarQueue::new(64, 8);
     for round in 0..3 {
+        // Leave entries behind before the reset.
+        for k in 0..50u64 {
+            reused.push(k * 13 % 7, k, round);
+        }
         reused.reset(97, 4);
+        assert!(reused.is_empty(), "round {round}");
+        assert_eq!(reused.peak_pending(), 0, "round {round}");
         let mut fresh: CalendarQueue<u32> = CalendarQueue::new(97, 4);
-        let mut seq = 0u64;
-        for &(t, kind) in &ops {
-            if kind % 4 == 0 {
-                assert_eq!(reused.pop(), fresh.pop(), "round {round}");
-            } else {
-                seq += 1;
-                reused.push(t, seq, kind as u32);
-                fresh.push(t, seq, kind as u32);
-            }
-        }
-        while let Some(e) = fresh.pop() {
-            assert_eq!(reused.pop(), Some(e), "round {round}");
-        }
-        assert!(reused.is_empty());
+        run_contract(&mut reused, &ops);
+        run_contract(&mut fresh, &ops);
+        assert_eq!(reused.peak_pending(), fresh.peak_pending(), "round {round}");
     }
+}
+
+/// `pop_if_time` takes the head only at the head's own time: not
+/// earlier, not later, not from an empty queue.
+#[test]
+fn pop_if_time_takes_only_the_head_at_its_time() {
+    let mut q: CalendarQueue<u32> = CalendarQueue::default();
+    assert_eq!(q.pop_if_time(0), None);
+    q.push(20, 2, 0);
+    q.push(10, 1, 0);
+    q.push(10, 3, 0);
+    assert_eq!(q.pop_if_time(5), None);
+    assert_eq!(q.pop_if_time(20), None, "20 is pending but not the head");
+    assert_eq!(q.len(), 3);
+    assert_eq!(q.pop_if_time(10), Some((10, 1, 0)));
+    assert_eq!(q.pop_if_time(10), Some((10, 3, 0)));
+    assert_eq!(q.pop_if_time(10), None);
+    assert_eq!(q.pop_if_time(20), Some((20, 2, 0)));
+    assert!(q.is_empty());
+}
+
+/// The top of the time range orders like any other time.
+#[test]
+fn u64_max_times_order_last() {
+    let mut q: CalendarQueue<u32> = CalendarQueue::default();
+    q.push(u64::MAX, 1, 0);
+    q.push(u64::MAX, 0, 9);
+    q.push(u64::MAX - 1, 5, 0);
+    q.push(0, u64::MAX, 0);
+    assert_eq!(q.peak_pending(), 4);
+    assert_eq!(q.pop(), Some((0, u64::MAX, 0)));
+    assert_eq!(q.pop(), Some((u64::MAX - 1, 5, 0)));
+    assert_eq!(q.pop_if_time(u64::MAX), Some((u64::MAX, 0, 9)));
+    assert_eq!(q.peek(), Some((u64::MAX, 1, 0)));
+    assert_eq!(q.pop(), Some((u64::MAX, 1, 0)));
+    assert_eq!(q.pop(), None);
 }

@@ -45,8 +45,6 @@ fn memory_digest(memories: &[Vec<u8>]) -> u64 {
 fn comparable(stats: &SimStats) -> SimStats {
     let mut s = stats.clone();
     s.sched_peak_pending = 0;
-    s.sched_bucket_resizes = 0;
-    s.sched_overflow_spills = 0;
     s.shard_windows = 0;
     s.shard_barrier_stalls = 0;
     s.shard_cross_events = 0;
