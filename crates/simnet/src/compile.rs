@@ -119,6 +119,10 @@ pub(crate) struct Compiled {
     pub(crate) ops: Vec<CompiledOp>,
     /// Total `Send` ops across all nodes (capacity hint).
     pub(crate) total_sends: usize,
+    /// The largest `Send` and `Permute` spans in bytes (0 without
+    /// any): what the engine's `check_horizon` prices, once per run.
+    pub(crate) max_send_bytes: usize,
+    pub(crate) max_permute_bytes: usize,
     /// All nodes' barrier-delimited op segments in one flat
     /// allocation, indexed by the per-program ranges: `(first_pc,
     /// union of send masks src^dst in the segment)`. The sharded
@@ -161,7 +165,7 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
     // each distinct one once, in first-sight order.
     let mut perm_ids: FxHashMap<usize, u32> = Default::default();
     let mut perms: Vec<Arc<Vec<u32>>> = Vec::new();
-    let mut total_sends = 0usize;
+    let (mut total_sends, mut max_send_bytes, mut max_permute_bytes) = (0usize, 0usize, 0usize);
     let mut compiled = Vec::with_capacity(programs.len());
     let mut flat_ops: Vec<CompiledOp> =
         Vec::with_capacity(programs.iter().map(|p| p.ops.len()).sum());
@@ -227,6 +231,7 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
                         ));
                     }
                     total_sends += 1;
+                    max_send_bytes = max_send_bytes.max(from.len());
                     CompiledOp::Send {
                         dst: *dst,
                         start: from.start as u32,
@@ -247,6 +252,7 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
                     if let Some(msg) = permute_span_error(n, *block_bytes, memory_len) {
                         return Err(invalid(i, msg));
                     }
+                    max_permute_bytes = max_permute_bytes.max(n * block_bytes);
                     let ptr = Arc::as_ptr(perm) as usize;
                     let perm_idx = match perm_ids.get(&ptr) {
                         Some(&idx) => idx,
@@ -305,7 +311,15 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
             }
         }
     }
-    Ok(Compiled { programs: compiled, ops: flat_ops, total_sends, segs: flat_segs, perms })
+    Ok(Compiled {
+        programs: compiled,
+        ops: flat_ops,
+        total_sends,
+        max_send_bytes,
+        max_permute_bytes,
+        segs: flat_segs,
+        perms,
+    })
 }
 
 /// Shards of the process-wide compile cache: contention is between a

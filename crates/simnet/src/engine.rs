@@ -44,6 +44,14 @@
 //!   queue; later events (and NIC-lapse wake-ups) wait in binary
 //!   min-heaps ([`CalendarQueue`]) keyed by `(time, seq)`, so pops keep
 //!   exact `(time, seq)` order (see the [`crate::sched`] module docs).
+//! * **Block moves without `memcpy` calls** — a `Permute` scatters its
+//!   blocks through one kernel, `copy_block`: a block of 8..=64 bytes
+//!   moves as two fixed-width (8, 16 or 32 bytes), possibly
+//!   overlapping copies of its two ends, which compile to plain loads
+//!   and stores; other sizes keep `copy_from_slice`. Small-block
+//!   exchanges are where multiphase wins, and their shuffles used to be
+//!   one libc `memcpy` call per block (29 M of 8 bytes each in a d11,
+//!   m = 8 pass of the perf ledger's `bigcube_cold`).
 
 use crate::compile::{compile, shared_compiled_for, Compiled, CompiledOp, CompiledProgram};
 use crate::config::{SimConfig, SwitchingMode};
@@ -822,6 +830,7 @@ impl SimArena {
         trace: Option<&TraceConfig>,
         until: Option<SimTime>,
     ) -> Result<Option<SimResult>, SimError> {
+        check_horizon(cfg, compiled)?;
         if cfg.num_jobs() > 1 {
             // Jobs share links, never messages: a send whose xor-mask
             // leaves the physical-node bits would alias another job's
@@ -1152,6 +1161,73 @@ fn check_shape(cfg: &SimConfig, num_programs: usize, num_memories: usize) -> Res
                 cfg.num_jobs(),
             ),
         });
+    }
+    Ok(())
+}
+
+/// Bound every duration the engine prices with unchecked `u64`
+/// arithmetic within [`SimTime::HORIZON`], once per run and before any
+/// simulated time elapses: the set's longest `Send` and a zero-byte
+/// one (`λ` or `λ₀` + `τ·bytes` + `δ·d`, the UNFORCED reserve past its
+/// threshold and the jitter's `1 + frac` included; background streams
+/// count as sends), its longest `Permute` (`ρ·bytes`) and, if it has
+/// one, a barrier (`barrier_per_dim·d`). Every hop count is taken as
+/// `d`, so each price is an upper bound, computed in `u128`, where a
+/// `u64` rate times a byte count cannot overflow. The error names the
+/// largest term of the price that passes the horizon.
+fn check_horizon(cfg: &SimConfig, compiled: &Compiled) -> Result<(), SimError> {
+    let p = &cfg.params;
+    let ns = |us: f64| u128::from(crate::time::us_to_ns(us));
+    let d = u128::from(cfg.dimension);
+    let horizon = u128::from(SimTime::HORIZON.as_ns());
+    let past = |name: &str, what: String, price: u128| SimError::InvalidConfig {
+        reason: format!(
+            "{name}: {what} prices at {price} ns, past the simulated-time horizon ({horizon} ns)"
+        ),
+    };
+    let streams = cfg.netcond.iter().flat_map(|nc| &nc.background).filter(|s| s.count > 0);
+    let longest_send = (compiled.total_sends > 0)
+        .then_some(compiled.max_send_bytes)
+        .into_iter()
+        .chain(streams.map(|s| s.bytes))
+        .max();
+    if let Some(longest) = longest_send {
+        for bytes in [0, longest] {
+            let reserve = u128::from(bytes > p.unforced_threshold);
+            let terms = [
+                if bytes == 0 {
+                    ("lambda_zero", ns(p.lambda_zero))
+                } else {
+                    ("lambda", ns(p.lambda))
+                },
+                ("tau", ns(p.tau) * bytes as u128),
+                ("delta", ns(p.delta) * d * (1 + 2 * reserve)),
+                ("lambda_zero", 2 * ns(p.lambda_zero) * reserve),
+            ];
+            let price: u128 = terms.iter().map(|&(_, t)| t).sum();
+            let what = || format!("a send of {bytes} bytes across a d{d} cube");
+            if price > horizon {
+                let (name, _) = terms.iter().max_by_key(|&&(_, t)| t).expect("four terms");
+                return Err(past(name, what(), price));
+            }
+            // `jitter` scales in f64: below 2^63 it rounds to at most
+            // 2^63 − 1024 ns.
+            let jittered = price as f64 * (1.0 + cfg.jitter_frac);
+            if cfg.jitter_frac > 0.0 && jittered >= horizon as f64 {
+                return Err(past("jitter_frac", what(), jittered as u128));
+            }
+        }
+    }
+    let shuffle = ns(p.rho) * compiled.max_permute_bytes as u128;
+    if shuffle > horizon {
+        let what = format!("a permute of {} bytes", compiled.max_permute_bytes);
+        return Err(past("rho", what, shuffle));
+    }
+    // Every program ends one segment, and every barrier one more.
+    let has_barrier = compiled.segs.len() > compiled.programs.len();
+    let barrier = ns(p.barrier_per_dim) * d;
+    if has_barrier && barrier > horizon {
+        return Err(past("barrier_per_dim", format!("a barrier on a d{d} cube"), barrier));
     }
     Ok(())
 }
@@ -2980,6 +3056,70 @@ fn apply_block_permutation(
         // (After the first call scratch is a previous memory of the
         // same length, so the resize is a no-op, not a memset.)
         scratch.resize(total, 0);
+        scatter_blocks(memory, perm, block_bytes, scratch);
+        std::mem::swap(memory, scratch);
+        return;
+    }
+    if scratch.len() < total {
+        scratch.resize(total, 0);
+    }
+    let scratch = &mut scratch[..total];
+    scatter_blocks(&memory[..total], perm, block_bytes, scratch);
+    memory[..total].copy_from_slice(scratch);
+}
+
+/// Block `i` of `src` to block `perm[i]` of `dst` (both
+/// `perm.len() * block_bytes` long).
+#[inline]
+fn scatter_blocks(src: &[u8], perm: &[u32], block_bytes: usize, dst: &mut [u8]) {
+    for (block, &p) in src.chunks_exact(block_bytes).zip(perm) {
+        let at = p as usize * block_bytes;
+        copy_block(&mut dst[at..at + block_bytes], block);
+    }
+}
+
+/// Copy one permute block (`dst.len() == src.len()`). A block of
+/// 8..=64 bytes moves as two fixed-width copies of its first and last
+/// `w` bytes (w = 8, 16 or 32, overlapping unless the block is exactly
+/// 2w), each of which compiles to plain loads and stores; a
+/// `copy_from_slice` of runtime length is a libc `memcpy` call, and
+/// the shuffles of small-block exchanges make millions of them. Other
+/// sizes take `copy_from_slice`.
+#[inline(always)]
+fn copy_block(dst: &mut [u8], src: &[u8]) {
+    match src.len() {
+        8..=16 => copy_ends::<8>(dst, src),
+        17..=32 => copy_ends::<16>(dst, src),
+        33..=64 => copy_ends::<32>(dst, src),
+        _ => dst.copy_from_slice(src),
+    }
+}
+
+/// `dst[..W]` and `dst[n - W..]` from the same ranges of `src`
+/// (`W ≤ n = src.len() = dst.len()`): together every byte once or
+/// twice, always with its own value.
+#[inline(always)]
+fn copy_ends<const W: usize>(dst: &mut [u8], src: &[u8]) {
+    let n = src.len();
+    dst[..W].copy_from_slice(&src[..W]);
+    dst[n - W..n].copy_from_slice(&src[n - W..n]);
+}
+
+/// The per-block `copy_from_slice` body [`apply_block_permutation`]
+/// had before [`copy_block`]: the differential's reference.
+#[cfg(test)]
+fn apply_block_permutation_reference(
+    memory: &mut Vec<u8>,
+    perm: &[u32],
+    block_bytes: usize,
+    scratch: &mut Vec<u8>,
+) {
+    if block_bytes == 0 || perm.is_empty() {
+        return;
+    }
+    let total = perm.len() * block_bytes;
+    if total == memory.len() {
+        scratch.resize(total, 0);
         for (i, &p) in perm.iter().enumerate() {
             let srcr = i * block_bytes..(i + 1) * block_bytes;
             let dstr = p as usize * block_bytes..(p as usize + 1) * block_bytes;
@@ -3042,6 +3182,42 @@ mod tests {
         apply_block_permutation(&mut mem, &[1, 0], 16, &mut scratch);
         assert_eq!(scratch.capacity(), cap, "no reallocation on repeat");
         assert_eq!(mem, (0..32).collect::<Vec<u8>>());
+    }
+
+    /// `copy_block` against the per-block `copy_from_slice` reference:
+    /// every block size 1..=130 (both sides of the 8/16/32/64 class
+    /// edges), seeded random permutations of 1..=67 blocks, full-memory
+    /// and partial calls, scratch shorter and longer than the span.
+    /// Memory and scratch must match byte for byte afterwards.
+    #[test]
+    fn block_permutation_matches_reference_differentially() {
+        let mut rng = proptest::TestRng::from_name("block-permutation-differential");
+        let bytes = |rng: &mut proptest::TestRng, n: usize| -> Vec<u8> {
+            (0..n).map(|_| rng.next_u64() as u8).collect()
+        };
+        for block in 1..=130usize {
+            for blocks in 1..=67usize {
+                let mut perm: Vec<u32> = (0..blocks as u32).collect();
+                for i in (1..blocks).rev() {
+                    perm.swap(i, rng.below(i as u128 + 1) as usize);
+                }
+                let span = blocks * block;
+                let tail = 1 + rng.below(3 * block as u128) as usize;
+                for mem_len in [span, span + tail] {
+                    for scratch_len in [span / 2, span + tail + 5] {
+                        let mem = bytes(&mut rng, mem_len);
+                        let scratch = bytes(&mut rng, scratch_len);
+                        let (mut m1, mut s1) = (mem.clone(), scratch.clone());
+                        let (mut m2, mut s2) = (mem, scratch);
+                        apply_block_permutation(&mut m1, &perm, block, &mut s1);
+                        apply_block_permutation_reference(&mut m2, &perm, block, &mut s2);
+                        let case = format!("block {block}, {blocks} blocks, memory {mem_len}, scratch {scratch_len}");
+                        assert_eq!(m1, m2, "memory: {case}");
+                        assert_eq!(s1, s2, "scratch: {case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
