@@ -19,9 +19,11 @@ use mce_core::perm_router::{
     greedy_rounds, permutation_memories, round_lower_bound, verify_permutation,
 };
 use mce_core::verify::stamped_memories;
-use mce_model::optimality_hull;
 use mce_model::patterns::{allgather_time, best_pattern_partition, broadcast_time, scatter_time};
-use mce_model::{best_saf_partition, multiphase_saf_time, multiphase_time, MachineParams};
+use mce_model::{
+    best_saf_partition, multiphase_saf_time, multiphase_time, optimality_hull_affine_by,
+    MachineParams,
+};
 use mce_simnet::batch::SimBatch;
 use mce_simnet::SimConfig;
 use serde::{Deserialize, Serialize};
@@ -228,7 +230,9 @@ pub fn permutation_study(d: u32, m: usize) -> Vec<PermutationRow> {
 pub struct Ncube2Row {
     /// Cube dimension.
     pub dimension: u32,
-    /// Hull faces `(partition, from_bytes, to_bytes)`.
+    /// Hull faces `(partition, from_bytes, to_bytes)`, tiling `[0, ∞)`;
+    /// each breakpoint is the exact crossing of its two faces' model
+    /// lines (`to = ∞` serializes as `null`).
     pub hull: Vec<(String, f64, f64)>,
     /// Simulated/predicted time of the best plan at 40 bytes.
     pub best_at_40_us: f64,
@@ -241,10 +245,12 @@ pub fn ncube2_study() -> Vec<Ncube2Row> {
     let params = MachineParams::ncube2_like();
     (5..=7u32)
         .map(|d| {
-            let hull = optimality_hull(&params, d, 400.0, 1.0)
-                .into_iter()
-                .map(|f| (f.partition.to_string(), f.from, f.to))
-                .collect();
+            let hull = optimality_hull_affine_by(d, |m, part| {
+                multiphase_time(&params, m, d, part.parts())
+            })
+            .into_iter()
+            .map(|f| (f.partition.to_string(), f.from, f.to))
+            .collect();
             let (_best, t_best) = mce_model::best_partition(&params, 40.0, d);
             let ones = vec![1u32; d as usize];
             let t_se = multiphase_time(&params, 40.0, d, &ones);
@@ -313,6 +319,34 @@ mod tests {
             // The singleton plan ends every hull.
             assert_eq!(row.hull.last().unwrap().0, format!("{{{}}}", row.dimension));
             assert!(row.speedup_at_40 >= 1.0);
+        }
+    }
+
+    #[test]
+    fn ncube2_breakpoints_are_exact_crossings() {
+        // Each breakpoint is where its two neighbouring faces' model
+        // lines meet, not the next whole byte.
+        let params = MachineParams::ncube2_like();
+        let line = |d: u32, name: &str| {
+            let part = mce_partitions::partitions(d)
+                .into_iter()
+                .find(|p| p.to_string() == name)
+                .expect("a hull face names a partition of d");
+            let t0 = multiphase_time(&params, 0.0, d, part.parts());
+            (t0, multiphase_time(&params, 1.0, d, part.parts()) - t0)
+        };
+        for row in ncube2_study() {
+            let d = row.dimension;
+            for pair in row.hull.windows(2) {
+                let ((left, _, to), (right, from, _)) = (&pair[0], &pair[1]);
+                assert_eq!(to, from, "d={d}: faces must tile");
+                let ((a0, a_slope), (b0, b_slope)) = (line(d, left), line(d, right));
+                let crossing = (b0 - a0) / (a_slope - b_slope);
+                assert!(
+                    (to - crossing).abs() <= 1e-9 * crossing,
+                    "d={d}: {left}|{right} breakpoint {to} vs crossing {crossing}"
+                );
+            }
         }
     }
 

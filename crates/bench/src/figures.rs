@@ -4,7 +4,7 @@
 
 use mce_core::builder::build_multiphase_programs;
 use mce_core::verify::{stamped_memories, verify_complete_exchange};
-use mce_model::{multiphase_time, optimality_hull, MachineParams};
+use mce_model::{multiphase_time, MachineParams};
 use mce_partitions::Partition;
 use mce_simnet::batch::{run_cells, Memories, RunSpec};
 use mce_simnet::SimConfig;
@@ -40,17 +40,11 @@ pub struct Figure {
     pub points: Vec<FigurePoint>,
 }
 
-/// Which partitions a figure plots: hull partitions + Standard
-/// Exchange + `{d}` (the latter is always on the hull anyway).
-pub fn figure_partitions(params: &MachineParams, d: u32, m_max: f64) -> Vec<Partition> {
-    let mut parts: Vec<Partition> =
-        optimality_hull(params, d, m_max, 1.0).into_iter().map(|f| f.partition).collect();
-    let se = Partition::all_ones(d);
-    if !parts.contains(&se) {
-        parts.push(se);
-    }
-    parts
-}
+/// Which partitions a figure plots: the hull partitions that win at
+/// some whole block size in `0..=m_max`, plus Standard Exchange (so
+/// `{d}` only once `m_max` reaches its takeover). The conformance
+/// grids' cast under the name the figure studies know it by.
+pub use mce_simnet::conformance::candidate_partitions as figure_partitions;
 
 /// Regenerate one figure. `jitter` adds deterministic measurement
 /// noise so the "measured" curves sit near but not on the predictions,
@@ -141,10 +135,12 @@ mod tests {
         let params = MachineParams::ipsc860();
         for d in 5..=7u32 {
             let expect = paper_expectations(d);
-            let got: Vec<String> = optimality_hull(&params, d, 400.0, 1.0)
-                .iter()
-                .map(|f| f.partition.to_string())
-                .collect();
+            let got: Vec<String> = mce_model::optimality_hull_affine_by(d, |m, part| {
+                multiphase_time(&params, m, d, part.parts())
+            })
+            .iter()
+            .map(|f| f.partition.to_string())
+            .collect();
             assert_eq!(got, expect.hull, "d={d}");
         }
     }

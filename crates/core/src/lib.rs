@@ -30,8 +30,8 @@
 //!   discrete-event engine;
 //! * [`fabric`] / [`thread_fabric`] — the algorithm over a generic
 //!   transport, including real threads with crossbeam channels;
-//! * [`planner`] — partition enumeration and the precomputed hull of
-//!   optimality;
+//! * [`planner`] — one-shot plan choice by partition enumeration (the
+//!   stored hull of optimality is `mce_plan::PlanHull`);
 //! * [`verify`] — provenance-stamped blocks and exchange verification;
 //! * [`api`] — the [`CompleteExchange`] facade.
 //!
@@ -69,6 +69,6 @@ pub use builder::{
 };
 pub use collectives::{build_allgather_programs, build_broadcast_programs, build_scatter_programs};
 pub use perm_router::{build_permutation_programs, greedy_rounds};
-pub use planner::{best_plan, Plan, Planner};
+pub use planner::{best_plan, Plan};
 pub use schedule::{multiphase_schedule, PhaseSchedule};
 pub use verify::{stamped_memories, verify_complete_exchange};

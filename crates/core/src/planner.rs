@@ -2,11 +2,11 @@
 //! given block size (paper, Section 6).
 //!
 //! "...it needs to be done only once and the optimal combination
-//! stored for repeated future use" — [`Planner`] precomputes the hull
-//! of optimality and answers lookups in `O(log #faces)`.
+//! stored for repeated future use" — the stored form is `mce_plan`'s
+//! `PlanHull`, the exact hull of optimality answering lookups in
+//! `O(log #faces)`; this module is the one-shot search.
 
-use mce_model::{best_partition, multiphase_time, optimality_hull, HullFace, MachineParams};
-use mce_partitions::Partition;
+use mce_model::{best_partition, MachineParams};
 use serde::{Deserialize, Serialize};
 
 /// A chosen exchange plan.
@@ -32,83 +32,39 @@ pub fn best_plan(params: &MachineParams, d: u32, m: usize) -> Plan {
     Plan { dims: part.parts().to_vec(), predicted_us: t }
 }
 
-/// Precomputed planner for repeated lookups.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Planner {
-    params: MachineParams,
-    dimension: u32,
-    faces: Vec<HullFace>,
-}
-
-impl Planner {
-    /// Build the planner by computing the hull of optimality up to
-    /// `m_max` bytes at 1-byte resolution.
-    pub fn new(params: MachineParams, dimension: u32, m_max: usize) -> Self {
-        let faces = optimality_hull(&params, dimension, m_max as f64, 1.0);
-        Planner { params, dimension, faces }
-    }
-
-    /// The machine parameters this planner was built for.
-    pub fn params(&self) -> &MachineParams {
-        &self.params
-    }
-
-    /// Cube dimension.
-    pub fn dimension(&self) -> u32 {
-        self.dimension
-    }
-
-    /// The optimal partition for block size `m`.
-    pub fn lookup(&self, m: usize) -> &Partition {
-        let mf = m as f64;
-        for face in &self.faces {
-            if mf >= face.from && mf < face.to {
-                return &face.partition;
-            }
-        }
-        // Beyond the precomputed range the last face extends to ∞.
-        &self.faces.last().expect("hull is never empty").partition
-    }
-
-    /// Plan (partition + predicted time) for block size `m`.
-    pub fn plan(&self, m: usize) -> Plan {
-        let part = self.lookup(m);
-        Plan {
-            dims: part.parts().to_vec(),
-            predicted_us: multiphase_time(&self.params, m as f64, self.dimension, part.parts()),
-        }
-    }
-
-    /// The hull faces (for reporting).
-    pub fn faces(&self) -> &[HullFace] {
-        &self.faces
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mce_model::multiphase_time;
+
+    /// The clean-model hull of `d` on `params`.
+    fn hull(params: &MachineParams, d: u32) -> Vec<mce_model::AffineHullFace> {
+        mce_model::optimality_hull_affine_by(d, |m, part| {
+            multiphase_time(params, m, d, part.parts())
+        })
+    }
 
     #[test]
     fn planner_matches_one_shot_search() {
+        // The stored hull's face and the one-shot search name the same
+        // plan away from the breakpoints.
         let params = MachineParams::ipsc860();
-        let planner = Planner::new(params.clone(), 6, 400);
+        let faces = hull(&params, 6);
         for m in [0usize, 4, 24, 40, 100, 139, 141, 399] {
-            let a = planner.plan(m);
+            let face = &faces[mce_model::affine_face_index(&faces, m as f64).unwrap()];
             let b = best_plan(&params, 6, m);
-            assert_eq!(a.dims, b.dims, "m={m}");
-            assert!((a.predicted_us - b.predicted_us).abs() < 1e-9);
+            assert_eq!(face.partition.parts(), b.dims, "m={m}");
+            assert!((face.time_at(m as f64) - b.predicted_us).abs() < 1e-9 * b.predicted_us);
         }
     }
 
     #[test]
     fn planner_extends_beyond_table() {
+        // Far beyond the paper's range the singleton must win, and the
+        // last hull face already is the singleton.
         let params = MachineParams::ipsc860();
-        let planner = Planner::new(params.clone(), 7, 400);
-        // Far beyond the table the singleton must win, and the last
-        // hull face already is the singleton.
-        let p = planner.plan(100_000);
-        assert_eq!(p.dims, vec![7]);
+        assert_eq!(best_plan(&params, 7, 100_000).dims, vec![7]);
+        assert_eq!(hull(&params, 7).last().unwrap().partition.parts(), [7]);
     }
 
     #[test]

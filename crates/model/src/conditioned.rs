@@ -30,8 +30,8 @@
 //! [`conditioned_standard_exchange_time`] /
 //! [`conditioned_optimal_cs_time`] (raw Eqs. 1-2),
 //! [`conditioned_crossover_block_size`], [`conditioned_best_partition`]
-//! / [`conditioned_optimality_hull`], and the store-and-forward
-//! variants.
+//! (and, through [`crate::optimality_hull_affine_by`], the conditioned
+//! hull), and the store-and-forward variants.
 //!
 //! What a step contributes splits into *terms* that depend on its mask
 //! alone and the machine and block size that multiply them. One kernel
@@ -64,7 +64,7 @@
 
 use crate::{
     best_partition_by, crossover_block_size, multiphase_saf_time, multiphase_time, optimal_cs_time,
-    optimality_hull_by, standard_exchange_time, HullFace, MachineParams,
+    standard_exchange_time, MachineParams,
 };
 use mce_partitions::Partition;
 use serde::{Deserialize, Deserializer, Serialize};
@@ -1061,23 +1061,6 @@ pub fn conditioned_best_partition(
     best_partition_by(d, |part| conditioned_multiphase_time(p, m, d, part.parts(), &table))
 }
 
-/// Conditioned analogue of [`crate::optimality_hull`]: the best
-/// partition at each block size in `[0, m_max]` at `step` resolution,
-/// merged into faces. Conditioned predictions stay affine in `m`, so
-/// each partition still occupies one contiguous interval.
-pub fn conditioned_optimality_hull(
-    p: &MachineParams,
-    d: u32,
-    m_max: f64,
-    step: f64,
-    cond: &ConditionSummary,
-) -> Vec<HullFace> {
-    let table = StepTable::new(cond);
-    optimality_hull_by(d, m_max, step, |m, part| {
-        conditioned_multiphase_time(p, m, d, part.parts(), &table)
-    })
-}
-
 /// Conditioned analogue of `partial_exchange_saf_time`: one partial
 /// exchange on dimensions `lo .. lo + di` under store and forward.
 pub fn conditioned_partial_exchange_saf_time(
@@ -1293,7 +1276,10 @@ mod tests {
         for _ in 0..6 {
             cond.add_stream(0x3F, 314.0, 600.0);
         }
-        let hull = conditioned_optimality_hull(&p, d, 400.0, 4.0, &cond);
+        let table = StepTable::new(&cond);
+        let hull = crate::optimality_hull_affine_by(d, |m, part| {
+            conditioned_multiphase_time(&p, m, d, part.parts(), &table)
+        });
         assert_eq!(hull[0].from, 0.0);
         for w in hull.windows(2) {
             assert_eq!(w[0].to, w[1].from);
@@ -1301,9 +1287,10 @@ mod tests {
         assert_eq!(hull.last().unwrap().to, f64::INFINITY);
         // The clean hull hands {6} the tail beyond ~140 B; under a
         // heavy hotspot the singleton's takeover must move out (or
-        // vanish from the swept range entirely).
-        let clean = crate::optimality_hull(&p, d, 400.0, 4.0);
-        let takeover = |faces: &[HullFace]| {
+        // vanish from the hull entirely).
+        let clean =
+            crate::optimality_hull_affine_by(d, |m, part| multiphase_time(&p, m, d, part.parts()));
+        let takeover = |faces: &[crate::AffineHullFace]| {
             faces
                 .iter()
                 .find(|f| f.partition.parts() == [d])

@@ -11,20 +11,6 @@ use mce_partitions::{partitions, Partition};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-/// One face of the hull: a half-open block-size interval on which a
-/// single partition is predicted optimal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HullFace {
-    /// The optimal partition on this interval.
-    pub partition: Partition,
-    /// Inclusive lower end of the block-size interval (bytes).
-    pub from: f64,
-    /// Exclusive upper end (bytes); `f64::INFINITY` for the last face
-    /// (serialized as JSON `null`).
-    #[serde(with = "infinite_as_null")]
-    pub to: f64,
-}
-
 /// JSON has no infinity; map `f64::INFINITY <-> null` so hull tables
 /// survive serialization ("stored for repeated future use", §6).
 mod infinite_as_null {
@@ -81,83 +67,11 @@ pub fn best_partition_by(d: u32, price: impl Fn(&Partition) -> f64 + Sync) -> (P
     best.expect("d >= 1 always yields at least one partition")
 }
 
-/// Compute the hull of optimality over `[0, m_max]` by scanning block
-/// sizes at `step`-byte resolution and merging runs.
-///
-/// Because every plan's predicted time is affine in `m`, the true hull
-/// is a lower envelope of lines and each partition occupies at most one
-/// contiguous interval; scanning at fine resolution recovers the
-/// breakpoints to within `step` bytes.
-pub fn optimality_hull(p: &MachineParams, d: u32, m_max: f64, step: f64) -> Vec<HullFace> {
-    optimality_hull_by(d, m_max, step, |m, part| multiphase_time(p, m, d, part.parts()))
-}
-
-/// [`optimality_hull`] under an arbitrary pricing function
-/// `price(m, partition)` — the shared scan-and-merge core behind the
-/// clean and conditioned hulls. The pricing must be affine in `m` for
-/// the merged faces to be the true lower envelope (every model in this
-/// crate is).
-pub fn optimality_hull_by(
-    d: u32,
-    m_max: f64,
-    step: f64,
-    price: impl Fn(f64, &Partition) -> f64 + Sync,
-) -> Vec<HullFace> {
-    assert!(step > 0.0 && m_max >= 0.0);
-    // The per-size winners are independent: compute them in parallel
-    // (the planner's hull precompute is the expensive call site), then
-    // merge runs sequentially. The size list accumulates with the
-    // same float additions as the sequential loop, so breakpoints are
-    // bit-identical.
-    let sizes: Vec<f64> = {
-        let mut v = Vec::new();
-        let mut m = 0.0;
-        while m <= m_max {
-            v.push(m);
-            m += step;
-        }
-        v
-    };
-    let winners: Vec<Partition> =
-        sizes.par_iter().map(|&m| best_partition_by(d, |part| price(m, part)).0).collect();
-    let mut faces: Vec<HullFace> = Vec::new();
-    for (&m, part) in sizes.iter().zip(winners) {
-        match faces.last_mut() {
-            Some(face) if face.partition == part => face.to = m + step,
-            _ => faces.push(HullFace { partition: part, from: m, to: m + step }),
-        }
-    }
-    if let Some(last) = faces.last_mut() {
-        last.to = f64::INFINITY;
-    }
-    faces
-}
-
-/// Index of the face containing block size `m`, by binary search over
-/// the face intervals (`from` inclusive, `to` exclusive). `None` only
-/// for an empty slice; `m` below the first face clamps to face 0 and
-/// `m` at or above the last face's `to` clamps to the last face, so a
-/// well-formed hull (first `from = 0`, last `to = ∞`) answers every
-/// finite `m`. This is the warm-cache query path of the planner: one
-/// `O(log faces)` lookup, no model evaluation.
-pub fn face_index(faces: &[HullFace], m: f64) -> Option<usize> {
-    if faces.is_empty() {
-        return None;
-    }
-    let i = faces.partition_point(|f| f.to <= m);
-    Some(i.min(faces.len() - 1))
-}
-
-/// The face containing block size `m`; see [`face_index`].
-pub fn face_at(faces: &[HullFace], m: f64) -> Option<&HullFace> {
-    face_index(faces, m).map(|i| &faces[i])
-}
-
-/// One face of an *affine* hull: the optimal partition on a block-size
-/// interval together with the affine coefficients of its prediction,
-/// `t(m) = t0 + slope·m`, and its index in enumeration order (for
-/// boundary tie-breaks). Produced by [`optimality_hull_affine_by`];
-/// serializes like [`HullFace`] (`to = ∞` as JSON `null`).
+/// One face of the hull: the optimal partition on a half-open
+/// block-size interval together with the affine coefficients of its
+/// prediction, `t(m) = t0 + slope·m`, and its index in enumeration
+/// order (for boundary tie-breaks). Produced by
+/// [`optimality_hull_affine_by`]; `to = ∞` serializes as JSON `null`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AffineHullFace {
     /// The optimal partition on this interval.
@@ -186,14 +100,14 @@ impl AffineHullFace {
     pub fn time_at(&self, m: f64) -> f64 {
         self.t0 + self.slope * m
     }
-
-    /// Drop the affine coefficients, keeping the interval.
-    pub fn to_face(&self) -> HullFace {
-        HullFace { partition: self.partition.clone(), from: self.from, to: self.to }
-    }
 }
 
-/// [`face_index`] over affine faces.
+/// Index of the face containing block size `m`, by binary search over
+/// the face intervals (`from` inclusive, `to` exclusive). `None` only
+/// for an empty slice; `m` below the first face clamps to face 0 and
+/// `m` at or above the last face's `to` clamps to the last face, so a
+/// well-formed hull (first `from = 0`, last `to = ∞`) answers every
+/// finite `m` in one `O(log faces)` lookup, with no model evaluation.
 pub fn affine_face_index(faces: &[AffineHullFace], m: f64) -> Option<usize> {
     if faces.is_empty() {
         return None;
@@ -202,16 +116,17 @@ pub fn affine_face_index(faces: &[AffineHullFace], m: f64) -> Option<usize> {
     Some(i.min(faces.len() - 1))
 }
 
-/// Compute the *exact* hull of optimality as a lower envelope of
-/// lines, with no block-size scan. Every pricing in this crate is
-/// affine in `m`, so each partition is one line `t0 + slope·m`
-/// (sampled at `m = 0` and `m = 1`); the candidate breakpoints are the
+/// Compute the hull of optimality under the pricing `price(m,
+/// partition)` as the *exact* lower envelope of lines over `[0, ∞)`.
+/// Every pricing in this crate is affine in `m`, so each partition is
+/// one line `t0 + slope·m` (sampled at `m = 0` and `m = 1`) and holds
+/// at most one contiguous interval; the candidate breakpoints are the
 /// pairwise line crossings at positive `m`, and probing the interior
 /// of each inter-crossing interval (where no two lines tie) recovers
-/// the envelope's winner per interval. Unlike [`optimality_hull_by`]
-/// the breakpoints are exact intersections, not `step`-resolution
-/// approximations, and the faces carry their affine coefficients —
-/// this is the planner's hull precompute (`mce_plan`).
+/// the envelope's winner per interval. The breakpoints are exact
+/// intersections, and the faces carry their affine coefficients. This
+/// is the one hull builder: the figures' casts, the planner's stored
+/// hulls (`mce_plan`) and every study read it.
 ///
 /// Ties inside an interval (coincident lines) resolve toward the
 /// earlier partition in enumeration order, matching
@@ -319,9 +234,50 @@ fn lower_envelope(lines: &[(Partition, f64, f64)]) -> Vec<AffineHullFace> {
 mod tests {
     use super::*;
 
+    /// The clean-model hull of dimension `d` on machine `p`.
+    fn hull(p: &MachineParams, d: u32) -> Vec<AffineHullFace> {
+        optimality_hull_affine_by(d, |m, part| multiphase_time(p, m, d, part.parts()))
+    }
+
     fn hull_partitions(d: u32) -> Vec<String> {
-        let p = MachineParams::ipsc860();
-        optimality_hull(&p, d, 400.0, 1.0).iter().map(|f| f.partition.to_string()).collect()
+        hull(&MachineParams::ipsc860(), d).iter().map(|f| f.partition.to_string()).collect()
+    }
+
+    /// The step-resolution scan the envelope replaced, kept as the
+    /// reference it is checked against: the exact fold at `0, step,
+    /// 2·step, ... <= m_max`, merged into runs `(partition, from, to)`,
+    /// the last run open-ended.
+    fn scanned_hull(
+        d: u32,
+        m_max: f64,
+        step: f64,
+        price: impl Fn(f64, &Partition) -> f64 + Sync,
+    ) -> Vec<(Partition, f64, f64)> {
+        let mut faces: Vec<(Partition, f64, f64)> = Vec::new();
+        let mut m = 0.0;
+        while m <= m_max {
+            let (part, _) = best_partition_by(d, |part| price(m, part));
+            match faces.last_mut() {
+                Some(face) if face.0 == part => face.2 = m + step,
+                _ => faces.push((part, m, m + step)),
+            }
+            m += step;
+        }
+        if let Some(last) = faces.last_mut() {
+            last.2 = f64::INFINITY;
+        }
+        faces
+    }
+
+    /// Every scanned breakpoint is the first scanned size at or past the
+    /// envelope's exact one: `exact` lies in `(scanned − step, scanned]`.
+    fn assert_scan_brackets(exact: &[AffineHullFace], scanned: &[(Partition, f64, f64)]) {
+        for (a, (part, _, to)) in exact.iter().zip(scanned) {
+            assert_eq!(&a.partition, part);
+            if to.is_finite() {
+                assert!(a.to <= *to && a.to > to - 1.0, "exact {} vs scanned {to}", a.to);
+            }
+        }
     }
 
     #[test]
@@ -330,9 +286,7 @@ mod tests {
         // block sizes less than 100 bytes" then {5}.
         let faces = hull_partitions(5);
         assert_eq!(faces, vec!["{3,2}", "{5}"]);
-        let p = MachineParams::ipsc860();
-        let hull = optimality_hull(&p, 5, 400.0, 1.0);
-        let breakpoint = hull[0].to;
+        let breakpoint = hull(&MachineParams::ipsc860(), 5)[0].to;
         assert!(breakpoint > 60.0 && breakpoint < 140.0, "crossover near 100 B, got {breakpoint}");
     }
 
@@ -344,8 +298,7 @@ mod tests {
         // extremely small sizes."
         let faces = hull_partitions(6);
         assert_eq!(faces, vec!["{2,2,2}", "{3,3}", "{6}"]);
-        let p = MachineParams::ipsc860();
-        let hull = optimality_hull(&p, 6, 400.0, 1.0);
+        let hull = hull(&MachineParams::ipsc860(), 6);
         assert!(hull[0].to < 40.0, "{{2,2,2}} only for extremely small sizes");
         assert!(hull[1].to > 100.0 && hull[1].to < 200.0, "{{6}} beyond about 140 B");
     }
@@ -357,8 +310,7 @@ mod tests {
         // for 0 to 12 bytes."
         let faces = hull_partitions(7);
         assert_eq!(faces, vec!["{3,2,2}", "{4,3}", "{7}"]);
-        let p = MachineParams::ipsc860();
-        let hull = optimality_hull(&p, 7, 400.0, 1.0);
+        let hull = hull(&MachineParams::ipsc860(), 7);
         assert!(hull[0].to < 30.0, "{{2,2,3}} for small sizes only, got {}", hull[0].to);
         assert!(
             hull[1].to > 120.0 && hull[1].to < 220.0,
@@ -394,13 +346,19 @@ mod tests {
 
     #[test]
     fn faces_tile_the_range() {
-        let p = MachineParams::ipsc860();
-        let hull = optimality_hull(&p, 6, 300.0, 0.5);
-        assert_eq!(hull[0].from, 0.0);
-        for w in hull.windows(2) {
-            assert_eq!(w[0].to, w[1].from);
+        for p in
+            [MachineParams::ipsc860(), MachineParams::ncube2_like(), MachineParams::hypothetical()]
+        {
+            for d in 1..=10u32 {
+                let hull = hull(&p, d);
+                assert_eq!(hull[0].from, 0.0);
+                for w in hull.windows(2) {
+                    assert_eq!(w[0].to, w[1].from);
+                    assert!(w[0].from < w[0].to, "{} d={d}: empty face", p.name);
+                }
+                assert_eq!(hull.last().unwrap().to, f64::INFINITY);
+            }
         }
-        assert_eq!(hull.last().unwrap().to, f64::INFINITY);
     }
 
     #[test]
@@ -414,34 +372,15 @@ mod tests {
 
     #[test]
     fn affine_hull_matches_scanned_hull() {
-        // Same face sequence as the step-resolution scan, with each
-        // breakpoint inside the scan's ±step bracket of it.
+        // Same face sequence as the 1-byte scan, each exact breakpoint
+        // in the byte below the scanned one.
         let p = MachineParams::ipsc860();
         for d in 5..=7u32 {
-            let scanned = optimality_hull(&p, d, 400.0, 1.0);
-            let affine =
-                optimality_hull_affine_by(d, |m, part| multiphase_time(&p, m, d, part.parts()));
-            assert_eq!(
-                affine.iter().map(|f| &f.partition).collect::<Vec<_>>(),
-                scanned.iter().map(|f| &f.partition).collect::<Vec<_>>(),
-                "d={d}"
-            );
-            for (a, s) in affine.iter().zip(&scanned) {
-                if s.to.is_finite() {
-                    assert!(
-                        (a.to - s.to).abs() <= 1.0,
-                        "d={d}: exact {} vs scanned {}",
-                        a.to,
-                        s.to
-                    );
-                } else {
-                    assert_eq!(a.to, f64::INFINITY);
-                }
-            }
-            assert_eq!(affine[0].from, 0.0);
-            for w in affine.windows(2) {
-                assert_eq!(w[0].to, w[1].from);
-            }
+            let scanned =
+                scanned_hull(d, 400.0, 1.0, |m, part| multiphase_time(&p, m, d, part.parts()));
+            let exact = hull(&p, d);
+            assert_eq!(exact.len(), scanned.len(), "d={d}");
+            assert_scan_brackets(&exact, &scanned);
         }
     }
 
@@ -449,9 +388,7 @@ mod tests {
     fn affine_faces_carry_their_own_prediction() {
         let p = MachineParams::ipsc860();
         let d = 6u32;
-        let affine =
-            optimality_hull_affine_by(d, |m, part| multiphase_time(&p, m, d, part.parts()));
-        for face in &affine {
+        for face in &hull(&p, d) {
             let probe =
                 if face.to.is_finite() { 0.5 * (face.from + face.to) } else { face.from + 50.0 };
             let direct = multiphase_time(&p, probe, d, face.partition.parts());
@@ -468,27 +405,20 @@ mod tests {
 
     #[test]
     fn face_lookup_clamps_and_finds() {
-        let p = MachineParams::ipsc860();
-        let hull = optimality_hull(&p, 6, 300.0, 1.0);
-        assert_eq!(face_index(&[], 10.0), None);
-        assert_eq!(face_index(&hull, -5.0), Some(0));
-        assert_eq!(face_index(&hull, 0.0), Some(0));
-        assert_eq!(face_index(&hull, 1e12), Some(hull.len() - 1));
+        let hull = hull(&MachineParams::ipsc860(), 6);
+        assert_eq!(affine_face_index(&[], 10.0), None);
+        assert_eq!(affine_face_index(&hull, -5.0), Some(0));
+        assert_eq!(affine_face_index(&hull, 0.0), Some(0));
+        assert_eq!(affine_face_index(&hull, 1e12), Some(hull.len() - 1));
         for (i, f) in hull.iter().enumerate() {
             // `from` is inclusive; just under `to` still belongs here.
-            assert_eq!(face_index(&hull, f.from), Some(i));
+            assert_eq!(affine_face_index(&hull, f.from), Some(i));
             let inside = if f.to.is_finite() { 0.5 * (f.from + f.to) } else { f.from + 1.0 };
-            assert_eq!(face_at(&hull, inside).unwrap().partition, f.partition);
+            assert_eq!(affine_face_index(&hull, inside), Some(i));
             if f.to.is_finite() {
                 // A breakpoint belongs to the face starting there.
-                assert_eq!(face_index(&hull, f.to), Some(i + 1));
+                assert_eq!(affine_face_index(&hull, f.to), Some(i + 1));
             }
-        }
-        let affine =
-            optimality_hull_affine_by(6, |m, part| multiphase_time(&p, m, 6, part.parts()));
-        for (i, f) in affine.iter().enumerate() {
-            let inside = if f.to.is_finite() { 0.5 * (f.from + f.to) } else { f.from + 1.0 };
-            assert_eq!(affine_face_index(&affine, inside), Some(i));
         }
     }
 
@@ -586,26 +516,21 @@ mod tests {
         // The planner builds conditioned hulls through the same entry
         // point: check the envelope against the conditioned scan on a
         // contended cube.
-        use crate::conditioned::{
-            conditioned_multiphase_time, conditioned_optimality_hull, ConditionSummary,
-        };
+        use crate::conditioned::{conditioned_multiphase_time, ConditionSummary, StepTable};
         let p = MachineParams::ipsc860();
         let d = 6u32;
         let mut cond = ConditionSummary::noop(d);
         for _ in 0..6 {
             cond.add_stream(0x3F, 314.0, 600.0);
         }
-        let scanned = conditioned_optimality_hull(&p, d, 400.0, 1.0, &cond);
-        let affine = optimality_hull_affine_by(d, |m, part| {
-            conditioned_multiphase_time(&p, m, d, part.parts(), &cond)
-        });
+        let table = StepTable::new(&cond);
+        let price =
+            |m: f64, part: &Partition| conditioned_multiphase_time(&p, m, d, part.parts(), &table);
+        let scanned = scanned_hull(d, 400.0, 1.0, price);
+        let exact = optimality_hull_affine_by(d, price);
         // The scan stops at 400 B; the exact envelope may keep
         // splitting beyond it. Compare the prefix the scan covers.
-        for (s, a) in scanned.iter().zip(&affine) {
-            assert_eq!(s.partition, a.partition);
-            if s.to.is_finite() {
-                assert!((s.to - a.to).abs() <= 1.0, "{} vs {}", s.to, a.to);
-            }
-        }
+        assert!(exact.len() >= scanned.len());
+        assert_scan_brackets(&exact, &scanned);
     }
 }

@@ -8,7 +8,8 @@ use mce_model::{
 };
 use mce_partitions::Partition;
 use mce_simnet::config::SwitchingMode;
-use serde::{Deserialize, Serialize};
+use serde::de::Error as _;
+use serde::{Deserialize, Deserializer, Serialize};
 
 /// Relative half-width of the boundary band around each face edge.
 ///
@@ -24,8 +25,11 @@ pub const BOUNDARY_REL_EPS: f64 = 1e-6;
 /// One condition's precomputed decision table: the exact hull of
 /// optimality (faces with affine coefficients) for a `(machine, d,
 /// switching, condition)` tuple. Serializable, so hulls can be
-/// persisted and shipped ("stored for repeated future use", §6).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// persisted and shipped ("stored for repeated future use", §6): this
+/// is the one stored form of a hull. Deserializing checks what every
+/// lookup relies on — faces that tile `[0, ∞)` in order, each naming a
+/// partition of `d` — and reports a malformed table as a serde error.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PlanHull {
     /// Cube dimension the hull plans for.
     pub d: u32,
@@ -33,6 +37,37 @@ pub struct PlanHull {
     pub saf: bool,
     /// The faces, tiling `[0, ∞)`.
     pub faces: Vec<AffineHullFace>,
+}
+
+impl<'de> Deserialize<'de> for PlanHull {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        /// The serialized shape, checked before it becomes a hull.
+        #[derive(Deserialize)]
+        struct Stored {
+            d: u32,
+            saf: bool,
+            faces: Vec<AffineHullFace>,
+        }
+        let Stored { d, saf, faces } = Stored::deserialize(deserializer)?;
+        let tiles = faces.first().is_some_and(|f| f.from == 0.0)
+            && faces.last().is_some_and(|f| f.to == f64::INFINITY)
+            && faces.iter().all(|f| f.from < f.to)
+            && faces.windows(2).all(|w| w[0].to == w[1].from);
+        if !tiles {
+            return Err(D::Error::custom("hull faces must tile [0, inf) in order"));
+        }
+        let of_d = |p: &Partition| {
+            p.parts().iter().all(|&k| k > 0)
+                && p.parts().iter().try_fold(0u32, |sum, &k| sum.checked_add(k)) == Some(d)
+        };
+        if let Some(f) = faces.iter().find(|f| !of_d(&f.partition)) {
+            return Err(D::Error::custom(format_args!(
+                "hull face names {:?}, not a partition of d = {d}",
+                f.partition.parts()
+            )));
+        }
+        Ok(PlanHull { d, saf, faces })
+    }
 }
 
 /// Price one partition exactly as the conformance harness does
@@ -86,7 +121,8 @@ impl PlanHull {
     /// The face containing block size `m` (clamped; hulls tile
     /// `[0, ∞)` so every finite `m` lands somewhere).
     pub fn face(&self, m: f64) -> &AffineHullFace {
-        let i = affine_face_index(&self.faces, m).expect("hulls are never empty (p(d) >= 1)");
+        let i = affine_face_index(&self.faces, m)
+            .expect("hulls are never empty: built from p(d) >= 1 lines, checked when read");
         &self.faces[i]
     }
 
@@ -102,7 +138,8 @@ impl PlanHull {
     /// the band of an edge further off (faces narrower than the band
     /// in between), it is in the band of its own face's edge too.
     pub fn locate(&self, m: f64) -> (&AffineHullFace, bool) {
-        let i = affine_face_index(&self.faces, m).expect("hulls are never empty (p(d) >= 1)");
+        let i = affine_face_index(&self.faces, m)
+            .expect("hulls are never empty: built from p(d) >= 1 lines, checked when read");
         let face = &self.faces[i];
         let tol = BOUNDARY_REL_EPS * m.abs().max(1.0);
         (face, (m - face.from).abs() <= tol || (m - face.to).abs() <= tol)
@@ -165,5 +202,42 @@ mod tests {
         let face = hull.face(m);
         let direct = price(&machine, SwitchingMode::StoreAndForward, d, &cond, m, &face.partition);
         assert!((face.time_at(m) - direct).abs() < 1e-9 * direct);
+    }
+
+    #[test]
+    fn deserializing_rejects_malformed_hulls() {
+        let machine = MachineParams::ipsc860();
+        let hull = PlanHull::build(&machine, SwitchingMode::Circuit, 3, &ConditionSummary::noop(3));
+        let json = serde_json::to_string(&hull).unwrap();
+        assert_eq!(serde_json::from_str::<PlanHull>(&json).unwrap(), hull);
+        // A well-formed one-face table, then one defect at a time.
+        let face = |parts: &str, from: &str, to: &str| {
+            format!(
+                r#"{{"partition":{parts},"enum_index":0,"from":{from},"to":{to},"t0":1.0,"slope":1.0}}"#
+            )
+        };
+        let table =
+            |faces: &[String]| format!(r#"{{"d":3,"saf":false,"faces":[{}]}}"#, faces.join(","));
+        assert!(serde_json::from_str::<PlanHull>(&table(&[face("[3]", "0.0", "null")])).is_ok());
+        for (bad, why) in [
+            (r#"{"d":3,"saf":false,"faces":[]}"#.to_string(), "no faces"),
+            (table(&[face("[3]", "1.0", "null")]), "starts past 0"),
+            (table(&[face("[3]", "0.0", "40.0")]), "stops short of infinity"),
+            (table(&[face("[2,1]", "0.0", "40.0"), face("[3]", "41.0", "null")]), "gap"),
+            (
+                table(&[
+                    face("[2,1]", "0.0", "40.0"),
+                    face("[3]", "40.0", "40.0"),
+                    face("[1,1,1]", "40.0", "null"),
+                ]),
+                "empty face",
+            ),
+            (table(&[face("[2,1]", "0.0", "40.0"), face("[3]", "20.0", "null")]), "overlap"),
+            (table(&[face("[2,2]", "0.0", "null")]), "sums to 4"),
+            (table(&[face("[3,0]", "0.0", "null")]), "zero part"),
+            (table(&[face("[4294967295,4]", "0.0", "null")]), "sum overflows"),
+        ] {
+            assert!(serde_json::from_str::<PlanHull>(&bad).is_err(), "{why}: {bad}");
+        }
     }
 }

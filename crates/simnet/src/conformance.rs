@@ -41,8 +41,8 @@ use crate::SimError;
 use mce_hypercube::routing::DirectedLink;
 use mce_hypercube::NodeId;
 use mce_model::{
-    conditioned_multiphase_saf_time, conditioned_multiphase_time, ConditionFingerprint,
-    ConditionSummary,
+    conditioned_multiphase_saf_time, conditioned_multiphase_time, AffineHullFace,
+    ConditionFingerprint, ConditionSummary,
 };
 use mce_partitions::Partition;
 use serde::{Deserialize, Serialize};
@@ -412,17 +412,36 @@ pub fn run_scenario(
 }
 
 /// The candidate-partition set every conformance grid compares: the
-/// clean hull of optimality (the partitions that are ever optimal,
-/// always including the singleton `{d}`) plus Standard Exchange — the
-/// same cast as the paper's figures and the robustness study.
+/// partitions of the clean hull of optimality that win at some whole
+/// block size in `0..=m_max`, in hull order, plus Standard Exchange —
+/// the same cast as the paper's figures and the robustness study.
+///
+/// A hull face is in the cast when the first whole byte count it
+/// contains, `k = from.ceil()`, satisfies `k < to && k <= m_max`.
+/// So `{d}` is in only once `m_max` reaches its takeover (at d = 6,
+/// `m_max = 40` has no `{6}`), a face narrower than one byte between
+/// two whole sizes is left out, and a NaN or negative `m_max` yields
+/// Standard Exchange alone.
 pub fn candidate_partitions(
     params: &mce_model::MachineParams,
     d: u32,
     m_max: f64,
 ) -> Vec<Partition> {
-    let mut parts: Vec<Partition> = mce_model::optimality_hull(params, d, m_max, 1.0)
-        .into_iter()
-        .map(|f| f.partition)
+    let hull = mce_model::optimality_hull_affine_by(d, |m, part| {
+        mce_model::multiphase_time(params, m, d, part.parts())
+    });
+    cast_of(&hull, d, m_max)
+}
+
+/// [`candidate_partitions`] over an already built clean hull.
+fn cast_of(hull: &[AffineHullFace], d: u32, m_max: f64) -> Vec<Partition> {
+    let mut parts: Vec<Partition> = hull
+        .iter()
+        .filter(|f| {
+            let k = f.from.ceil();
+            k < f.to && k <= m_max
+        })
+        .map(|f| f.partition.clone())
         .collect();
     let se = Partition::all_ones(d);
     if !parts.contains(&se) {
@@ -540,6 +559,75 @@ mod tests {
         assert!(names.contains(&"{6}".to_string()));
         assert!(names.contains(&"{1,1,1,1,1,1}".to_string()));
         assert!(names.len() >= 3);
+    }
+
+    /// The casts every caller draws, recorded while the cast was still
+    /// read off a 1-byte scan of the hull: Figures 4-6 (`m_max` 400),
+    /// the robustness and interference studies and their replays (the
+    /// largest ladder size: 128, 320, 400, 800), and the planner's
+    /// simulator fallback (`max(4m, 512)` at d5-d7).
+    #[test]
+    fn candidate_casts_are_the_recorded_ones() {
+        let params = mce_model::MachineParams::ipsc860();
+        let d4 = ["{2,2}", "{4}", "{1,1,1,1}"];
+        let d5 = ["{3,2}", "{5}", "{1,1,1,1,1}"];
+        let d6 = ["{2,2,2}", "{3,3}", "{6}", "{1,1,1,1,1,1}"];
+        let d7 = ["{3,2,2}", "{4,3}", "{7}", "{1,1,1,1,1,1,1}"];
+        let recorded: [(u32, &[f64], &[&str]); 5] = [
+            (4, &[128.0, 320.0, 400.0], &d4),
+            (5, &[320.0, 400.0, 512.0, 1600.0, 4096.0], &d5),
+            (6, &[320.0, 400.0, 512.0, 800.0, 1600.0, 4096.0], &d6),
+            (6, &[40.0], &["{2,2,2}", "{3,3}", "{1,1,1,1,1,1}"]),
+            (7, &[320.0, 400.0, 512.0, 1600.0, 4096.0], &d7),
+        ];
+        for (d, sizes, cast) in recorded {
+            for &m_max in sizes {
+                let got: Vec<String> =
+                    candidate_partitions(&params, d, m_max).iter().map(|p| p.to_string()).collect();
+                assert_eq!(got, cast, "d{d} m_max {m_max}");
+            }
+        }
+    }
+
+    /// The cast is what the 1-byte scan it replaced named: the exact
+    /// fold's winner at every whole size `0..=m_max`, merged into runs,
+    /// plus Standard Exchange — for three machines, d1-d10 and every
+    /// whole `m_max` up to 4096.
+    #[test]
+    fn candidate_cast_equals_the_per_byte_scan() {
+        use mce_model::{
+            best_partition, multiphase_time, optimality_hull_affine_by, MachineParams,
+        };
+        for params in
+            [MachineParams::ipsc860(), MachineParams::ncube2_like(), MachineParams::hypothetical()]
+        {
+            for d in 1..=10u32 {
+                let hull = optimality_hull_affine_by(d, |m, part| {
+                    multiphase_time(&params, m, d, part.parts())
+                });
+                let se = Partition::all_ones(d);
+                let mut runs: Vec<Partition> = Vec::new();
+                for k in 0..=4096u32 {
+                    let (winner, _) = best_partition(&params, k as f64, d);
+                    if runs.last() != Some(&winner) {
+                        runs.push(winner);
+                    }
+                    let mut scanned = runs.clone();
+                    if !scanned.contains(&se) {
+                        scanned.push(se.clone());
+                    }
+                    assert_eq!(
+                        cast_of(&hull, d, k as f64),
+                        scanned,
+                        "{} d{d} m_max {k}",
+                        params.name
+                    );
+                }
+                for m_max in [f64::NAN, -1.0, -0.5] {
+                    assert_eq!(cast_of(&hull, d, m_max), vec![se.clone()], "d{d} m_max {m_max}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@
 
 use mce_core::builder::build_multiphase_programs;
 use mce_core::verify::stamped_memories;
-use mce_model::{crossover_block_size, MachineParams};
+use mce_model::{crossover_block_size, multiphase_time, optimality_hull_affine_by, MachineParams};
 use mce_simnet::conformance::{candidate_partitions, hotspot_condition, run_scenario};
 use mce_simnet::netcond::SpeedProfile;
 use mce_simnet::{NetCondition, Program, SimConfig};
@@ -158,15 +158,16 @@ fn scenarios(d: u32, quick: bool) -> Vec<Scenario> {
 /// A block-size ladder straddling the clean crossover of dimension
 /// `d`, so winner agreement is exercised on both sides of it. The
 /// reference point is the hull's singleton takeover when `{d}` has a
-/// face (the winner boundary the grid must bracket), the raw Eq. 1/2
-/// crossover otherwise.
+/// face (the winner boundary the grid must bracket; the first whole
+/// block size on that face), the raw Eq. 1/2 crossover otherwise.
 fn sizes(d: u32, quick: bool) -> Vec<usize> {
     let params = MachineParams::ipsc860();
     let raw = crossover_block_size(&params, d);
-    let hull_takeover = mce_model::optimality_hull(&params, d, 512.0, 2.0)
-        .into_iter()
-        .find(|f| f.partition.parts() == [d])
-        .map(|f| f.from);
+    let hull_takeover =
+        optimality_hull_affine_by(d, |m, part| multiphase_time(&params, m, d, part.parts()))
+            .into_iter()
+            .find(|f| f.partition.parts() == [d])
+            .map(|f| f.from.ceil());
     let cross = hull_takeover.unwrap_or(raw).max(raw).max(8.0);
     let steps: &[f64] =
         if quick { &[0.25, 0.75, 1.5, 3.0] } else { &[0.2, 0.5, 0.8, 1.1, 1.5, 2.2, 3.0] };

@@ -5,7 +5,7 @@
 //! cargo run --release --example planner_sweep [dimension] [max_block]
 //! ```
 
-use multiphase_exchange::model::{multiphase_time, optimality_hull, MachineParams};
+use multiphase_exchange::model::{multiphase_time, optimality_hull_affine_by, MachineParams};
 use multiphase_exchange::partitions::partitions;
 
 fn main() {
@@ -15,11 +15,11 @@ fn main() {
     let params = MachineParams::ipsc860();
 
     println!("Hull of optimality, d = {d} ({} nodes), iPSC-860 parameters:\n", 1u64 << d);
-    let hull = optimality_hull(&params, d, m_max as f64, 1.0);
+    let hull = optimality_hull_affine_by(d, |m, part| multiphase_time(&params, m, d, part.parts()));
     for face in &hull {
-        let to = if face.to.is_finite() { format!("{:.0}", face.to) } else { "inf".into() };
+        let to = if face.to.is_finite() { format!("{:.1}", face.to) } else { "inf".into() };
         println!(
-            "  {:<14} optimal for block sizes [{:.0}, {}) bytes",
+            "  {:<14} optimal for block sizes [{:.1}, {}) bytes",
             face.partition.to_string(),
             face.from,
             to

@@ -2,9 +2,12 @@
 //! stack (model + simulator + algorithms + apps).
 
 use multiphase_exchange::exchange::api::CompleteExchange;
-use multiphase_exchange::exchange::planner::Planner;
-use multiphase_exchange::model::{multiphase_time, MachineParams};
+use multiphase_exchange::model::{
+    best_partition, multiphase_time, ConditionSummary, MachineParams,
+};
 use multiphase_exchange::partitions::{count, partitions};
+use multiphase_exchange::plan::PlanHull;
+use multiphase_exchange::simnet::config::SwitchingMode;
 
 /// Abstract claim: the multiphase algorithm "can substantially improve
 /// performance for block sizes in the 0-160 byte range".
@@ -46,23 +49,25 @@ fn large_blocks_choose_ocs_and_match() {
     assert!((planned.simulated_us - ocs.simulated_us).abs() < 1e-6);
 }
 
-/// The planner's precomputed hull and the exhaustive search agree
-/// everywhere, and the planner covers the paper's dimensions.
+/// The planner's stored hull and the exhaustive search agree
+/// everywhere, and the planner covers the paper's dimensions. Inside a
+/// breakpoint's band the exact fold answers, as the plan engine does.
 #[test]
 fn planner_consistency_d5_to_d7() {
     for d in 5..=7u32 {
         let params = MachineParams::ipsc860();
-        let planner = Planner::new(params.clone(), d, 400);
+        let hull = PlanHull::build(&params, SwitchingMode::Circuit, d, &ConditionSummary::noop(d));
         for m in (0..=400usize).step_by(7) {
-            let via_planner = planner.plan(m);
+            let m = m as f64;
+            let (face, in_band) = hull.locate(m);
+            let via_hull = if in_band { best_partition(&params, m, d).1 } else { face.time_at(m) };
             let t_best = partitions(d)
                 .into_iter()
-                .map(|p| multiphase_time(&params, m as f64, d, p.parts()))
+                .map(|p| multiphase_time(&params, m, d, p.parts()))
                 .fold(f64::INFINITY, f64::min);
             assert!(
-                (via_planner.predicted_us - t_best).abs() < 1e-9,
-                "d={d} m={m}: planner {} exhaustive {t_best}",
-                via_planner.predicted_us
+                (via_hull - t_best).abs() < 1e-9,
+                "d={d} m={m}: hull {via_hull} exhaustive {t_best}"
             );
         }
     }

@@ -3,10 +3,16 @@
 
 use multiphase_exchange::exchange::api::CompleteExchange;
 use multiphase_exchange::model::{
-    crossover_block_size, multiphase_time, optimal_cs_time, optimality_hull,
-    standard_exchange_time, MachineParams,
+    crossover_block_size, multiphase_time, optimal_cs_time, optimality_hull_affine_by,
+    standard_exchange_time, AffineHullFace, MachineParams,
 };
 use multiphase_exchange::partitions::count;
+
+/// The iPSC-860 hull of optimality of dimension `d` (Figures 4-6).
+fn ipsc_hull(d: u32) -> Vec<AffineHullFace> {
+    let params = MachineParams::ipsc860();
+    optimality_hull_affine_by(d, |m, part| multiphase_time(&params, m, d, part.parts()))
+}
 
 /// Abstract/§4: "the Standard Exchange approach that employs d
 /// transmissions of size 2^(d-1) blocks each" and "the Optimal Circuit
@@ -82,8 +88,7 @@ fn combination_counts_for_measured_dimensions() {
 /// block sizes less than 100 bytes".
 #[test]
 fn figure_4_claims() {
-    let params = MachineParams::ipsc860();
-    let hull = optimality_hull(&params, 5, 400.0, 1.0);
+    let hull = ipsc_hull(5);
     let names: Vec<String> = hull.iter().map(|f| f.partition.to_string()).collect();
     assert_eq!(names, vec!["{3,2}", "{5}"]);
     assert!((hull[0].to - 100.0).abs() < 40.0, "crossover near 100 B, got {}", hull[0].to);
@@ -93,8 +98,7 @@ fn figure_4_claims() {
 /// {2,2,2} "only for extremely small sizes".
 #[test]
 fn figure_5_claims() {
-    let params = MachineParams::ipsc860();
-    let hull = optimality_hull(&params, 6, 400.0, 1.0);
+    let hull = ipsc_hull(6);
     let names: Vec<String> = hull.iter().map(|f| f.partition.to_string()).collect();
     assert_eq!(names, vec!["{2,2,2}", "{3,3}", "{6}"]);
     assert!(hull[0].to < 40.0);
@@ -106,8 +110,7 @@ fn figure_5_claims() {
 /// classical algorithms by more than 2x (0.016 s vs 0.037 s).
 #[test]
 fn figure_6_claims_model_and_simulation() {
-    let params = MachineParams::ipsc860();
-    let hull = optimality_hull(&params, 7, 400.0, 1.0);
+    let hull = ipsc_hull(7);
     let names: Vec<String> = hull.iter().map(|f| f.partition.to_string()).collect();
     assert_eq!(names, vec!["{3,2,2}", "{4,3}", "{7}"]);
     assert!(hull[0].to < 30.0, "{{2,2,3}} small-size face ends near 12 B, got {}", hull[0].to);
@@ -215,9 +218,8 @@ fn conditioned_crossover_matches_robustness_study() {
 #[test]
 fn predicted_vs_simulated_agreement() {
     for d in 5..=7u32 {
-        let params = MachineParams::ipsc860();
         let ex = CompleteExchange::new(d);
-        for face in optimality_hull(&params, d, 200.0, 1.0) {
+        for face in ipsc_hull(d) {
             let m = 64usize;
             let out = ex.run(m, face.partition.parts()).unwrap();
             assert!(out.verified);

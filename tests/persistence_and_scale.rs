@@ -1,27 +1,34 @@
 //! Planner persistence ("the optimal combination stored for repeated
-//! future use", §6) and large-scale thread-fabric stress.
+//! future use", §6: a `PlanHull` through JSON) and large-scale
+//! thread-fabric stress.
 
-use multiphase_exchange::exchange::planner::Planner;
 use multiphase_exchange::exchange::thread_fabric::thread_complete_exchange;
 use multiphase_exchange::exchange::verify::{stamped_memories, verify_complete_exchange};
-use multiphase_exchange::model::MachineParams;
+use multiphase_exchange::model::{ConditionSummary, MachineParams};
+use multiphase_exchange::plan::PlanHull;
+use multiphase_exchange::simnet::config::SwitchingMode;
 
-/// The planner serializes to JSON and answers identically after a
-/// round trip — the paper's "done only once and stored" usage.
+/// The planner's hull serializes to JSON and answers identically after
+/// a round trip — the paper's "done only once and stored" usage.
 #[test]
 fn planner_roundtrips_through_json() {
-    let planner = Planner::new(MachineParams::ipsc860(), 7, 400);
-    let json = serde_json::to_string(&planner).expect("serialize");
-    let back: Planner = serde_json::from_str(&json).expect("deserialize");
+    let d = 7u32;
+    let hull = PlanHull::build(
+        &MachineParams::ipsc860(),
+        SwitchingMode::Circuit,
+        d,
+        &ConditionSummary::noop(d),
+    );
+    let json = serde_json::to_string(&hull).expect("serialize");
+    let back: PlanHull = serde_json::from_str(&json).expect("deserialize");
+    assert_eq!(back, hull);
     for m in (0..=400usize).step_by(13) {
-        assert_eq!(planner.lookup(m), back.lookup(m), "m={m}");
-        let a = planner.plan(m);
-        let b = back.plan(m);
-        assert_eq!(a.dims, b.dims);
-        assert!((a.predicted_us - b.predicted_us).abs() < 1e-12);
+        let (a, b) = (hull.face(m as f64), back.face(m as f64));
+        assert_eq!(a.partition, b.partition, "m={m}");
+        assert_eq!(a.time_at(m as f64).to_bits(), b.time_at(m as f64).to_bits(), "m={m}");
     }
     // The stored table is small: a handful of hull faces.
-    assert!(planner.faces().len() <= 6);
+    assert!(hull.faces.len() <= 6);
 }
 
 /// 64 real OS threads exchanging simultaneously: the crossbeam fabric
