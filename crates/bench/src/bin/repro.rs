@@ -28,7 +28,7 @@
 //!
 //! All simulation fan-outs (figure grids, ablation rows, study cells)
 //! execute through `mce_simnet::batch`: rayon-parallel with per-worker
-//! simulation arenas, bit-identical to the equivalent one-shot runs.
+//! simulation arenas, bit-identical to the same runs on fresh arenas.
 
 use mce_bench::figures::{paper_expectations, regenerate_figure, Figure};
 use mce_bench::interference::{interference_study, InterferenceOptions};

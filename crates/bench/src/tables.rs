@@ -9,7 +9,7 @@ use mce_model::{
     standard_exchange_time, MachineParams,
 };
 use mce_partitions::{count, partitions};
-use mce_simnet::{Op, Program, SimConfig, Simulator, Tag};
+use mce_simnet::{Op, Program, SimArena, SimConfig, Tag};
 use serde::{Deserialize, Serialize};
 
 /// E3: the Section 6 partition-count table.
@@ -139,8 +139,11 @@ pub fn params_report() -> ParamsReport {
                 ],
             };
             let mems = vec![vec![7u8; bytes.max(1)]; n];
-            let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, mems);
-            let t = sim.run().expect("params run failed").finish_time.as_us();
+            let t = SimArena::new()
+                .run(&SimConfig::ipsc860(d), &programs, mems)
+                .expect("params run failed")
+                .finish_time
+                .as_us();
             let lambda = if bytes == 0 { params.lambda_zero } else { params.lambda };
             let law = lambda + params.tau * bytes as f64 + params.delta * hops as f64;
             let err = (t - law).abs() / law;
@@ -224,8 +227,9 @@ pub fn phase_times_vs_eq3(d: u32, dims: &[u32], m: usize) -> Vec<(u32, f64, f64)
     use mce_core::builder::build_multiphase_programs;
     use mce_core::verify::stamped_memories;
     let programs = build_multiphase_programs(d, dims, m);
-    let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, stamped_memories(d, m));
-    let result = sim.run().expect("phase timing run failed");
+    let result = SimArena::new()
+        .run(&SimConfig::ipsc860(d), &programs, stamped_memories(d, m))
+        .expect("phase timing run failed");
     let params = MachineParams::ipsc860();
     let mut out = Vec::new();
     let mut prev = 0.0f64;

@@ -34,15 +34,18 @@
 use crate::output_dir;
 use mce_core::builder::build_multiphase_programs;
 use mce_core::verify::stamped_memories;
+use mce_simnet::batch::RunSpec;
 use mce_simnet::conformance::hotspot_condition;
 use mce_simnet::trace::{critical_path, export_html, export_perfetto_json};
 use mce_simnet::trace::{link_utilization, top_stalls};
 use mce_simnet::traffic::{compose_memories, compose_programs};
 use mce_simnet::{
-    CwndAlg, FlowCtl, JobSpec, LinkPolicy, NetCondition, Program, SimConfig, Simulator, TraceConfig,
+    CwndAlg, FlowCtl, JobSpec, LinkPolicy, NetCondition, Program, SimArena, SimConfig, SimError,
+    SimResult, TraceConfig,
 };
 use serde::Serialize;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// The scenario names `capture` understands, in presentation order.
 pub const SCENARIOS: [&str; 3] = ["hotspot", "interference", "sharded"];
@@ -183,11 +186,18 @@ fn scenario_spec(scenario: &str, d: u32) -> (SimConfig, Vec<Program>, Vec<Vec<u8
     }
 }
 
+/// One run of a scenario on a fresh arena, traced with the default
+/// ring.
+fn traced_run(scenario: &str, d: u32) -> Result<SimResult, SimError> {
+    let (cfg, programs, memories) = scenario_spec(scenario, d);
+    let trace = Some(TraceConfig::default());
+    let spec = RunSpec { cfg, programs: Arc::new(programs), memories: memories.into(), trace };
+    SimArena::new().run_spec(spec)
+}
+
 /// Run one scenario traced and write the three artifacts.
 pub fn capture(scenario: &str, d: u32) -> TraceCapture {
-    let (cfg, programs, memories) = scenario_spec(scenario, d);
-    let mut sim = Simulator::new(cfg, programs, memories).with_trace_config(TraceConfig::default());
-    let result = sim.run().expect("trace scenario failed");
+    let result = traced_run(scenario, d).expect("trace scenario failed");
     let events = result.trace;
 
     let dir = output_dir();
@@ -275,9 +285,7 @@ mod tests {
     #[test]
     fn trace_interference_scenario_records_flow_instants() {
         let d = 4;
-        let (cfg, programs, memories) = scenario_spec("interference", d);
-        let mut sim = Simulator::new(cfg, programs, memories).with_trace();
-        let r = sim.run().unwrap();
+        let r = traced_run("interference", d).unwrap();
         use mce_simnet::TraceEvent;
         let flows = r.trace.iter().filter(|e| matches!(e, TraceEvent::Flow { .. })).count();
         assert!(flows > 0, "lossy interference cell must emit flow instants");

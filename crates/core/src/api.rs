@@ -4,7 +4,7 @@ use crate::builder::{build_with_options, BuildOptions};
 use crate::planner::{best_plan, Plan};
 use crate::verify::{stamped_memories, verify_complete_exchange};
 use mce_model::{multiphase_time, MachineParams};
-use mce_simnet::{SimConfig, SimError, SimStats, Simulator};
+use mce_simnet::{SimArena, SimConfig, SimError, SimStats};
 
 /// Outcome of one simulated, verified complete exchange.
 #[derive(Debug, Clone)]
@@ -126,8 +126,7 @@ impl CompleteExchange {
         programs: Vec<mce_simnet::Program>,
     ) -> Result<ExchangeOutcome, SimError> {
         let memories = stamped_memories(self.dimension, m);
-        let mut sim = Simulator::new(self.config.clone(), programs, memories);
-        let result = sim.run()?;
+        let result = SimArena::new().run(&self.config, &programs, memories)?;
         let verified = verify_complete_exchange(self.dimension, m, &result.memories).is_empty();
         Ok(ExchangeOutcome {
             dims: dims.to_vec(),

@@ -266,7 +266,7 @@ mod tests {
     use mce_model::patterns::{allgather_time, broadcast_time, scatter_time};
     use mce_model::MachineParams;
     use mce_simnet::batch::SimBatch;
-    use mce_simnet::{Program, SimConfig, SimResult, Simulator};
+    use mce_simnet::{Program, SimArena, SimConfig, SimResult};
     use std::sync::Arc;
 
     fn all_test_partitions(d: u32) -> Vec<Vec<u32>> {
@@ -349,12 +349,13 @@ mod tests {
         let d = 6u32;
         let m = 8usize;
         for dims in [vec![1u32; 6], vec![6], vec![3, 3], vec![2, 2, 2]] {
+            let cfg = SimConfig::ipsc860(d);
             let programs = build_scatter_programs(d, &dims, m);
-            let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, scatter_memories(d, m));
-            assert!(verify_scatter(d, m, &sim.run().unwrap().memories), "{dims:?}");
+            let r = SimArena::new().run(&cfg, &programs, scatter_memories(d, m)).unwrap();
+            assert!(verify_scatter(d, m, &r.memories), "{dims:?}");
             let programs = build_broadcast_programs(d, &dims, m);
-            let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, broadcast_memories(d, m));
-            assert!(verify_broadcast(d, m, &sim.run().unwrap().memories), "{dims:?}");
+            let r = SimArena::new().run(&cfg, &programs, broadcast_memories(d, m)).unwrap();
+            assert!(verify_broadcast(d, m, &r.memories), "{dims:?}");
         }
     }
 

@@ -239,7 +239,7 @@ mod tests {
     use super::*;
     use mce_hypercube::contention::analyze;
     use mce_simnet::batch::SimBatch;
-    use mce_simnet::{SimConfig, Simulator};
+    use mce_simnet::{SimArena, SimConfig};
     use std::sync::Arc;
 
     fn xor_perm(d: u32, mask: u32) -> Vec<NodeId> {
@@ -382,8 +382,7 @@ mod tests {
         assert!(greedy_rounds(&ident).is_empty());
         let programs = build_permutation_programs(d, &ident, 8);
         let mems = permutation_memories(d, &ident, 8);
-        let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, mems);
-        let r = sim.run().unwrap();
+        let r = SimArena::new().run(&SimConfig::ipsc860(d), &programs, mems).unwrap();
         // Only the barrier remains.
         assert!((r.finish_time.as_us() - 450.0).abs() < 1e-6);
     }

@@ -409,12 +409,14 @@ mod tests {
         // cross-run state leakage in the arena would corrupt a stamp.
         use mce_simnet::batch::SimBatch;
         use mce_simnet::SimConfig;
+        use std::sync::Arc;
         let d = 4u32;
         let sizes = [8usize, 16, 48];
         let mut batch = SimBatch::new(SimConfig::ipsc860(d));
-        batch.block_ladder(&sizes, |m| {
-            (crate::builder::build_multiphase_programs(d, &[2, 2], m), stamped_memories(d, m))
-        });
+        for &m in &sizes {
+            let programs = crate::builder::build_multiphase_programs(d, &[2, 2], m);
+            batch.push_run(Arc::new(programs), stamped_memories(d, m));
+        }
         for (&m, r) in sizes.iter().zip(batch.run()) {
             let r = r.unwrap();
             assert!(verify_complete_exchange(d, m, &r.memories).is_empty(), "m={m}");

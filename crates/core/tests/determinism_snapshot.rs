@@ -21,11 +21,11 @@ use mce_core::perm_router::{
 };
 use mce_core::verify::{stamped_memories, verify_complete_exchange};
 use mce_hypercube::NodeId;
-use mce_simnet::batch::{SimArena, SimBatch};
+use mce_simnet::batch::{Memories, RunSpec, SimBatch};
 use mce_simnet::traffic::{compose_memories, compose_programs};
 use mce_simnet::{
-    BackgroundStream, CwndAlg, FlowCtl, JobSpec, LinkPolicy, NetCondition, Program, SimConfig,
-    SimResult, Simulator,
+    BackgroundStream, CwndAlg, FlowCtl, JobSpec, LinkPolicy, NetCondition, Program, SimArena,
+    SimConfig, SimResult,
 };
 use std::sync::Arc;
 
@@ -87,8 +87,8 @@ fn snapshot(result: &SimResult) -> Snapshot {
     }
 }
 
-/// One of the four pinned workloads as a (config, programs, memories)
-/// spec, shared by the one-shot, arena-reuse and batch paths. Built
+/// One of the six pinned workloads as a (config, programs, memories)
+/// spec, shared by the fresh-arena, arena-reuse and batch paths. Built
 /// per index so each test constructs only the workload it runs.
 fn workload_spec(workload: usize) -> (SimConfig, Vec<Program>, Vec<Vec<u8>>) {
     match workload {
@@ -183,138 +183,156 @@ fn workload_specs() -> Vec<(SimConfig, Vec<Program>, Vec<Vec<u8>>)> {
     (0..6).map(workload_spec).collect()
 }
 
-fn one_shot(workload: usize) -> SimResult {
+/// The doors into the engine a snapshot is taken through. Every door
+/// must reproduce the same literal.
+#[derive(Debug, Clone, Copy)]
+enum Door {
+    /// `SimArena::run`: programs compiled for this run.
+    Run,
+    /// `SimArena::run_shared`: compilation from the process-wide cache.
+    Shared,
+    /// `SimArena::run_spec` of a set another owner still holds, with
+    /// `Memories::Shared`: the cached compile and a cloned template.
+    Spec,
+}
+
+/// Run `workload` on a fresh arena through `door`.
+fn run_through(workload: usize, door: Door) -> SimResult {
     let (cfg, programs, memories) = workload_spec(workload);
-    let mut sim = Simulator::new(cfg, programs, memories);
-    sim.run().unwrap()
+    let mut arena = SimArena::new();
+    let result = match door {
+        Door::Run => arena.run(&cfg, &programs, memories),
+        Door::Shared => arena.run_shared(&cfg, &Arc::new(programs), memories),
+        Door::Spec => {
+            let programs = Arc::new(programs);
+            let memories = Memories::Shared(Arc::new(memories));
+            arena.run_spec(RunSpec { cfg, programs: Arc::clone(&programs), memories, trace: None })
+        }
+    };
+    result.unwrap_or_else(|e| panic!("workload {workload} through {door:?}: {e}"))
 }
 
-fn run_multiphase_d6_33() -> SimResult {
-    one_shot(0)
+/// `workload` through each door in turn.
+fn every_door(workload: usize) -> impl Iterator<Item = (Door, SimResult)> {
+    [Door::Run, Door::Shared, Door::Spec]
+        .into_iter()
+        .map(move |door| (door, run_through(workload, door)))
 }
 
-fn run_bit_reversal_unscheduled() -> SimResult {
-    one_shot(1)
-}
-
-fn run_store_and_forward() -> SimResult {
-    one_shot(2)
-}
-
-fn run_jittered_nosync() -> SimResult {
-    one_shot(3)
-}
-
-fn run_conditioned_storm() -> SimResult {
-    one_shot(4)
-}
-
-fn run_co_tenant_lossy() -> SimResult {
-    one_shot(5)
+fn one_shot(workload: usize) -> SimResult {
+    run_through(workload, Door::Run)
 }
 
 #[test]
 fn multiphase_d6_33_matches_snapshot() {
-    let result = run_multiphase_d6_33();
-    assert_eq!(verify_complete_exchange(6, 40, &result.memories), []);
-    assert_eq!(
-        snapshot(&result),
-        Snapshot {
-            finish_ns: 9309320,
-            transmissions: 1792,
-            bytes_moved: 286720,
-            link_crossings: 3072,
-            edge_contention_events: 0,
-            edge_contention_wait_ns: 0,
-            nic_serialization_events: 0,
-            nic_serialization_wait_ns: 0,
-            forced_drops: 0,
-            reserve_handshakes: 0,
-            barriers: 2,
-            background_transmissions: 0,
-            retransmissions: 0,
-            flow_drops: 0,
-            memory_digest: 13734434754980005560,
-        }
-    );
+    for (door, result) in every_door(0) {
+        assert_eq!(verify_complete_exchange(6, 40, &result.memories), [], "{door:?}");
+        assert_eq!(
+            snapshot(&result),
+            Snapshot {
+                finish_ns: 9309320,
+                transmissions: 1792,
+                bytes_moved: 286720,
+                link_crossings: 3072,
+                edge_contention_events: 0,
+                edge_contention_wait_ns: 0,
+                nic_serialization_events: 0,
+                nic_serialization_wait_ns: 0,
+                forced_drops: 0,
+                reserve_handshakes: 0,
+                barriers: 2,
+                background_transmissions: 0,
+                retransmissions: 0,
+                flow_drops: 0,
+                memory_digest: 13734434754980005560,
+            },
+            "{door:?}"
+        );
+    }
 }
 
 #[test]
 fn bit_reversal_unscheduled_matches_snapshot() {
-    let result = run_bit_reversal_unscheduled();
-    assert!(verify_permutation(&bit_reversal(6), 64, &result.memories));
-    assert_eq!(
-        snapshot(&result),
-        Snapshot {
-            finish_ns: 1586864,
-            transmissions: 56,
-            bytes_moved: 3584,
-            link_crossings: 192,
-            edge_contention_events: 32,
-            edge_contention_wait_ns: 9368896,
-            nic_serialization_events: 16,
-            nic_serialization_wait_ns: 0,
-            forced_drops: 0,
-            reserve_handshakes: 0,
-            barriers: 1,
-            background_transmissions: 0,
-            retransmissions: 0,
-            flow_drops: 0,
-            memory_digest: 11748996007258722359,
-        }
-    );
+    for (door, result) in every_door(1) {
+        assert!(verify_permutation(&bit_reversal(6), 64, &result.memories), "{door:?}");
+        assert_eq!(
+            snapshot(&result),
+            Snapshot {
+                finish_ns: 1586864,
+                transmissions: 56,
+                bytes_moved: 3584,
+                link_crossings: 192,
+                edge_contention_events: 32,
+                edge_contention_wait_ns: 9368896,
+                nic_serialization_events: 16,
+                nic_serialization_wait_ns: 0,
+                forced_drops: 0,
+                reserve_handshakes: 0,
+                barriers: 1,
+                background_transmissions: 0,
+                retransmissions: 0,
+                flow_drops: 0,
+                memory_digest: 11748996007258722359,
+            },
+            "{door:?}"
+        );
+    }
 }
 
 #[test]
 fn store_and_forward_matches_snapshot() {
-    let result = run_store_and_forward();
-    assert_eq!(verify_complete_exchange(5, 40, &result.memories), []);
-    assert_eq!(
-        snapshot(&result),
-        Snapshot {
-            finish_ns: 7312800,
-            transmissions: 640,
-            bytes_moved: 66560,
-            link_crossings: 1024,
-            edge_contention_events: 0,
-            edge_contention_wait_ns: 0,
-            nic_serialization_events: 0,
-            nic_serialization_wait_ns: 0,
-            forced_drops: 0,
-            reserve_handshakes: 0,
-            barriers: 2,
-            background_transmissions: 0,
-            retransmissions: 0,
-            flow_drops: 0,
-            memory_digest: 1816036644044764389,
-        }
-    );
+    for (door, result) in every_door(2) {
+        assert_eq!(verify_complete_exchange(5, 40, &result.memories), [], "{door:?}");
+        assert_eq!(
+            snapshot(&result),
+            Snapshot {
+                finish_ns: 7312800,
+                transmissions: 640,
+                bytes_moved: 66560,
+                link_crossings: 1024,
+                edge_contention_events: 0,
+                edge_contention_wait_ns: 0,
+                nic_serialization_events: 0,
+                nic_serialization_wait_ns: 0,
+                forced_drops: 0,
+                reserve_handshakes: 0,
+                barriers: 2,
+                background_transmissions: 0,
+                retransmissions: 0,
+                flow_drops: 0,
+                memory_digest: 1816036644044764389,
+            },
+            "{door:?}"
+        );
+    }
 }
 
 #[test]
 fn jittered_nosync_matches_snapshot() {
-    let result = run_jittered_nosync();
-    assert_eq!(verify_complete_exchange(5, 200, &result.memories), []);
-    assert_eq!(
-        snapshot(&result),
-        Snapshot {
-            finish_ns: 7878371,
-            transmissions: 992,
-            bytes_moved: 198400,
-            link_crossings: 2560,
-            edge_contention_events: 313,
-            edge_contention_wait_ns: 11199023,
-            nic_serialization_events: 286,
-            nic_serialization_wait_ns: 9107858,
-            forced_drops: 0,
-            reserve_handshakes: 0,
-            barriers: 1,
-            background_transmissions: 0,
-            retransmissions: 0,
-            flow_drops: 0,
-            memory_digest: 4703015163424812349,
-        }
-    );
+    for (door, result) in every_door(3) {
+        assert_eq!(verify_complete_exchange(5, 200, &result.memories), [], "{door:?}");
+        assert_eq!(
+            snapshot(&result),
+            Snapshot {
+                finish_ns: 7878371,
+                transmissions: 992,
+                bytes_moved: 198400,
+                link_crossings: 2560,
+                edge_contention_events: 313,
+                edge_contention_wait_ns: 11199023,
+                nic_serialization_events: 286,
+                nic_serialization_wait_ns: 9107858,
+                forced_drops: 0,
+                reserve_handshakes: 0,
+                barriers: 1,
+                background_transmissions: 0,
+                retransmissions: 0,
+                flow_drops: 0,
+                memory_digest: 4703015163424812349,
+            },
+            "{door:?}"
+        );
+    }
 }
 
 /// The conditioned-network snapshot: a dead cable (rerouted), seeded
@@ -325,28 +343,30 @@ fn jittered_nosync_matches_snapshot() {
 /// corrupt data movement.
 #[test]
 fn conditioned_storm_matches_snapshot() {
-    let result = run_conditioned_storm();
-    assert!(verify_permutation(&bit_reversal(6), 64, &result.memories));
-    assert_eq!(
-        snapshot(&result),
-        Snapshot {
-            finish_ns: 2042388,
-            transmissions: 56,
-            bytes_moved: 3584,
-            link_crossings: 192,
-            edge_contention_events: 32,
-            edge_contention_wait_ns: 13585275,
-            nic_serialization_events: 20,
-            nic_serialization_wait_ns: 0,
-            forced_drops: 0,
-            reserve_handshakes: 0,
-            barriers: 1,
-            background_transmissions: 25,
-            retransmissions: 0,
-            flow_drops: 0,
-            memory_digest: 11748996007258722359,
-        }
-    );
+    for (door, result) in every_door(4) {
+        assert!(verify_permutation(&bit_reversal(6), 64, &result.memories), "{door:?}");
+        assert_eq!(
+            snapshot(&result),
+            Snapshot {
+                finish_ns: 2042388,
+                transmissions: 56,
+                bytes_moved: 3584,
+                link_crossings: 192,
+                edge_contention_events: 32,
+                edge_contention_wait_ns: 13585275,
+                nic_serialization_events: 20,
+                nic_serialization_wait_ns: 0,
+                forced_drops: 0,
+                reserve_handshakes: 0,
+                barriers: 1,
+                background_transmissions: 25,
+                retransmissions: 0,
+                flow_drops: 0,
+                memory_digest: 11748996007258722359,
+            },
+            "{door:?}"
+        );
+    }
 }
 
 /// The co-tenant traffic snapshot: two complete exchanges sharing a
@@ -356,47 +376,48 @@ fn conditioned_storm_matches_snapshot() {
 /// both tenants still deliver a correct complete exchange.
 #[test]
 fn co_tenant_lossy_matches_snapshot() {
-    let result = run_co_tenant_lossy();
-    assert_eq!(
-        snapshot(&result),
-        Snapshot {
-            finish_ns: 7309525,
-            transmissions: 694,
-            bytes_moved: 10112,
-            link_crossings: 1329,
-            edge_contention_events: 139,
-            edge_contention_wait_ns: 17740155,
-            nic_serialization_events: 153,
-            nic_serialization_wait_ns: 7507225,
-            forced_drops: 0,
-            reserve_handshakes: 0,
-            barriers: 3,
-            background_transmissions: 0,
-            retransmissions: 22,
-            flow_drops: 22,
-            memory_digest: 16245099395097047221,
+    for (door, result) in every_door(5) {
+        assert_eq!(
+            snapshot(&result),
+            Snapshot {
+                finish_ns: 7309525,
+                transmissions: 694,
+                bytes_moved: 10112,
+                link_crossings: 1329,
+                edge_contention_events: 139,
+                edge_contention_wait_ns: 17740155,
+                nic_serialization_events: 153,
+                nic_serialization_wait_ns: 7507225,
+                forced_drops: 0,
+                reserve_handshakes: 0,
+                barriers: 3,
+                background_transmissions: 0,
+                retransmissions: 22,
+                flow_drops: 22,
+                memory_digest: 16245099395097047221,
+            },
+            "{door:?}"
+        );
+        // Per-job split: the blocking tenant is policy-exempt; the lossy
+        // link's drops all land on (and are recovered by) the reactive one.
+        let [j0, j1] = &result.stats.jobs[..] else { panic!("two jobs") };
+        assert_eq!((j0.retransmissions, j0.drops, j0.finish_ns), (0, 0, 3904496));
+        assert_eq!((j1.retransmissions, j1.drops, j1.finish_ns), (22, 22, 7309525));
+        assert_eq!(j1.start_ns, 200_000);
+        // Loss never corrupts data: each tenant's 16-node slice is a
+        // correct complete exchange on its own.
+        let (d, m, n) = (4u32, 16usize, 16usize);
+        for job in 0..2 {
+            let slice = result.memories[job * n..(job + 1) * n].to_vec();
+            let mismatches = verify_complete_exchange(d, m, &slice);
+            assert!(mismatches.is_empty(), "job {job} exchange corrupted: {mismatches:?}");
         }
-    );
-    // Per-job split: the blocking tenant is policy-exempt; the lossy
-    // link's drops all land on (and are recovered by) the reactive one.
-    let [j0, j1] = &result.stats.jobs[..] else { panic!("two jobs") };
-    assert_eq!((j0.retransmissions, j0.drops, j0.finish_ns), (0, 0, 3904496));
-    assert_eq!((j1.retransmissions, j1.drops, j1.finish_ns), (22, 22, 7309525));
-    assert_eq!(j1.start_ns, 200_000);
-    // Loss never corrupts data: each tenant's 16-node slice is a
-    // correct complete exchange on its own.
-    let (d, m, n) = (4u32, 16usize, 16usize);
-    for job in 0..2 {
-        let slice = result.memories[job * n..(job + 1) * n].to_vec();
-        let mismatches = verify_complete_exchange(d, m, &slice);
-        assert!(mismatches.is_empty(), "job {job} exchange corrupted: {mismatches:?}");
     }
 }
 
 /// Batch determinism regression: `SimBatch` results must be
-/// bit-identical to the sequential one-shot `Simulator` runs for all
-/// four snapshot workloads — arena reuse must not leak any state
-/// between runs.
+/// bit-identical to sequential fresh-arena runs for all six snapshot
+/// workloads — arena reuse must not leak any state between runs.
 #[test]
 fn batch_results_are_bit_identical_to_one_shot_runs() {
     let one_shot_snaps: Vec<Snapshot> = (0..6).map(|i| snapshot(&one_shot(i))).collect();
@@ -440,9 +461,9 @@ fn sharded_engine_reproduces_all_snapshots() {
         let reference = snapshot(&one_shot(workload));
         for shards in [2u32, 4] {
             let (cfg, programs, memories) = workload_spec(workload);
-            let mut sim = Simulator::new(cfg.with_shards(shards), programs, memories);
+            let cfg = cfg.with_shards(shards);
             assert_eq!(
-                snapshot(&sim.run().unwrap()),
+                snapshot(&SimArena::new().run(&cfg, &programs, memories).unwrap()),
                 reference,
                 "workload {workload} diverged with shards = {shards}"
             );
@@ -456,14 +477,16 @@ fn sharded_engine_reproduces_all_snapshots() {
 #[test]
 #[ignore]
 fn print_snapshots() {
-    for (name, result) in [
-        ("multiphase_d6_33", run_multiphase_d6_33()),
-        ("bit_reversal_unscheduled", run_bit_reversal_unscheduled()),
-        ("store_and_forward", run_store_and_forward()),
-        ("jittered_nosync", run_jittered_nosync()),
-        ("conditioned_storm", run_conditioned_storm()),
-        ("co_tenant_lossy", run_co_tenant_lossy()),
-    ] {
+    let names = [
+        "multiphase_d6_33",
+        "bit_reversal_unscheduled",
+        "store_and_forward",
+        "jittered_nosync",
+        "conditioned_storm",
+        "co_tenant_lossy",
+    ];
+    for (workload, name) in names.into_iter().enumerate() {
+        let result = one_shot(workload);
         println!("{name}: {:#?}", snapshot(&result));
         if !result.stats.jobs.is_empty() {
             println!("{name} jobs: {:#?}", result.stats.jobs);

@@ -6,7 +6,7 @@
 
 use mce_core::exec_data::execute;
 use mce_hypercube::NodeId;
-use mce_simnet::{Op, Program, SimConfig, Simulator, Tag};
+use mce_simnet::{Op, Program, SimArena, SimConfig, Tag};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -122,8 +122,7 @@ proptest! {
         let programs = compile(d, &rounds);
         let mems = initial_memories(d, seed);
         let via_exec = execute(&programs, mems.clone()).unwrap();
-        let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, mems);
-        let result = sim.run().unwrap();
+        let result = SimArena::new().run(&SimConfig::ipsc860(d), &programs, mems).unwrap();
         prop_assert_eq!(via_exec, result.memories);
         prop_assert_eq!(result.stats.forced_drops, 0);
         prop_assert_eq!(result.stats.edge_contention_events, 0, "dim exchanges are neighbours");
@@ -142,8 +141,7 @@ proptest! {
         let mems = initial_memories(d, seed);
         let via_exec = execute(&programs, mems.clone()).unwrap();
         let cfg = SimConfig::ipsc860(d).with_jitter(0.10, seed);
-        let mut sim = Simulator::new(cfg, programs, mems);
-        let result = sim.run().unwrap();
+        let result = SimArena::new().run(&cfg, &programs, mems).unwrap();
         prop_assert_eq!(via_exec, result.memories);
     }
 }

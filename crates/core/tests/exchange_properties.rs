@@ -9,7 +9,7 @@ use mce_core::exec_data::execute;
 use mce_core::fabric::lockstep;
 use mce_core::verify::{stamped_memories, verify_complete_exchange};
 use mce_model::{multiphase_time, MachineParams};
-use mce_simnet::{SimConfig, Simulator};
+use mce_simnet::{SimArena, SimConfig};
 use proptest::prelude::*;
 
 /// Random partition of a random d in 1..=max_d.
@@ -52,8 +52,7 @@ proptest! {
         let programs = build_multiphase_programs(d, &dims, m);
         let memories = stamped_memories(d, m);
         let cfg = SimConfig::ipsc860(d);
-        let mut sim = Simulator::new(cfg, programs, memories);
-        let result = sim.run().unwrap();
+        let result = SimArena::new().run(&cfg, &programs, memories).unwrap();
         prop_assert!(verify_complete_exchange(d, m, &result.memories).is_empty(),
             "dims {:?} m {}", dims, m);
         let predicted = multiphase_time(&MachineParams::ipsc860(), m as f64, d, &dims);
@@ -79,8 +78,9 @@ proptest! {
         let d: u32 = dims.iter().sum();
         let n = 1usize << d;
         let programs = build_multiphase_programs(d, &dims, m);
-        let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, stamped_memories(d, m));
-        let mut memories = sim.run().unwrap().memories;
+        let cfg = SimConfig::ipsc860(d);
+        let result = SimArena::new().run(&cfg, &programs, stamped_memories(d, m)).unwrap();
+        let mut memories = result.memories;
         prop_assert_eq!(verify_complete_exchange(d, m, &memories), vec![]);
         // Two distinct (node, slot) indices out of n².
         let a = pick_a % (n * n);
@@ -105,8 +105,8 @@ proptest! {
         let programs = build_multiphase_programs(d, &dims, m);
         let initial = stamped_memories(d, m);
         let via_exec = execute(&programs, initial.clone()).unwrap();
-        let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, initial);
-        let via_sim = sim.run().unwrap().memories;
+        let cfg = SimConfig::ipsc860(d);
+        let via_sim = SimArena::new().run(&cfg, &programs, initial).unwrap().memories;
         prop_assert_eq!(via_exec, via_sim);
     }
 
@@ -145,8 +145,8 @@ fn every_partition_of_d6_works_in_simulation() {
     for part in mce_partitions::partitions(d) {
         let dims = part.parts().to_vec();
         let programs = build_multiphase_programs(d, &dims, m);
-        let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, stamped_memories(d, m));
-        let result = sim.run().unwrap();
+        let result =
+            SimArena::new().run(&SimConfig::ipsc860(d), &programs, stamped_memories(d, m)).unwrap();
         assert!(
             verify_complete_exchange(d, m, &result.memories).is_empty(),
             "partition {part} failed"
@@ -165,8 +165,8 @@ fn d7_flagship_case_with_128_nodes() {
     let m = 40usize;
     let run = |dims: &[u32]| {
         let programs = build_multiphase_programs(d, dims, m);
-        let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, stamped_memories(d, m));
-        let r = sim.run().unwrap();
+        let r =
+            SimArena::new().run(&SimConfig::ipsc860(d), &programs, stamped_memories(d, m)).unwrap();
         assert!(verify_complete_exchange(d, m, &r.memories).is_empty(), "{dims:?}");
         r.finish_time.as_us()
     };
@@ -194,8 +194,7 @@ fn barrier_omission_is_fatal_with_forced_messages() {
     let opts = BuildOptions { barrier_per_phase: false, ..Default::default() };
     let programs = build_with_options(d, &[1, 1, 1], m, opts);
     let cfg = SimConfig::ipsc860(d).with_jitter(0.20, 7);
-    let mut sim = Simulator::new(cfg, programs, stamped_memories(d, m));
-    match sim.run() {
+    match SimArena::new().run(&cfg, &programs, stamped_memories(d, m)) {
         Err(_) => {} // deadlock from dropped FORCED messages
         Ok(r) => {
             // Jitter may not always misalign enough to drop a message;
@@ -221,8 +220,9 @@ fn disabling_pairwise_sync_costs_serialization() {
     let run = |opts: BuildOptions, jitter: f64| {
         let programs = build_with_options(d, &[5], m, opts);
         let cfg = SimConfig::ipsc860(d).with_jitter(jitter, 99);
-        let mut sim = Simulator::new(cfg, programs, stamped_memories(d, m));
-        sim.run().map(|r| (r.finish_time.as_us(), r.stats.nic_serialization_events))
+        SimArena::new()
+            .run(&cfg, &programs, stamped_memories(d, m))
+            .map(|r| (r.finish_time.as_us(), r.stats.nic_serialization_events))
     };
     // With sync and jitter: exchange still completes near model time.
     let (t_sync, _) = run(base, 0.05).unwrap();

@@ -13,10 +13,12 @@ use mce_core::perm_router::{
 };
 use mce_core::verify::stamped_memories;
 use mce_hypercube::NodeId;
+use mce_simnet::batch::RunSpec;
 use mce_simnet::{
-    BackgroundStream, CwndAlg, FlowCtl, JobSpec, LinkPolicy, NetCondition, Program, SimConfig,
-    SimStats, Simulator,
+    BackgroundStream, CwndAlg, FlowCtl, JobSpec, LinkPolicy, NetCondition, Program, SimArena,
+    SimConfig, SimStats, TraceConfig,
 };
+use std::sync::Arc;
 
 /// FNV-1a over all node memories (length-prefixed per node), matching
 /// the determinism-snapshot digest.
@@ -121,9 +123,9 @@ fn workload_spec(workload: usize) -> (SimConfig, Vec<Program>, Vec<Vec<u8>>) {
 fn run(workload: usize, trace: bool, shards: u32) -> mce_simnet::SimResult {
     let (cfg, programs, memories) = workload_spec(workload);
     let cfg = if shards > 1 { cfg.with_shards(shards) } else { cfg };
-    let sim = Simulator::new(cfg, programs, memories);
-    let mut sim = if trace { sim.with_trace() } else { sim };
-    sim.run().unwrap()
+    let trace = trace.then(TraceConfig::default);
+    let spec = RunSpec { cfg, programs: Arc::new(programs), memories: memories.into(), trace };
+    SimArena::new().run_spec(spec).unwrap()
 }
 
 /// Full-stats bit-identity between a trace-off and a trace-on run of

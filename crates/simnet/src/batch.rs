@@ -1,26 +1,24 @@
 //! Batch execution of independent simulator runs.
 //!
 //! Every figure, ablation row, property suite and verification pass in
-//! this repository is a fan-out of *independent* deterministic
-//! [`Simulator`](crate::Simulator) runs. The one-shot `Simulator` is
-//! the right tool for a single run; for many runs it rebuilds every
-//! pooled allocation (payload buffers, event heap, wait-queue tables,
-//! link table, per-node state) and recompiles the programs each time.
-//! This module batches the runs instead:
+//! this repository is a fan-out of *independent* deterministic runs.
+//! One run on a fresh [`SimArena`] builds every pooled allocation
+//! (payload buffers, event heap, wait-queue tables, link table,
+//! per-node state) from scratch and compiles its programs; this module
+//! batches the runs instead:
 //!
 //! * [`SimBatch`] is a builder: one base [`SimConfig`] template plus a
-//!   list of variant runs — seed sweeps for jitter replicates
-//!   ([`SimBatch::seed_sweep`]), block-size ladders
-//!   ([`SimBatch::block_ladder`]), co-tenancy sweeps
-//!   ([`SimBatch::stagger_sweep`], [`SimBatch::tenancy_ladder`],
-//!   [`SimBatch::policy_sweep`]), or one explicit config per run
+//!   list of variant runs — jitter-replicate seed sweeps
+//!   ([`SimBatch::seed_sweep`]) or one run per call under the base
+//!   config ([`SimBatch::push_run`]) or an explicit one
 //!   ([`SimBatch::push_with_config`], how the robustness, switching
 //!   and interference studies build their scenario lists).
 //!   [`SimBatch::run`] executes them rayon-parallel with one
 //!   [`SimArena`] per worker; results come back in push order.
 //! * [`SimArena`] (re-exported from the engine) drives any number of
-//!   runs over reused allocations, plus a compiled-program cache for
-//!   program sets shared across runs via `Arc`.
+//!   runs over reused allocations. Program sets shared across runs via
+//!   `Arc` are compiled once per process: the compile cache is
+//!   process-wide (see [`crate::compile`]), not per arena.
 //! * [`run_cells`] is the streaming fan-out for heterogeneous sweeps
 //!   (one programs/memories build per cell): the build closure runs on
 //!   the worker thread, so only ~one cell per core is materialized at
@@ -29,18 +27,17 @@
 //!
 //! # When to use what
 //!
-//! * One run, or a run whose memories you want moved (not cloned) into
-//!   the result: one-shot [`Simulator`](crate::Simulator).
-//! * A handful of runs driven by hand on one thread:
-//!   [`SimArena::run`] (compile per run) or [`SimArena::run_shared`]
-//!   (`Arc`-shared set, compile cached); [`SimArena::run_spec`] takes
-//!   a whole [`RunSpec`] and picks between the two itself. These three
-//!   and `Simulator::run` are the only doors into the engine; tracing
-//!   is not a separate door but the [`RunSpec::trace`] field
-//!   ([`SimBatch::push_traced`]) or `Simulator::with_trace`, and a
-//!   bound is not one either: [`SimArena::run_until`] is `run` with
-//!   one more argument, for a caller that compares runs and holds a
-//!   finish time to beat.
+//! * One run, or a handful driven by hand on one thread:
+//!   [`SimArena::run`] (compile per run; a one-off run is
+//!   `SimArena::new().run(..)`, its memories moved into the result) or
+//!   [`SimArena::run_shared`] (`Arc`-shared set, compile cached);
+//!   [`SimArena::run_spec`] takes a whole [`RunSpec`] and picks
+//!   between the two itself. These three and [`SimArena::run_until`]
+//!   are the only doors into the engine. Tracing is not a separate
+//!   door but the [`RunSpec::trace`] field ([`SimBatch::push_traced`]
+//!   in a batch), and a bound is not one either: `run_until` is `run`
+//!   with one more argument, for a caller that compares runs and holds
+//!   a finish time to beat.
 //! * N runs of *shared* programs (seed and config sweeps): a
 //!   [`SimBatch`] with `Arc`-shared programs and memories — compile
 //!   once, simulate N times.
@@ -50,26 +47,19 @@
 //! # Error contract and determinism
 //!
 //! Arena reuse is observationally invisible: every run starts from
-//! fully reset state and produces bit-identical results to a one-shot
-//! `Simulator` (pinned by the determinism-snapshot suite in
-//! `mce-core`). Failures on these run paths are typed [`SimError`]s,
-//! never panics: re-running a spent `Simulator` is
-//! [`SimError::AlreadyRan`], a self-send is rejected at compile time
-//! as [`SimError::SelfSend`], and a bad config (negative jitter,
-//! oversized dimension, wrong program/memory counts) is
+//! fully reset state and produces bit-identical results to a run on a
+//! fresh arena (pinned by the determinism-snapshot suite in
+//! `mce-core`). Failures on every door are typed [`SimError`]s, never
+//! panics: a self-send is rejected at compile time as
+//! [`SimError::SelfSend`], and a bad config (a jitter fraction outside
+//! `[0, 1)`, oversized dimension, wrong program/memory counts) is
 //! [`SimError::InvalidConfig`] before any simulated time elapses.
-//! (The one exception is the eager [`Simulator::new`](crate::Simulator::new)
-//! constructor, which keeps its documented assert on program/memory
-//! counts; the arena and batch entry points report the same condition
-//! as `InvalidConfig`.)
 
 use crate::config::SimConfig;
 pub use crate::engine::SimArena;
 use crate::engine::{SimError, SimResult};
-use crate::netcond::{LinkPolicy, NetCondition};
 use crate::program::Program;
 use crate::trace::TraceConfig;
-use crate::traffic::JobSpec;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -117,7 +107,7 @@ pub struct RunSpec {
     /// Configuration of this run.
     pub cfg: SimConfig,
     /// Per-node programs, `Arc`-shared so sweeps over one program set
-    /// hit the arena's compile cache.
+    /// hit the process-wide compile cache.
     pub programs: Arc<Vec<Program>>,
     /// Initial node memories.
     pub memories: Memories,
@@ -132,8 +122,8 @@ impl SimArena {
         let RunSpec { cfg, programs, memories, trace } = spec;
         // A spec that owns the last Arc to its program set can never
         // see that set again: compile uncached instead of pinning a
-        // dead cache entry (run_cells grids and block ladders build
-        // unique programs per cell).
+        // dead cache entry (run_cells grids build unique programs per
+        // cell).
         let shared = (Arc::strong_count(&programs) > 1).then_some(&programs);
         self.run_one(&cfg, &programs, shared, memories.materialize(), trace.as_ref())
     }
@@ -253,93 +243,9 @@ impl SimBatch {
         start..self.runs.len()
     }
 
-    /// Queue one co-tenant run per start stagger: run `i` keeps the
-    /// given job shapes but spaces their start offsets `0, s_i, 2·s_i,
-    /// ...` apart. The composed programs are stagger-independent (the
-    /// offsets live in the config), so one `Arc`-shared set serves the
-    /// whole sweep and hits the arena's compile cache. Returns the
-    /// result index range.
-    pub fn stagger_sweep(
-        &mut self,
-        jobs: &[JobSpec],
-        staggers_ns: impl IntoIterator<Item = u64>,
-        programs: &Arc<Vec<Program>>,
-        memories: &Arc<Vec<Vec<u8>>>,
-    ) -> Range<usize> {
-        let start = self.runs.len();
-        for s in staggers_ns {
-            let mut cfg = self.base.clone();
-            cfg.jobs = jobs
-                .iter()
-                .enumerate()
-                .map(|(j, spec)| JobSpec { start_ns: j as u64 * s, ..spec.clone() })
-                .collect();
-            self.push_with_config(cfg, Arc::clone(programs), memories);
-        }
-        start..self.runs.len()
-    }
-
-    /// Queue one run per co-tenancy mix (each mix a full job-spec list
-    /// — different partitions, block sizes, flow policies), with
-    /// `build` producing that mix's composed context programs and
-    /// memories (see [`crate::traffic::compose_programs`]). Returns the
-    /// result index range.
-    pub fn tenancy_ladder(
-        &mut self,
-        mixes: Vec<Vec<JobSpec>>,
-        mut build: impl FnMut(&[JobSpec]) -> (Vec<Program>, Vec<Vec<u8>>),
-    ) -> Range<usize> {
-        let start = self.runs.len();
-        for mix in mixes {
-            let (programs, memories) = build(&mix);
-            let mut cfg = self.base.clone();
-            cfg.jobs = mix;
-            self.push_with_config(cfg, Arc::new(programs), memories);
-        }
-        start..self.runs.len()
-    }
-
-    /// Queue the same co-tenant workload once per link policy (`None`
-    /// is the blocking-sources baseline), so a sweep answers "which
-    /// flow-control regime restores fairness?" in one batch. Returns
-    /// the result index range.
-    pub fn policy_sweep(
-        &mut self,
-        policies: impl IntoIterator<Item = Option<LinkPolicy>>,
-        jobs: &[JobSpec],
-        programs: &Arc<Vec<Program>>,
-        memories: &Arc<Vec<Vec<u8>>>,
-    ) -> Range<usize> {
-        let start = self.runs.len();
-        for policy in policies {
-            let mut cfg = self.base.clone();
-            if let Some(p) = policy {
-                cfg.netcond.get_or_insert_with(NetCondition::default).link_policy = Some(p);
-            }
-            cfg.jobs = jobs.to_vec();
-            self.push_with_config(cfg, Arc::clone(programs), memories);
-        }
-        start..self.runs.len()
-    }
-
-    /// Queue one run per block size, with `build` producing that
-    /// size's programs and memories. Returns the result index range.
-    pub fn block_ladder(
-        &mut self,
-        sizes: &[usize],
-        mut build: impl FnMut(usize) -> (Vec<Program>, Vec<Vec<u8>>),
-    ) -> Range<usize> {
-        let start = self.runs.len();
-        for &m in sizes {
-            let (programs, memories) = build(m);
-            self.push_run(Arc::new(programs), memories);
-        }
-        start..self.runs.len()
-    }
-
     /// Execute the batch rayon-parallel, one [`SimArena`] per worker
-    /// thread. Results are in push order; each is exactly what a
-    /// one-shot [`Simulator`](crate::Simulator) of that spec returns.
+    /// thread. Results are in push order; each is exactly what
+    /// [`SimArena::run_spec`] on a fresh arena returns for that spec.
     pub fn run(self) -> Vec<Result<SimResult, SimError>> {
         rayon::parallel_map_init(self.runs, SimArena::new, |arena, spec| arena.run_spec(spec))
     }
@@ -373,7 +279,7 @@ pub fn run_cells<T: Send, U: Send>(
 mod tests {
     use super::*;
     use crate::message::Tag;
-    use crate::netcond::Cable;
+    use crate::netcond::{Cable, NetCondition};
     use crate::program::Op;
     use mce_hypercube::NodeId;
 
@@ -487,11 +393,14 @@ mod tests {
     fn block_ladder_runs_every_size() {
         let sizes = [16usize, 64, 256];
         let mut batch = SimBatch::new(SimConfig::ipsc860(2));
-        let range = batch.block_ladder(&sizes, |m| {
-            let (programs, memories) = one_way(2, m);
-            (Vec::clone(&programs), Vec::clone(&memories))
-        });
-        assert_eq!(range, 0..3);
+        let indices: Vec<usize> = sizes
+            .iter()
+            .map(|&m| {
+                let (programs, memories) = one_way(2, m);
+                batch.push_run(programs, Vec::clone(&memories))
+            })
+            .collect();
+        assert_eq!(indices, [0, 1, 2]);
         let results = batch.run();
         let times: Vec<u64> = results.into_iter().map(|r| r.unwrap().finish_time.as_ns()).collect();
         assert!(times[0] < times[1] && times[1] < times[2], "τm grows with m: {times:?}");
@@ -603,7 +512,7 @@ mod tests {
         let mut batch = SimBatch::new(SimConfig::ipsc860(3));
         batch.seed_sweep(0.05, 1..=2, &programs, &memories);
         let mut results = batch.run();
-        results.push(Err(SimError::AlreadyRan));
+        results.push(Err(SimError::SyncDeclarationViolated));
         let agg = agg::aggregate(&results);
         assert_eq!((agg.runs, agg.failures, agg.finish_us.n), (3, 1, 2));
     }

@@ -146,10 +146,8 @@ pub struct RunAggregate {
     /// set, µs (see [`crate::stats::SimStats::compile_ns`]): near-zero
     /// means on cache hits, one cold spike per distinct set otherwise.
     pub compile_us: MetricSummary,
-    /// Runs whose compilation came from their arena's own memo (the
-    /// mean is the local hit *rate* of the batch).
-    pub compile_local_hits: MetricSummary,
-    /// Runs served by the process-wide shared compile cache.
+    /// Runs served by the process-wide compile cache (the mean is the
+    /// hit *rate* of the batch).
     pub compile_shared_hits: MetricSummary,
     /// Runs that actually compiled. `mean * n` = distinct compilations
     /// of the batch; a sweep over one shared program set totals exactly
@@ -211,7 +209,6 @@ pub fn aggregate(results: &[Result<SimResult, SimError>]) -> RunAggregate {
         flow_drops: col(&|r| r.stats.flow_drops as f64),
         trace_events_dropped: col(&|r| r.stats.trace_events_dropped as f64),
         compile_us: col(&|r| r.stats.compile_ns as f64 / 1000.0),
-        compile_local_hits: col(&|r| r.stats.compile_local_hits as f64),
         compile_shared_hits: col(&|r| r.stats.compile_shared_hits as f64),
         compile_misses: col(&|r| r.stats.compile_misses as f64),
         job_slowdown_max: job_col(&|r| r.stats.job_slowdowns().into_iter().reduce(f64::max)),
@@ -261,7 +258,7 @@ mod tests {
                 },
             })
         };
-        let results = vec![mk(2, 1, 64), mk(4, 3, 192), Err(SimError::AlreadyRan)];
+        let results = vec![mk(2, 1, 64), mk(4, 3, 192), Err(SimError::SyncDeclarationViolated)];
         let agg = aggregate(&results);
         assert_eq!((agg.runs, agg.failures), (3, 1));
         assert_eq!(agg.shard_windows.n, 2);
@@ -278,7 +275,7 @@ mod tests {
     /// rate of the rest.
     #[test]
     fn aggregate_summarizes_compile_telemetry() {
-        let mk = |ns: u64, local: u64, shared: u64, miss: u64| {
+        let mk = |ns: u64, shared: u64, miss: u64| {
             Ok(SimResult {
                 finish_time: SimTime::from_us(1_000.0),
                 node_finish: Vec::new(),
@@ -286,22 +283,19 @@ mod tests {
                 trace: Vec::new(),
                 stats: SimStats {
                     compile_ns: ns,
-                    compile_local_hits: local,
                     compile_shared_hits: shared,
                     compile_misses: miss,
                     ..SimStats::default()
                 },
             })
         };
-        // One cold compile, one shared-cache hit, two local hits.
-        let results =
-            vec![mk(80_000, 0, 0, 1), mk(2_000, 0, 1, 0), mk(500, 1, 0, 0), mk(500, 1, 0, 0)];
+        // One cold compile, three cache hits.
+        let results = vec![mk(80_000, 0, 1), mk(2_000, 1, 0), mk(500, 1, 0), mk(500, 1, 0)];
         let agg = aggregate(&results);
         assert_eq!(agg.compile_us.n, 4);
         assert_eq!((agg.compile_us.min, agg.compile_us.max), (0.5, 80.0));
         assert_eq!(agg.compile_misses.mean * agg.compile_misses.n as f64, 1.0);
-        assert_eq!(agg.compile_local_hits.mean, 0.5);
-        assert_eq!(agg.compile_shared_hits.mean, 0.25);
+        assert_eq!(agg.compile_shared_hits.mean, 0.75);
     }
 
     /// Fairness summaries sample only the multi-tenant runs: the

@@ -50,20 +50,22 @@
 //! compilers existed and agreed (the d9 and d11 sets: on the walk
 //! before it numbered slots as it went).
 //!
-//! # Process-wide shared compile cache
+//! # The compile cache
 //!
-//! `SimBatch` runs one [`crate::SimArena`] per worker, and every worker
-//! used to compile a shared program set once per *arena*. The shared
-//! cache (`shared_compiled_for`) makes it once per *process*: a
-//! sharded `Mutex` map keyed on program-set `Arc` identity + memory
-//! lengths, holding the `Arc<Vec<Program>>` alive so pointer identity
-//! cannot be recycled while an entry lives. A miss compiles **under
-//! the shard lock**, so concurrent workers asking for the same set
-//! block and then hit — each distinct set is compiled exactly once
-//! (pinned via the [`crate::SimStats`] compile telemetry). Entries
-//! evict least-recently-stamped per shard; compile *errors* are never
-//! cached. The per-arena cache in front of it is a lock-free memo, so
-//! steady-state sweeps never touch the lock.
+//! A run of an `Arc`-shared program set ([`crate::SimArena::run_shared`],
+//! or [`crate::SimArena::run_spec`] with a set other owners still hold)
+//! takes its compilation from one process-wide cache
+//! (`shared_compiled_for`), the only compile cache there is: `SimBatch`
+//! runs one [`crate::SimArena`] per worker, and the cache makes a set
+//! compile once per *process*, not once per arena. It is a sharded
+//! `Mutex` map keyed on program-set `Arc` identity + memory lengths,
+//! holding the `Arc<Vec<Program>>` alive so pointer identity cannot be
+//! recycled while an entry lives. A miss compiles **under the shard
+//! lock**, so concurrent workers asking for the same set block and then
+//! hit — each distinct set is compiled exactly once (pinned via the
+//! [`crate::SimStats`] compile telemetry). Entries evict
+//! least-recently-stamped per shard; compile *errors* are never cached.
+//! A hit costs one uncontended lock, small beside the run it serves.
 
 use crate::engine::{SimError, MAX_HOPS, NO_SLOT};
 use crate::fxhash::FxHashMap;
@@ -326,8 +328,7 @@ pub(crate) fn compile(programs: &[Program], memories: &[Vec<u8>]) -> Result<Comp
 /// handful of `SimBatch` workers, so a few shards suffice.
 const SHARED_SHARDS: usize = 8;
 /// Entries kept per shard. Entries pin their (possibly large) program
-/// sets alive, so the cap is deliberately small; the per-arena memos
-/// in front keep their own 32 entries each.
+/// sets alive, so the cap is deliberately small.
 const SHARED_SHARD_CAP: usize = 8;
 
 /// One shared-cache entry: the program set is kept alive so its

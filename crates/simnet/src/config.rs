@@ -120,9 +120,10 @@ impl SimConfig {
 
     /// Enable deterministic jitter, emulating the "much more complex"
     /// behaviour of real hardware that the paper observes around its
-    /// model predictions.
+    /// model predictions. `frac` must lie in `[0, 1)`; any other value
+    /// is stored as given and fails [`SimConfig::validate`], so a run
+    /// of the config is a typed [`crate::SimError::InvalidConfig`].
     pub fn with_jitter(mut self, frac: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&frac), "jitter fraction must be in [0,1)");
         self.jitter_frac = frac;
         self.seed = seed;
         self
@@ -321,6 +322,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Program, SimError};
 
     #[test]
     fn transmission_durations_match_paper_constants() {
@@ -353,9 +355,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "jitter")]
     fn rejects_bad_jitter() {
-        let _ = SimConfig::ipsc860(3).with_jitter(1.5, 1);
+        let c = SimConfig::ipsc860(3).with_jitter(1.5, 1);
+        assert_eq!(c.jitter_frac, 1.5, "the builder stores what it is given");
+        let n = c.num_nodes();
+        match crate::SimArena::new().run(&c, &vec![Program::empty(); n], vec![Vec::new(); n]) {
+            Err(SimError::InvalidConfig { reason }) => {
+                assert!(reason.contains("jitter"), "{reason}")
+            }
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
     }
 
     #[test]

@@ -68,7 +68,7 @@ use crate::shard::{PhaseMode, ShardPlan};
 use crate::stats::{JobStats, SimStats};
 use crate::time::SimTime;
 use crate::trace::{FlowKind, TraceConfig, TraceEvent, TraceSink, WaitCause};
-use crate::traffic::{CongAlg, CwndState, FlowCtl};
+use crate::traffic::{CwndState, FlowCtl};
 use mce_hypercube::routing::DirectedLink;
 use mce_hypercube::NodeId;
 use std::collections::VecDeque;
@@ -117,11 +117,6 @@ pub enum SimError {
         /// Index of the offending op in that node's program.
         op: usize,
     },
-    /// [`Simulator::run`] was called a second time. A `Simulator` is
-    /// single-shot (its initial memories are moved into the run); use
-    /// [`crate::batch::SimArena`] to drive many runs over reused
-    /// allocations.
-    AlreadyRan,
     /// The [`crate::SimConfig`] failed [`crate::SimConfig::validate`].
     InvalidConfig {
         /// Validator message.
@@ -203,9 +198,6 @@ impl std::fmt::Display for SimError {
                     f,
                     "self-send at node {node} op {op}: use Permute/Compute for local data movement"
                 )
-            }
-            SimError::AlreadyRan => {
-                write!(f, "Simulator::run is single-shot; build a new Simulator or use SimArena")
             }
             SimError::InvalidConfig { reason } => write!(f, "invalid config: {reason}"),
             SimError::Unroutable { src, dst } => write!(
@@ -531,111 +523,21 @@ enum Event {
     Retransmit(TransmissionId),
 }
 
-/// The simulator. Construct with programs and initial memories, then
-/// call [`Simulator::run`].
-pub struct Simulator {
-    cfg: SimConfig,
-    programs: Vec<Program>,
-    memories: Vec<Vec<u8>>,
-    trace: Option<TraceConfig>,
-    ran: bool,
-}
-
-impl Simulator {
-    /// Create a simulator for `cfg.total_contexts()` node contexts
-    /// (equal to `cfg.num_nodes()` on single-tenant configs; a
-    /// multi-job config takes one program/memory per job per node,
-    /// composed by [`crate::traffic::compose_programs`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `programs` or `memories` have the wrong length.
-    pub fn new(cfg: SimConfig, programs: Vec<Program>, memories: Vec<Vec<u8>>) -> Self {
-        assert_eq!(programs.len(), cfg.total_contexts(), "one program per node context required");
-        assert_eq!(memories.len(), cfg.total_contexts(), "one memory per node context required");
-        Simulator { cfg, programs, memories, trace: None, ran: false }
-    }
-
-    /// Enable structured event tracing with the default ring capacity
-    /// (see [`crate::trace`]).
-    pub fn with_trace(mut self) -> Self {
-        self.trace = Some(TraceConfig::default());
-        self
-    }
-
-    /// Enable structured event tracing with an explicit config.
-    pub fn with_trace_config(mut self, trace: TraceConfig) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Run to completion, returning timings, statistics and final
-    /// memories, or an error describing the failure.
-    ///
-    /// The initial memories are moved into the run and handed back in
-    /// [`SimResult::memories`] without a defensive copy, so a
-    /// simulator is single-shot: a second call returns
-    /// [`SimError::AlreadyRan`] instead of simulating again. To drive
-    /// many runs over reused allocations, use a
-    /// [`SimArena`] (or [`crate::batch::SimBatch`]) instead of
-    /// rebuilding a `Simulator` per run.
-    pub fn run(&mut self) -> Result<SimResult, SimError> {
-        if self.ran {
-            return Err(SimError::AlreadyRan);
-        }
-        self.ran = true;
-        let mut arena = SimArena::new();
-        arena.run_one(
-            &self.cfg,
-            &self.programs,
-            None,
-            std::mem::take(&mut self.memories),
-            self.trace.as_ref(),
-        )
-    }
-}
-
-/// Cache slots kept for compiled program sets (see
-/// [`SimArena::run_shared`]); batches rarely cycle through more
-/// distinct shared program sets than this at once.
-const COMPILED_CACHE_CAP: usize = 32;
-
-/// One cached compilation: the program set is kept alive so its
-/// pointer identity cannot be recycled by a later allocation.
-struct CachedCompile {
-    programs: Arc<Vec<Program>>,
-    mem_lens: Vec<usize>,
-    compiled: Arc<Compiled>,
-    /// Last-touch stamp from [`SimArena::compile_stamp`]; the entry
-    /// with the smallest stamp is evicted when the cache is full.
-    stamp: u64,
-}
-
-/// Where [`SimArena::compiled_for`] found a compilation — feeds the
-/// [`SimStats`] compile telemetry counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum CompileSource {
-    /// Served by this arena's own lock-free memo.
-    LocalHit,
-    /// Served by the process-wide shared cache (another arena, or an
-    /// earlier epoch of this one, compiled it).
-    SharedHit,
-    /// Nobody had it: this call ran the compiler.
-    Miss,
-}
-
-/// Reusable simulation state: drives any number of runs while
-/// recycling the allocations that [`Simulator`] would otherwise
-/// rebuild per run — payload-buffer pools, the event heap and FIFO,
-/// wait-queue tables, per-node state, the link table (per dimension)
-/// and permute scratch — plus a compiled-program cache for program
-/// sets shared across runs (seed sweeps, config sweeps).
+/// The way into the engine: drives any number of runs while
+/// recycling the allocations a fresh arena would rebuild per run —
+/// payload-buffer pools, the event heap and FIFO, wait-queue tables,
+/// per-node state, the link table (per dimension) and permute scratch.
+/// Four doors start a run: [`SimArena::run`], [`SimArena::run_until`],
+/// [`SimArena::run_shared`] and [`SimArena::run_spec`]. A shared
+/// program set's compilation comes from the process-wide cache (see
+/// [`crate::compile`]); the arena keeps no compile cache of its own.
 ///
 /// Arena reuse is invisible in the results: every run starts from
-/// fully reset state, so outputs are bit-identical to one-shot
-/// [`Simulator`] runs (pinned by the determinism-snapshot suite in
-/// `mce-core`). An arena is cheap to create; batch executors keep one
-/// per worker thread.
+/// fully reset state, so outputs are bit-identical to a run on a fresh
+/// arena (pinned by the determinism-snapshot suite in `mce-core`). An
+/// arena is cheap to create: a one-off run is
+/// `SimArena::new().run(..)`, and batch executors keep one per worker
+/// thread.
 #[derive(Default)]
 pub struct SimArena {
     nodes: Vec<NodeState>,
@@ -654,10 +556,6 @@ pub struct SimArena {
     pool: Vec<Vec<u8>>,
     scratch: Vec<u8>,
     sched: Scheduler,
-    compiled: Vec<CachedCompile>,
-    /// Monotonic touch counter backing the compile memo's LRU
-    /// eviction.
-    compile_stamp: u64,
     /// Per-shard sub-arenas recycling the window runtimes of the
     /// sharded driver (see [`crate::shard`]); empty until a
     /// `shards > 1` run happens on this arena.
@@ -683,8 +581,8 @@ impl SimArena {
 
     /// Run one simulation, reusing this arena's allocations. Programs
     /// are compiled for this run only; for program sets shared across
-    /// several runs prefer [`SimArena::run_shared`], which caches the
-    /// compilation.
+    /// several runs prefer [`SimArena::run_shared`], whose compilation
+    /// is cached process-wide.
     pub fn run(
         &mut self,
         cfg: &SimConfig,
@@ -720,8 +618,9 @@ impl SimArena {
     }
 
     /// Run a *shared* program set (identified by its `Arc`): the
-    /// compile pass is cached, so seed sweeps and config sweeps over
-    /// one program set compile once instead of once per run.
+    /// compile pass is cached process-wide, so seed sweeps and config
+    /// sweeps over one program set compile once instead of once per
+    /// run.
     pub fn run_shared(
         &mut self,
         cfg: &SimConfig,
@@ -732,8 +631,8 @@ impl SimArena {
     }
 
     /// The one run path behind every unbounded public door
-    /// ([`Simulator::run`], [`SimArena::run`], [`SimArena::run_shared`]
-    /// and [`SimArena::run_spec`]). `shared` is the compile-cache key: the
+    /// ([`SimArena::run`], [`SimArena::run_shared`] and
+    /// [`SimArena::run_spec`]). `shared` is the compile-cache key: the
     /// `Arc` identity of `programs` when later runs may present the
     /// same set again, `None` to compile for this run only. `trace`
     /// enables structured event capture (`None` = off).
@@ -762,64 +661,21 @@ impl SimArena {
     ) -> Result<Option<SimResult>, SimError> {
         check_shape(cfg, programs.len(), memories.len())?;
         let t0 = std::time::Instant::now();
-        let (compiled, source) = match shared {
-            Some(set) => self.compiled_for(set, &memories)?,
-            None => (Arc::new(compile(programs, &memories)?), CompileSource::Miss),
+        let (compiled, hit) = match shared {
+            Some(set) => shared_compiled_for(set, &memories)?,
+            None => (Arc::new(compile(programs, &memories)?), false),
         };
         let compile_ns = t0.elapsed().as_nanos() as u64;
         let Some(mut out) = self.run_compiled(cfg, &compiled, memories, trace, until)? else {
             return Ok(None);
         };
         out.stats.compile_ns = compile_ns;
-        match source {
-            CompileSource::LocalHit => out.stats.compile_local_hits = 1,
-            CompileSource::SharedHit => out.stats.compile_shared_hits = 1,
-            CompileSource::Miss => out.stats.compile_misses = 1,
+        if hit {
+            out.stats.compile_shared_hits = 1;
+        } else {
+            out.stats.compile_misses = 1;
         }
         Ok(Some(out))
-    }
-
-    /// Cached compile keyed on program-set identity + memory lengths
-    /// (compilation validates ranges against them). Two tiers: this
-    /// arena's own lock-free LRU memo in front, the process-wide
-    /// shared cache ([`shared_compiled_for`]) behind it — so N worker
-    /// arenas sweeping one shared set compile it once per *process*
-    /// and then never touch the shared lock again.
-    fn compiled_for(
-        &mut self,
-        programs: &Arc<Vec<Program>>,
-        memories: &[Vec<u8>],
-    ) -> Result<(Arc<Compiled>, CompileSource), SimError> {
-        self.compile_stamp += 1;
-        let stamp = self.compile_stamp;
-        let hit = self.compiled.iter_mut().find(|c| {
-            Arc::ptr_eq(&c.programs, programs)
-                && c.mem_lens.len() == memories.len()
-                && c.mem_lens.iter().zip(memories).all(|(&l, m)| l == m.len())
-        });
-        if let Some(c) = hit {
-            c.stamp = stamp;
-            return Ok((Arc::clone(&c.compiled), CompileSource::LocalHit));
-        }
-        let (compiled, shared_hit) = shared_compiled_for(programs, memories)?;
-        if self.compiled.len() >= COMPILED_CACHE_CAP {
-            let oldest = self
-                .compiled
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, c)| c.stamp)
-                .map(|(i, _)| i)
-                .expect("cap > 0");
-            self.compiled.swap_remove(oldest);
-        }
-        self.compiled.push(CachedCompile {
-            programs: Arc::clone(programs),
-            mem_lens: memories.iter().map(Vec::len).collect(),
-            compiled: Arc::clone(&compiled),
-            stamp,
-        });
-        let source = if shared_hit { CompileSource::SharedHit } else { CompileSource::Miss };
-        Ok((compiled, source))
     }
 
     fn run_compiled(

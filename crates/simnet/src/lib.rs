@@ -53,24 +53,26 @@
 //! deterministic background-traffic streams that contend for links
 //! with the algorithm under test. See the [`netcond`] module docs.
 //!
-//! A [`Simulator`] is **single-shot** (its initial memories move into
-//! the run; a second [`Simulator::run`] returns
-//! [`SimError::AlreadyRan`]). For fan-outs of independent runs —
-//! figure grids, seed sweeps, ablations — use the [`batch`] module:
-//! [`SimBatch`] runs variants of one [`SimConfig`] template
-//! rayon-parallel with per-worker [`SimArena`]s that reuse payload
-//! pools, event-queue allocations and compiled programs across runs,
-//! bit-identically to the equivalent one-shot runs. On the run and
-//! batch paths misuse surfaces as typed [`SimError`]s (`AlreadyRan`,
-//! `SelfSend`, `InvalidConfig`), not panics; only the eager
-//! constructors keep their documented asserts ([`Simulator::new`] on
-//! program/memory counts, [`SimConfig::with_jitter`] on the fraction
-//! range).
+//! Every run goes through a [`SimArena`], the one way into the engine:
+//! [`SimArena::run`] for programs compiled for that run,
+//! [`SimArena::run_shared`] for an `Arc`-shared program set whose
+//! compilation the process-wide cache keeps, [`SimArena::run_until`]
+//! for a run with a finish time to beat, and [`SimArena::run_spec`]
+//! for a whole [`batch::RunSpec`] (tracing included). A one-off run is
+//! `SimArena::new().run(..)`; an arena reused across runs recycles
+//! its payload pools and event-queue allocations, bit-identically to
+//! fresh arenas. For fan-outs of independent runs — figure grids, seed
+//! sweeps, ablations — use the [`batch`] module: [`SimBatch`] runs
+//! variants of one [`SimConfig`] template rayon-parallel with one
+//! arena per worker. Misuse surfaces as typed [`SimError`]s
+//! (`SelfSend`, `InvalidConfig`, ...), not panics: no constructor
+//! asserts on its arguments, and [`SimConfig::validate`] rejects a bad
+//! value before any simulated time elapses.
 //!
 //! # Example
 //!
 //! ```
-//! use mce_simnet::{Simulator, SimConfig, Program, Op, Tag};
+//! use mce_simnet::{Op, Program, SimArena, SimConfig, Tag};
 //! use mce_hypercube::NodeId;
 //!
 //! // Two nodes exchange 100 bytes with pairwise synchronization.
@@ -90,8 +92,7 @@
 //! let cfg = SimConfig::ipsc860(1);
 //! let programs = vec![node_program(1), node_program(0)];
 //! let memories = vec![vec![0xAA; 100], vec![0xBB; 100]];
-//! let mut sim = Simulator::new(cfg, programs, memories);
-//! let result = sim.run().unwrap();
+//! let result = SimArena::new().run(&cfg, &programs, memories).unwrap();
 //! assert_eq!(result.memories[0], vec![0xBB; 100]);
 //! assert_eq!(result.memories[1], vec![0xAA; 100]);
 //! // Barrier (150 µs) + sync (82.5 + 10.3) + data (95 + 39.4 + 10.3).
@@ -117,7 +118,7 @@ pub mod traffic;
 
 pub use batch::{SimArena, SimBatch};
 pub use config::SimConfig;
-pub use engine::{SimError, SimResult, Simulator};
+pub use engine::{SimError, SimResult};
 pub use message::{MsgKind, Tag};
 pub use netcond::{BackgroundStream, Cable, LinkPolicy, NetCondition, SpeedProfile};
 pub use program::{Op, Program};
@@ -125,4 +126,4 @@ pub use sched::CalendarQueue;
 pub use stats::{JobStats, SimStats};
 pub use time::SimTime;
 pub use trace::{FlowKind, TraceConfig, TraceEvent, TraceRing, WaitCause};
-pub use traffic::{CongAlg, CwndAlg, FlowCtl, JobSpec};
+pub use traffic::{CwndAlg, FlowCtl, JobSpec};

@@ -11,7 +11,7 @@
 //!
 //! # Partitioning rule
 //!
-//! A [`ShardPlan`] names `k` node-address bits (`dims`); node `x`
+//! A `ShardPlan` names `k` node-address bits (`dims`); node `x`
 //! belongs to the shard selected by the values of those bits. Each
 //! shard then owns a subcube of `2^(d-k)` nodes — contiguous when the
 //! plan uses the top `k` bits, an interleaved coset otherwise — and
@@ -117,21 +117,23 @@
 use crate::config::{SimConfig, SwitchingMode};
 
 /// The shard layout of one windowed phase: how many shards, and which
-/// node-address bits select a node's shard.
+/// node-address bits select a node's shard. Crate-private: its
+/// constructors trust their shard count to be one
+/// [`SimConfig::validate`] accepted (a power of two, at most `2^d`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardPlan {
+pub(crate) struct ShardPlan {
     /// Number of shards (`2^k`).
-    pub count: u32,
+    pub(crate) count: u32,
     /// Bitmask over node-address bits: the values of these `k` bits
     /// form the shard index (in ascending bit order).
-    pub dims: u32,
+    pub(crate) dims: u32,
 }
 
 impl ShardPlan {
     /// The default layout for `shards` (a power of two, validated by
     /// [`SimConfig::validate`]) on a `d`-cube: the top `k` address
     /// bits, giving contiguous shards.
-    pub fn new(d: u32, shards: u32) -> Self {
+    pub(crate) fn new(d: u32, shards: u32) -> Self {
         let k = shards.trailing_zeros();
         debug_assert!(shards.is_power_of_two() && k <= d);
         let dims = if k == 0 { 0 } else { ((shards - 1) << (d - k)) & cube_mask(d) };
@@ -145,7 +147,7 @@ impl ShardPlan {
     /// when no bit is free at all (every axis would be crossed, so the
     /// phase must run globally). Preferring top bits keeps the classic
     /// contiguous layout whenever it is valid.
-    pub fn avoiding(d: u32, shards: u32, used: u32) -> Option<Self> {
+    pub(crate) fn avoiding(d: u32, shards: u32, used: u32) -> Option<Self> {
         debug_assert!(shards.is_power_of_two() && shards.trailing_zeros() <= d);
         let mut free = cube_mask(d) & !used;
         let k = shards.trailing_zeros().min(free.count_ones());
@@ -162,7 +164,7 @@ impl ShardPlan {
     /// Shard owning node `x`: the plan's address bits of `x`, packed
     /// in ascending bit order.
     #[inline]
-    pub fn shard_of(&self, x: u32) -> u32 {
+    pub(crate) fn shard_of(&self, x: u32) -> u32 {
         let mut out = 0;
         let mut next = 0;
         let mut dims = self.dims;
@@ -176,12 +178,12 @@ impl ShardPlan {
     }
 
     /// Number of nodes per shard on a `d`-cube.
-    pub fn nodes_per_shard(&self, d: u32) -> usize {
+    pub(crate) fn nodes_per_shard(&self, d: u32) -> usize {
         (1usize << d) / self.count as usize
     }
 
     /// Fill `out` with shard `s`'s nodes in ascending address order.
-    pub fn nodes_of(&self, d: u32, s: u32, out: &mut Vec<u32>) {
+    pub(crate) fn nodes_of(&self, d: u32, s: u32, out: &mut Vec<u32>) {
         out.clear();
         let free = cube_mask(d) & !self.dims;
         let base = deposit(s, self.dims);

@@ -11,8 +11,8 @@ use std::collections::BTreeMap;
 /// telemetry fields (`compile_ns` and the cache hit/miss counters)
 /// describe host-side work — wall-clock time and which cache served
 /// the compilation — so the manual [`PartialEq`] below excludes them.
-/// Two bit-identical runs stay `==` whether their compiles were cold,
-/// locally memoized, or served by the process-wide shared cache.
+/// Two bit-identical runs stay `==` whether their compiles were cold
+/// or served by the process-wide compile cache.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SimStats {
     /// Total transmissions started.
@@ -86,11 +86,14 @@ pub struct SimStats {
     /// a cache probe on a hit. Host-side measurement, excluded from
     /// equality and not folded by `absorb`.
     pub compile_ns: u64,
-    /// Compile telemetry: 1 if this run's compilation was served by
-    /// its arena's own memo ([`crate::SimArena::run_shared`] path).
+    /// Always 0: counted hits in the retired per-arena compile memo.
+    /// Kept because the perf ledger reads it as
+    /// `simnet.compile.local_hits`; goes with the ledger's next
+    /// revision.
     pub compile_local_hits: u64,
-    /// Compile telemetry: 1 if it was served by the process-wide
-    /// shared cache (compiled earlier by another worker arena).
+    /// Compile telemetry: 1 if this run's compilation was served by
+    /// the process-wide compile cache (compiled by an earlier run of
+    /// the same `Arc`-shared set, on any arena).
     pub compile_shared_hits: u64,
     /// Compile telemetry: 1 if this run actually ran the compiler.
     /// Summed over a sweep, this counts distinct

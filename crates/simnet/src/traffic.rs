@@ -22,12 +22,12 @@
 //!   on a circuit forever, a flow-controlled send that is refused
 //!   (drop-tail / NACK at circuit establishment) or lost (a lossy link
 //!   corrupting the payload) is retransmitted go-back-n style after a
-//!   deterministic backoff, paced by a [`CongAlg`] congestion window.
+//!   deterministic backoff, paced by a [`CwndState`] congestion window.
 //!   The engine's circuits complete synchronously end-to-end, so the
 //!   go-back-n window degenerates to one outstanding frame per source
 //!   (stop-and-wait); the congestion window instead modulates the
-//!   retransmission backoff — `rto · w_max / cwnd` — so an
-//!   [`Aimd`]-halved window doubles the source's backoff under
+//!   retransmission backoff — `rto · w_max / cwnd` — so an AIMD-halved
+//!   window ([`CwndAlg::Aimd`]) doubles the source's backoff under
 //!   sustained loss. Retries are bounded: a source that exhausts
 //!   [`FlowCtl::max_retries`] fails the run with the typed
 //!   [`crate::SimError::RetriesExhausted`], never a deadlock.
@@ -51,87 +51,22 @@ use crate::program::{Op, Program};
 use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
-/// Congestion-control hooks, in the style of a `CongAlg` trait: the
-/// engine notifies the source's window of every acknowledged circuit
-/// and every drop, and reads [`CongAlg::cwnd`] to pace retransmission
-/// backoff. Implementations must be deterministic pure state machines.
-pub trait CongAlg {
-    /// A circuit of this source completed end-to-end.
-    fn on_ack(&mut self);
-    /// A transmission of this source was dropped or refused.
-    fn on_drop(&mut self);
-    /// Current congestion window (≥ 1).
-    fn cwnd(&self) -> u32;
-    /// Largest window this algorithm can reach (the backoff scale
-    /// reference: backoff = rto · `window_max` / `cwnd`).
-    fn window_max(&self) -> u32;
-}
-
-/// Fixed-window congestion control: `cwnd` never moves, so backoff is
-/// a constant `rto`. The "dumb retransmitter" baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Fixed {
-    /// The constant window.
-    pub window: u32,
-}
-
-impl CongAlg for Fixed {
-    fn on_ack(&mut self) {}
-    fn on_drop(&mut self) {}
-    fn cwnd(&self) -> u32 {
-        self.window.max(1)
-    }
-    fn window_max(&self) -> u32 {
-        self.window.max(1)
-    }
-}
-
-/// Additive-increase / multiplicative-decrease: every ack grows the
-/// window by one (up to `window_max`), every drop halves it (down to
-/// one). A halved window doubles the retransmission backoff, so
-/// sources back off geometrically under sustained contention and
-/// recover linearly when circuits start completing again.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Aimd {
-    /// Ceiling of the window (also its initial value).
-    pub window_max: u32,
-    /// Current window.
-    pub window: u32,
-}
-
-impl Aimd {
-    /// A fresh window at its ceiling.
-    pub fn new(window_max: u32) -> Aimd {
-        let w = window_max.max(1);
-        Aimd { window_max: w, window: w }
-    }
-}
-
-impl CongAlg for Aimd {
-    fn on_ack(&mut self) {
-        self.window = (self.window + 1).min(self.window_max);
-    }
-    fn on_drop(&mut self) {
-        self.window = (self.window / 2).max(1);
-    }
-    fn cwnd(&self) -> u32 {
-        self.window
-    }
-    fn window_max(&self) -> u32 {
-        self.window_max
-    }
-}
-
 /// Declarative choice of congestion algorithm for one job — the
-/// serializable configuration form of the [`CongAlg`] implementations.
+/// serializable configuration form of a [`CwndState`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CwndAlg {
-    /// [`Fixed`]-window control.
+    /// Fixed-window control: `cwnd` never moves, so backoff is a
+    /// constant `rto`. The "dumb retransmitter" baseline.
     Fixed {
         /// The constant window.
         window: u32,
     },
-    /// [`Aimd`] control starting at (and capped by) `window_max`.
+    /// Additive-increase / multiplicative-decrease, starting at (and
+    /// capped by) `window_max`: every ack grows the window by one,
+    /// every drop halves it (down to one). A halved window doubles the
+    /// retransmission backoff, so sources back off geometrically under
+    /// sustained contention and recover linearly when circuits start
+    /// completing again.
     Aimd {
         /// Window ceiling and initial value.
         window_max: u32,
@@ -147,48 +82,54 @@ impl Default for CwndAlg {
 impl CwndAlg {
     /// Instantiate the runtime window state machine.
     pub fn instantiate(&self) -> CwndState {
-        match *self {
-            CwndAlg::Fixed { window } => CwndState::Fixed(Fixed { window: window.max(1) }),
-            CwndAlg::Aimd { window_max } => CwndState::Aimd(Aimd::new(window_max)),
-        }
+        let (window, adaptive) = match *self {
+            CwndAlg::Fixed { window } => (window, false),
+            CwndAlg::Aimd { window_max } => (window_max, true),
+        };
+        let window = window.max(1);
+        CwndState { window, window_max: window, adaptive }
     }
 }
 
-/// Runtime congestion-window state of one source: a closed enum over
-/// the shipped [`CongAlg`] implementations, so the engine's hot path
-/// stays static-dispatch and allocation-free.
+/// Runtime congestion window of one source, built by
+/// [`CwndAlg::instantiate`]: the engine notifies it of every
+/// acknowledged circuit and every drop, and reads [`CwndState::cwnd`]
+/// to pace retransmission backoff. A deterministic pure state machine,
+/// `Copy` and allocation-free on the engine's hot path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CwndState {
-    /// A [`Fixed`] window.
-    Fixed(Fixed),
-    /// An [`Aimd`] window.
-    Aimd(Aimd),
+pub struct CwndState {
+    /// Current window, in `1..=window_max`.
+    window: u32,
+    /// Ceiling of the window (also its initial value).
+    window_max: u32,
+    /// AIMD moves the window; a fixed window never does.
+    adaptive: bool,
 }
 
-impl CongAlg for CwndState {
-    fn on_ack(&mut self) {
-        match self {
-            CwndState::Fixed(a) => a.on_ack(),
-            CwndState::Aimd(a) => a.on_ack(),
+impl CwndState {
+    /// A circuit of this source completed end-to-end.
+    pub fn on_ack(&mut self) {
+        if self.adaptive {
+            self.window = (self.window + 1).min(self.window_max);
         }
     }
-    fn on_drop(&mut self) {
-        match self {
-            CwndState::Fixed(a) => a.on_drop(),
-            CwndState::Aimd(a) => a.on_drop(),
+
+    /// A transmission of this source was dropped or refused.
+    pub fn on_drop(&mut self) {
+        if self.adaptive {
+            self.window = (self.window / 2).max(1);
         }
     }
-    fn cwnd(&self) -> u32 {
-        match self {
-            CwndState::Fixed(a) => a.cwnd(),
-            CwndState::Aimd(a) => a.cwnd(),
-        }
+
+    /// Current congestion window (≥ 1).
+    pub fn cwnd(&self) -> u32 {
+        self.window
     }
-    fn window_max(&self) -> u32 {
-        match self {
-            CwndState::Fixed(a) => a.window_max(),
-            CwndState::Aimd(a) => a.window_max(),
-        }
+
+    /// Largest window this source can reach (the backoff scale
+    /// reference: backoff = rto · `window_max` / `cwnd`).
+    pub fn window_max(&self) -> u32 {
+        self.window_max
     }
 }
 
@@ -334,7 +275,7 @@ mod tests {
 
     #[test]
     fn aimd_halves_on_drop_and_recovers_linearly() {
-        let mut w = Aimd::new(8);
+        let mut w = CwndAlg::Aimd { window_max: 8 }.instantiate();
         assert_eq!(w.cwnd(), 8);
         w.on_drop();
         assert_eq!(w.cwnd(), 4);

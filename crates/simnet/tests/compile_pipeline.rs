@@ -1,9 +1,9 @@
 //! Black-box suite for the compiler (see `mce_simnet::compile`): the
 //! compiled tables of the *real* exchange builders pinned by frozen
 //! digests (d3–d9 in the default suite, the d11 `bigcube_cold` sets
-//! behind `--ignored`), the arena memo's LRU behaviour, the
-//! process-wide shared cache, and the exactly-once compile guarantee
-//! under `SimBatch`.
+//! behind `--ignored`), the LRU behaviour of the process-wide compile
+//! cache (the only compile cache), and the exactly-once compile
+//! guarantee under `SimBatch`.
 //!
 //! The file keeps the name it had when the repository had two
 //! compilers (a parallel pipeline and a sequential reference) and this
@@ -197,16 +197,16 @@ fn tiny_set(stamp: u8) -> (Arc<Vec<Program>>, Vec<Vec<u8>>) {
 }
 
 /// Regression for the old FIFO eviction: a hot program set rerun
-/// between interlopers must stay in the arena memo however many
-/// distinct sets pass through (FIFO evicted it after 32, LRU never
-/// does because every rerun touches it).
+/// between interlopers must stay in the compile cache however many
+/// distinct sets pass through (FIFO evicted it once its slots filled;
+/// LRU never does, because every rerun touches it).
 #[test]
 fn hot_compile_survives_interloper_eviction_pressure() {
     let cfg = SimConfig::ipsc860(2);
     let mut arena = SimArena::new();
     let (hot, hot_mem) = tiny_set(0);
     let first = arena.run_shared(&cfg, &hot, hot_mem.clone()).unwrap();
-    assert_eq!(first.stats.compile_local_hits, 0, "first sight cannot be a local hit");
+    assert_eq!(first.stats.compile_misses, 1, "first sight compiles");
     // Keep the interloper Arcs alive so none of their cache entries
     // dangle (entries pin their sets, but dropping the last external
     // Arc would let a later allocation reuse the address).
@@ -216,13 +216,9 @@ fn hot_compile_survives_interloper_eviction_pressure() {
         arena.run_shared(&cfg, &interloper, mem).unwrap();
         keep.push(interloper);
         let rerun = arena.run_shared(&cfg, &hot, hot_mem.clone()).unwrap();
-        assert_eq!(
-            rerun.stats.compile_local_hits,
-            1,
-            "hot set evicted after {} interlopers",
-            i + 1
-        );
-        assert_eq!(rerun.stats.compile_misses, 0);
+        assert_eq!(rerun.stats.compile_misses, 0, "hot set evicted after {} interlopers", i + 1);
+        assert_eq!(rerun.stats.compile_shared_hits, 1);
+        assert_eq!(rerun.stats.compile_local_hits, 0, "there is no per-arena memo");
     }
 }
 
@@ -235,7 +231,7 @@ fn shared_cache_serves_sets_across_arenas() {
     let memories = exchange_memories(3, 4);
     let mut first_arena = SimArena::new();
     let cold = first_arena.run_shared(&cfg, &programs, memories.clone()).unwrap();
-    assert_eq!(cold.stats.compile_local_hits, 0);
+    assert_eq!(cold.stats.compile_misses, 1);
     let mut second_arena = SimArena::new();
     let warm = second_arena.run_shared(&cfg, &programs, memories.clone()).unwrap();
     assert_eq!(
@@ -267,7 +263,7 @@ fn batch_sweep_compiles_each_distinct_set_exactly_once() {
         let stats: Vec<_> =
             results[range].iter().map(|r| r.as_ref().unwrap().stats.clone()).collect();
         let misses: u64 = stats.iter().map(|s| s.compile_misses).sum();
-        let hits: u64 = stats.iter().map(|s| s.compile_local_hits + s.compile_shared_hits).sum();
+        let hits: u64 = stats.iter().map(|s| s.compile_shared_hits).sum();
         assert_eq!(misses, 1, "set {set_idx}: exactly one compile per distinct set");
         assert_eq!(hits, 2, "set {set_idx}: every other replicate hits a cache");
         assert!(stats.iter().all(|s| s.compile_ns > 0), "set {set_idx}: timing recorded");

@@ -2,7 +2,7 @@
 //! contention, NIC serialization, FORCED/UNFORCED semantics, barriers.
 
 use mce_hypercube::NodeId;
-use mce_simnet::{MsgKind, Op, Program, SimArena, SimConfig, SimError, Simulator, Tag};
+use mce_simnet::{MsgKind, Op, Program, SimArena, SimConfig, SimError, Tag};
 
 fn empty_memories(n: usize, bytes: usize) -> Vec<Vec<u8>> {
     vec![vec![0u8; bytes]; n]
@@ -34,8 +34,7 @@ fn message_time_law_lambda_tau_delta() {
     for (dst, hops) in [(1u32, 1u32), (3, 2), (7, 3), (15, 4), (31, 5)] {
         for bytes in [1usize, 10, 100, 397] {
             let (programs, mems) = one_way(5, dst, bytes);
-            let mut sim = Simulator::new(SimConfig::ipsc860(5), programs, mems);
-            let r = sim.run().unwrap();
+            let r = SimArena::new().run(&SimConfig::ipsc860(5), &programs, mems).unwrap();
             let expect = 95.0 + 0.394 * bytes as f64 + 10.3 * hops as f64;
             assert!(
                 (r.finish_time.as_us() - expect).abs() < 1e-6,
@@ -49,16 +48,14 @@ fn message_time_law_lambda_tau_delta() {
 #[test]
 fn zero_byte_message_uses_lambda_zero() {
     let (programs, mems) = one_way(5, 1, 0);
-    let mut sim = Simulator::new(SimConfig::ipsc860(5), programs, mems);
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&SimConfig::ipsc860(5), &programs, mems).unwrap();
     assert!((r.finish_time.as_us() - (82.5 + 10.3)).abs() < 1e-6);
 }
 
 #[test]
 fn payload_is_delivered_intact() {
     let (programs, mems) = one_way(4, 11, 64);
-    let mut sim = Simulator::new(SimConfig::ipsc860(4), programs, mems);
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&SimConfig::ipsc860(4), &programs, mems).unwrap();
     let expect: Vec<u8> = (0..64).map(|i| i as u8).collect();
     assert_eq!(r.memories[11], expect);
     assert_eq!(r.stats.transmissions, 1);
@@ -89,8 +86,8 @@ fn edge_contention_serializes_circuits() {
             Op::wait_recv(NodeId(2), Tag::data(0, 2)),
         ],
     };
-    let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, empty_memories(n, bytes));
-    let r = sim.run().unwrap();
+    let r =
+        SimArena::new().run(&SimConfig::ipsc860(d), &programs, empty_memories(n, bytes)).unwrap();
     let t1 = 95.0 + 0.394 * 1000.0 + 10.3 * 5.0; // 0->31, 5 hops
     let t2 = 95.0 + 0.394 * 1000.0 + 10.3 * 3.0; // 2->23, 3 hops
                                                  // Node 0's circuit wins (issue order); node 2 waits out t1.
@@ -120,8 +117,8 @@ fn non_conflicting_circuits_run_concurrently() {
             Op::wait_recv(NodeId(14), Tag::data(0, 2)),
         ],
     };
-    let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, empty_memories(n, bytes));
-    let r = sim.run().unwrap();
+    let r =
+        SimArena::new().run(&SimConfig::ipsc860(d), &programs, empty_memories(n, bytes)).unwrap();
     let t1 = 95.0 + 0.394 * 1000.0 + 10.3 * 5.0;
     assert!((r.finish_time.as_us() - t1).abs() < 1e-6, "node contention is free");
     assert_eq!(r.stats.edge_contention_events, 0);
@@ -151,8 +148,8 @@ fn unsynchronized_bidirectional_exchange_serializes() {
             ],
         },
     ];
-    let mut sim = Simulator::new(SimConfig::ipsc860(1), programs, empty_memories(2, bytes));
-    let r = sim.run().unwrap();
+    let r =
+        SimArena::new().run(&SimConfig::ipsc860(1), &programs, empty_memories(2, bytes)).unwrap();
     // Node 0 transmits [0, 302.3). Node 1 wants to transmit at 50 µs
     // but its receiver has been busy since 0 (gap > window): it waits
     // until 302.3, then transmits until 604.6.
@@ -179,8 +176,8 @@ fn synchronized_bidirectional_exchange_is_concurrent() {
         ],
     };
     let programs = vec![mk(1), mk(0)];
-    let mut sim = Simulator::new(SimConfig::ipsc860(1), programs, empty_memories(2, bytes));
-    let r = sim.run().unwrap();
+    let r =
+        SimArena::new().run(&SimConfig::ipsc860(1), &programs, empty_memories(2, bytes)).unwrap();
     assert!((r.finish_time.as_us() - t_msg).abs() < 1e-6, "{}", r.finish_time.as_us());
     assert_eq!(r.stats.nic_serialization_events, 0);
 }
@@ -207,8 +204,8 @@ fn pairwise_sync_recovers_concurrency_despite_stagger() {
         Program { ops }
     };
     let programs = vec![mk(1, 0), mk(0, 50_000)];
-    let mut sim = Simulator::new(SimConfig::ipsc860(1), programs, empty_memories(2, bytes));
-    let r = sim.run().unwrap();
+    let r =
+        SimArena::new().run(&SimConfig::ipsc860(1), &programs, empty_memories(2, bytes)).unwrap();
     let t_sync = 82.5 + 10.3;
     let t_data = 95.0 + 0.394 * 500.0 + 10.3;
     // Node 0's sync goes out at 0 and lands at 92.8; node 1's sync
@@ -234,8 +231,9 @@ fn forced_message_without_posted_receive_is_dropped_and_deadlocks() {
             ],
         },
     ];
-    let mut sim = Simulator::new(SimConfig::ipsc860(1), programs, empty_memories(2, bytes));
-    let err = sim.run().unwrap_err();
+    let err = SimArena::new()
+        .run(&SimConfig::ipsc860(1), &programs, empty_memories(2, bytes))
+        .unwrap_err();
     match &err {
         SimError::Deadlock { stuck, forced_drops } => {
             assert_eq!(*forced_drops, 1);
@@ -261,8 +259,8 @@ fn mismatched_barrier_deadlocks_with_blocked_nodes_listed() {
     let n = 4usize;
     let mut programs = vec![Program::empty(); n];
     programs[0] = Program { ops: vec![Op::Barrier] };
-    let mut sim = Simulator::new(SimConfig::ipsc860(2), programs, empty_memories(n, 1));
-    let err = sim.run().unwrap_err();
+    let err =
+        SimArena::new().run(&SimConfig::ipsc860(2), &programs, empty_memories(n, 1)).unwrap_err();
     match &err {
         SimError::Deadlock { stuck, forced_drops } => {
             assert_eq!(*forced_drops, 0);
@@ -287,8 +285,9 @@ fn wait_for_a_message_nobody_sends_deadlocks_every_blocked_node() {
         ],
     };
     let programs = vec![mk(1), mk(0)];
-    let mut sim = Simulator::new(SimConfig::ipsc860(1), programs, empty_memories(2, bytes));
-    let err = sim.run().unwrap_err();
+    let err = SimArena::new()
+        .run(&SimConfig::ipsc860(1), &programs, empty_memories(2, bytes))
+        .unwrap_err();
     assert_eq!(err.blocked(), vec![NodeId(0), NodeId(1)]);
     match err {
         SimError::Deadlock { forced_drops, .. } => assert_eq!(forced_drops, 0),
@@ -322,8 +321,7 @@ fn deadlock_is_still_detected_under_background_traffic() {
         count: 10, // injections continue past the 10 ms starvation point
     });
     let cfg = SimConfig::ipsc860(1).with_netcond(nc);
-    let mut sim = Simulator::new(cfg, programs, empty_memories(2, bytes));
-    let err = sim.run().unwrap_err();
+    let err = SimArena::new().run(&cfg, &programs, empty_memories(2, bytes)).unwrap_err();
     assert_eq!(err.blocked(), vec![NodeId(1)]);
     match err {
         SimError::Deadlock { forced_drops, .. } => {
@@ -335,7 +333,7 @@ fn deadlock_is_still_detected_under_background_traffic() {
 
 #[test]
 fn blocked_is_empty_for_non_deadlock_errors() {
-    assert!(SimError::AlreadyRan.blocked().is_empty());
+    assert!(SimError::SyncDeclarationViolated.blocked().is_empty());
     assert!(SimError::Unroutable { src: NodeId(0), dst: NodeId(1) }.blocked().is_empty());
 }
 
@@ -363,8 +361,7 @@ fn unforced_message_is_buffered_across_late_post() {
     ];
     let mut mems = empty_memories(2, bytes);
     mems[0] = vec![7u8; bytes];
-    let mut sim = Simulator::new(SimConfig::ipsc860(1), programs, mems);
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&SimConfig::ipsc860(1), &programs, mems).unwrap();
     assert_eq!(r.memories[1], vec![7u8; bytes]);
     assert_eq!(r.stats.forced_drops, 0);
     // 10 bytes < 100-byte threshold: no reserve handshake.
@@ -390,8 +387,8 @@ fn large_unforced_message_pays_reserve_handshake() {
             ],
         },
     ];
-    let mut sim = Simulator::new(SimConfig::ipsc860(1), programs, empty_memories(2, bytes));
-    let r = sim.run().unwrap();
+    let r =
+        SimArena::new().run(&SimConfig::ipsc860(1), &programs, empty_memories(2, bytes)).unwrap();
     let base = 95.0 + 0.394 * 400.0 + 10.3;
     let handshake = 2.0 * (82.5 + 10.3);
     assert!((r.finish_time.as_us() - (base + handshake)).abs() < 1e-6);
@@ -404,8 +401,7 @@ fn barrier_costs_150_per_dimension_and_aligns_nodes() {
     let n = 1usize << d;
     let mk = |stagger_ns: u64| Program { ops: vec![Op::Compute { ns: stagger_ns }, Op::Barrier] };
     let programs: Vec<Program> = (0..n).map(|i| mk(i as u64 * 1000)).collect();
-    let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, empty_memories(n, 1));
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&SimConfig::ipsc860(d), &programs, empty_memories(n, 1)).unwrap();
     // Last node enters at 7 µs; release at 7 + 450 µs.
     assert!((r.finish_time.as_us() - (7.0 + 450.0)).abs() < 1e-6);
     assert_eq!(r.stats.barriers, 1);
@@ -420,8 +416,7 @@ fn permute_rearranges_blocks_and_costs_rho() {
     let programs = vec![Program { ops: vec![Op::Permute { perm, block_bytes: 8 }] }];
     let mut mems = vec![(0..32u8).collect::<Vec<u8>>()];
     let cfg = SimConfig::ipsc860(0);
-    let mut sim = Simulator::new(cfg, programs, std::mem::take(&mut mems));
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&cfg, &programs, std::mem::take(&mut mems)).unwrap();
     // Block i moved to position (i+1) % 4: block 3 now first.
     let expect: Vec<u8> = (24..32).chain(0..24).collect();
     assert_eq!(r.memories[0], expect);
@@ -433,8 +428,7 @@ fn marks_record_phase_times() {
     let programs = vec![Program {
         ops: vec![Op::Mark { label: 0 }, Op::Compute { ns: 5000 }, Op::Mark { label: 1 }],
     }];
-    let mut sim = Simulator::new(SimConfig::ipsc860(0), programs, empty_memories(1, 1));
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&SimConfig::ipsc860(0), &programs, empty_memories(1, 1)).unwrap();
     assert_eq!(r.stats.marks[&0].as_ns(), 0);
     assert_eq!(r.stats.marks[&1].as_ns(), 5000);
 }
@@ -444,14 +438,12 @@ fn determinism_same_seed_same_result() {
     let cfg = SimConfig::ipsc860(5).with_jitter(0.05, 1234);
     let mk = || {
         let (programs, mems) = one_way(5, 31, 250);
-        let mut sim = Simulator::new(cfg.clone(), programs, mems);
-        sim.run().unwrap().finish_time
+        SimArena::new().run(&cfg, &programs, mems).unwrap().finish_time
     };
     assert_eq!(mk(), mk());
     let cfg2 = SimConfig::ipsc860(5).with_jitter(0.05, 99);
     let (programs, mems) = one_way(5, 31, 250);
-    let mut sim = Simulator::new(cfg2, programs, mems);
-    let other = sim.run().unwrap().finish_time;
+    let other = SimArena::new().run(&cfg2, &programs, mems).unwrap().finish_time;
     assert_ne!(mk(), other, "different seed should perturb timing");
 }
 
@@ -466,26 +458,28 @@ fn size_mismatch_is_reported() {
             ],
         },
     ];
-    let mut sim = Simulator::new(SimConfig::ipsc860(1), programs, empty_memories(2, 16));
-    match sim.run() {
+    match SimArena::new().run(&SimConfig::ipsc860(1), &programs, empty_memories(2, 16)) {
         Err(SimError::SizeMismatch { posted: 4, sent: 10, .. }) => {}
         other => panic!("expected size mismatch, got {other:?}"),
     }
 }
 
+/// Rerunning is neither an error nor a panic: the same inputs run again
+/// on a spent arena yield the first run's result bit for bit. (The name
+/// is kept from the one-shot `Simulator`, whose second `run` returned a
+/// typed error; an arena has no spent state to report.)
 #[test]
 fn rerun_yields_already_ran_error_not_a_panic() {
-    // A Simulator is single-shot (its memories move into the run);
-    // calling run() again must surface as a typed error.
     let (programs, mems) = one_way(3, 2, 32);
-    let mut sim = Simulator::new(SimConfig::ipsc860(3), programs, mems);
-    assert!(sim.run().is_ok());
-    match sim.run() {
-        Err(SimError::AlreadyRan) => {}
-        other => panic!("expected AlreadyRan, got {other:?}"),
+    let cfg = SimConfig::ipsc860(3);
+    let mut arena = SimArena::new();
+    let first = arena.run(&cfg, &programs, mems.clone()).unwrap();
+    for _ in 0..2 {
+        let again = arena.run(&cfg, &programs, mems.clone()).unwrap();
+        assert_eq!(again.finish_time, first.finish_time);
+        assert_eq!(again.memories, first.memories);
+        assert_eq!(again.stats, first.stats);
     }
-    // And a third call keeps saying so.
-    assert!(matches!(sim.run(), Err(SimError::AlreadyRan)));
 }
 
 #[test]
@@ -501,8 +495,7 @@ fn self_send_rejected_at_compile_time_not_mid_run() {
             Op::send(NodeId(2), 0..8, Tag::data(0, 1)), // op index 1
         ],
     };
-    let mut sim = Simulator::new(SimConfig::ipsc860(2), programs, empty_memories(n, 8));
-    match sim.run() {
+    match SimArena::new().run(&SimConfig::ipsc860(2), &programs, empty_memories(n, 8)) {
         Err(SimError::SelfSend { node, op }) => {
             assert_eq!(node, NodeId(2));
             assert_eq!(op, 1);
@@ -516,8 +509,7 @@ fn invalid_config_rejected_up_front() {
     let mut cfg = SimConfig::ipsc860(2);
     cfg.jitter_frac = -0.25;
     let (programs, mems) = one_way(2, 1, 8);
-    let mut sim = Simulator::new(cfg, programs, mems);
-    match sim.run() {
+    match SimArena::new().run(&cfg, &programs, mems) {
         Err(SimError::InvalidConfig { reason }) => assert!(reason.contains("jitter"), "{reason}"),
         other => panic!("expected InvalidConfig, got {other:?}"),
     }
@@ -526,8 +518,7 @@ fn invalid_config_rejected_up_front() {
 #[test]
 fn invalid_program_rejected_up_front() {
     let programs = vec![Program { ops: vec![Op::wait_recv(NodeId(1), Tag::data(0, 1))] }];
-    let mut sim = Simulator::new(SimConfig::ipsc860(0), programs, empty_memories(1, 1));
-    match sim.run() {
+    match SimArena::new().run(&SimConfig::ipsc860(0), &programs, empty_memories(1, 1)) {
         Err(SimError::InvalidProgram { .. }) => {}
         other => panic!("expected invalid program, got {other:?}"),
     }
@@ -569,9 +560,8 @@ fn compile_checks_match_program_validate() {
         let expected = bad.validate(memory_len).expect_err("program must be invalid");
         let mut programs = vec![Program::empty(), Program::empty()];
         programs[0] = bad;
-        let mut sim =
-            Simulator::new(SimConfig::ipsc860(1), programs, empty_memories(2, memory_len));
-        match sim.run() {
+        match SimArena::new().run(&SimConfig::ipsc860(1), &programs, empty_memories(2, memory_len))
+        {
             Err(SimError::InvalidProgram { node, reason }) => {
                 assert_eq!(node, NodeId(0));
                 assert_eq!(reason, expected, "engine and validator must agree verbatim");
@@ -595,9 +585,9 @@ fn compile_checks_match_program_validate() {
             Op::wait_recv(NodeId(0), Tag::data(0, 1)),
         ],
     };
-    let mut sim =
-        Simulator::new(SimConfig::ipsc860(1), vec![good, echo], empty_memories(2, memory_len));
-    sim.run().unwrap();
+    SimArena::new()
+        .run(&SimConfig::ipsc860(1), &[good, echo], empty_memories(2, memory_len))
+        .unwrap();
 }
 
 /// A reversed byte range, and a permute span whose `usize` product

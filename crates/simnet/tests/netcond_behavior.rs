@@ -4,10 +4,13 @@
 
 use mce_hypercube::routing::DirectedLink;
 use mce_hypercube::NodeId;
+use mce_simnet::batch::RunSpec;
 use mce_simnet::netcond::{background_tag, Cable, SpeedProfile};
 use mce_simnet::{
-    BackgroundStream, NetCondition, Op, Program, SimConfig, SimError, Simulator, Tag, TraceEvent,
+    BackgroundStream, NetCondition, Op, Program, SimArena, SimConfig, SimError, Tag, TraceConfig,
+    TraceEvent,
 };
+use std::sync::Arc;
 
 fn empty_memories(n: usize, bytes: usize) -> Vec<Vec<u8>> {
     vec![vec![0u8; bytes]; n]
@@ -30,7 +33,14 @@ fn one_way(d: u32, dst: u32, bytes: usize) -> (Vec<Program>, Vec<Vec<u8>>) {
 }
 
 fn run(cfg: SimConfig, programs: Vec<Program>, mems: Vec<Vec<u8>>) -> mce_simnet::SimResult {
-    Simulator::new(cfg, programs, mems).run().unwrap()
+    SimArena::new().run(&cfg, &programs, mems).unwrap()
+}
+
+/// [`run`] with the default trace capture on.
+fn run_traced(cfg: SimConfig, programs: Vec<Program>, mems: Vec<Vec<u8>>) -> mce_simnet::SimResult {
+    let trace = Some(TraceConfig::default());
+    let spec = RunSpec { cfg, programs: Arc::new(programs), memories: mems.into(), trace };
+    SimArena::new().run_spec(spec).unwrap()
 }
 
 #[test]
@@ -92,10 +102,7 @@ fn dead_cable_reroutes_around_the_fault() {
     // must reroute 0 -> 2 -> 3 (alternate decomposition), same cost.
     let nc = NetCondition::default().with_fault(NodeId(0), 0);
     let (programs, mems) = one_way(2, 3, 80);
-    let r = Simulator::new(SimConfig::ipsc860(2).with_netcond(nc), programs, mems)
-        .with_trace()
-        .run()
-        .unwrap();
+    let r = run_traced(SimConfig::ipsc860(2).with_netcond(nc), programs, mems);
     assert_eq!(r.memories[3], (0..80).map(|i| i as u8).collect::<Vec<_>>());
     let nominal = 95.0 + 0.394 * 80.0 + 2.0 * 10.3;
     assert!((r.finish_time.as_us() - nominal).abs() < 1e-6, "same hop count, same time");
@@ -134,7 +141,7 @@ fn unroutable_fault_is_a_typed_error_before_any_simulated_time() {
     // makes the program unroutable up front.
     let (programs, mems) = one_way(3, 1, 16);
     let nc = NetCondition::default().with_fault(NodeId(0), 0);
-    match Simulator::new(SimConfig::ipsc860(3).with_netcond(nc), programs, mems).run() {
+    match SimArena::new().run(&SimConfig::ipsc860(3).with_netcond(nc), &programs, mems) {
         Err(SimError::Unroutable { src, dst }) => {
             assert_eq!((src, dst), (NodeId(0), NodeId(1)));
         }
@@ -148,7 +155,7 @@ fn fully_cut_corner_is_unroutable_even_with_wide_masks() {
     // has no live decomposition.
     let nc = NetCondition::default().with_fault(NodeId(0), 0).with_fault(NodeId(0), 1);
     let (programs, mems) = one_way(2, 3, 16);
-    match Simulator::new(SimConfig::ipsc860(2).with_netcond(nc), programs, mems).run() {
+    match SimArena::new().run(&SimConfig::ipsc860(2).with_netcond(nc), &programs, mems) {
         Err(SimError::Unroutable { src, dst }) => {
             assert_eq!((src, dst), (NodeId(0), NodeId(3)));
         }
@@ -235,7 +242,7 @@ fn background_injections_follow_the_schedule() {
     };
     let (programs, mems) = one_way(2, 1, 8);
     let cfg = SimConfig::ipsc860(2).with_netcond(NetCondition::default().with_background(stream));
-    let r = Simulator::new(cfg, programs, mems).with_trace().run().unwrap();
+    let r = run_traced(cfg, programs, mems);
     // The stream 2 -> 3 is one hop, so each injection is exactly one
     // background link-hold and hold starts map 1:1 to injections.
     let starts: Vec<u64> = r
@@ -311,7 +318,7 @@ fn conditioned_links_never_double_book() {
         count: 10,
     });
     let cfg = SimConfig::ipsc860(d).with_netcond(nc);
-    let r = Simulator::new(cfg, programs, empty_memories(n, bytes)).with_trace().run().unwrap();
+    let r = run_traced(cfg, programs, empty_memories(n, bytes));
     assert!(r.stats.background_transmissions > 0);
     assert_no_link_overlap(&r.trace);
 }

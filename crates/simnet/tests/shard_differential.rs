@@ -21,7 +21,7 @@
 
 use mce_core::builder::{build_multiphase_programs, build_with_options, BuildOptions};
 use mce_core::verify::stamped_memories;
-use mce_simnet::{NetCondition, Program, SimConfig, SimStats, Simulator};
+use mce_simnet::{NetCondition, Program, SimArena, SimConfig, SimStats};
 
 /// FNV-1a over all node memories — a compact identity witness so a
 /// divergence fails with a digest, not a megabyte dump.
@@ -53,7 +53,7 @@ fn comparable(stats: &SimStats) -> SimStats {
 }
 
 fn run(cfg: SimConfig, programs: &[Program], memories: &[Vec<u8>]) -> mce_simnet::SimResult {
-    Simulator::new(cfg, programs.to_vec(), memories.to_vec()).run().expect("run failed")
+    SimArena::new().run(&cfg, programs, memories.to_vec()).expect("run failed")
 }
 
 /// Run `cfg` sequentially and with `shards` shards; assert identity.
@@ -289,7 +289,7 @@ fn declared_sync_violation_is_a_typed_error() {
     let programs = vec![pair(1, false), pair(0, true), pair(3, false), pair(2, true)];
     let memories: Vec<Vec<u8>> = (0..4u8).map(|i| vec![0x10 + i; bytes]).collect();
     let cfg = SimConfig::ipsc860(2).with_shards(2).with_declared_sync();
-    let err = Simulator::new(cfg, programs, memories).run().unwrap_err();
+    let err = SimArena::new().run(&cfg, &programs, memories).unwrap_err();
     assert_eq!(err, SimError::SyncDeclarationViolated);
 }
 

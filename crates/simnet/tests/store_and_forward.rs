@@ -3,7 +3,7 @@
 //! the paper.
 
 use mce_hypercube::NodeId;
-use mce_simnet::{Op, Program, SimConfig, Simulator, Tag};
+use mce_simnet::{Op, Program, SimArena, SimConfig, Tag};
 
 fn one_way(d: u32, dst: u32, bytes: usize) -> (Vec<Program>, Vec<Vec<u8>>) {
     let n = 1usize << d;
@@ -27,8 +27,7 @@ fn saf_time_is_hops_times_hop_cost() {
         for bytes in [1usize, 100, 400] {
             let (programs, mems) = one_way(5, dst, bytes);
             let cfg = SimConfig::ipsc860(5).with_store_and_forward();
-            let mut sim = Simulator::new(cfg, programs, mems);
-            let r = sim.run().unwrap();
+            let r = SimArena::new().run(&cfg, &programs, mems).unwrap();
             let hop = 95.0 + 0.394 * bytes as f64 + 10.3;
             let expect = hops as f64 * hop;
             assert!(
@@ -71,8 +70,7 @@ fn saf_sender_is_released_after_first_hop() {
         ],
     };
     let cfg = SimConfig::ipsc860(3).with_store_and_forward();
-    let mut sim = Simulator::new(cfg, programs, vec![vec![9u8; bytes]; n]);
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&cfg, &programs, vec![vec![9u8; bytes]; n]).unwrap();
     let hop = 95.0 + 0.394 * 100.0 + 10.3; // 144.7
                                            // First message delivered at 3·hop = 434.1 (node 7 finish);
                                            // second send runs [hop, 2·hop], node 1 finishes at 289.4.
@@ -104,8 +102,7 @@ fn saf_messages_pipeline_over_disjoint_hops() {
         ],
     };
     let cfg = SimConfig::ipsc860(3).with_store_and_forward();
-    let mut sim = Simulator::new(cfg, programs, vec![vec![1u8; bytes]; n]);
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&cfg, &programs, vec![vec![1u8; bytes]; n]).unwrap();
     let hop = 95.0 + 0.394 * 200.0 + 10.3;
     assert!((r.finish_time.as_us() - 2.0 * hop).abs() < 1e-6, "fully concurrent");
     assert_eq!(r.stats.edge_contention_events, 0);
@@ -124,8 +121,7 @@ fn circuit_beats_saf_for_long_distances() {
             } else {
                 SimConfig::ipsc860(5)
             };
-            let mut sim = Simulator::new(cfg, programs, mems);
-            sim.run().unwrap().finish_time.as_us()
+            SimArena::new().run(&cfg, &programs, mems).unwrap().finish_time.as_us()
         };
         let circuit = run(false);
         let saf = run(true);
@@ -158,8 +154,7 @@ fn saf_contention_on_shared_hop_serializes() {
         ],
     };
     let cfg = SimConfig::ipsc860(5).with_store_and_forward();
-    let mut sim = Simulator::new(cfg, programs, vec![vec![5u8; bytes]; n]);
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&cfg, &programs, vec![vec![5u8; bytes]; n]).unwrap();
     // Under circuit switching these two paths collide disastrously on
     // edge 3-7 (see `edge_contention_serializes_circuits`). Under SAF
     // the hops pipeline: 2->23 crosses 3->7 during [s, 2s) and 0->31

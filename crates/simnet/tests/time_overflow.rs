@@ -23,8 +23,8 @@ use mce_hypercube::NodeId;
 use mce_simnet::time::us_to_ns;
 use mce_simnet::traffic::compose_programs;
 use mce_simnet::{
-    BackgroundStream, CwndAlg, FlowCtl, JobSpec, MsgKind, NetCondition, Op, Program, SimConfig,
-    SimError, SimResult, SimTime, Simulator, Tag,
+    BackgroundStream, CwndAlg, FlowCtl, JobSpec, MsgKind, NetCondition, Op, Program, SimArena,
+    SimConfig, SimError, SimResult, SimTime, Tag,
 };
 use std::sync::Arc;
 
@@ -37,7 +37,7 @@ fn run(cfg: SimConfig, programs: Vec<Program>) -> Result<SimResult, SimError> {
 /// `run` with `mem` bytes of memory per node.
 fn run_mem(cfg: SimConfig, programs: Vec<Program>, mem: usize) -> Result<SimResult, SimError> {
     let memories = vec![vec![0u8; mem]; programs.len()];
-    Simulator::new(cfg, programs, memories).run()
+    SimArena::new().run(&cfg, &programs, memories)
 }
 
 /// Node 0 sends `BYTES` to node 1 of a d1 cube.

@@ -5,8 +5,10 @@
 //! the builders those workloads need.
 
 use mce_hypercube::NodeId;
-use mce_simnet::batch::{Memories, SimBatch};
-use mce_simnet::{Op, Program, SimConfig, Simulator, Tag, TraceConfig, TraceEvent, WaitCause};
+use mce_simnet::batch::{Memories, RunSpec, SimBatch};
+use mce_simnet::{
+    Op, Program, SimArena, SimConfig, SimResult, Tag, TraceConfig, TraceEvent, WaitCause,
+};
 use std::sync::Arc;
 
 /// A d-cube complete-exchange-ish workload built in place: every node
@@ -28,11 +30,22 @@ fn complement_exchange(d: u32, bytes: usize) -> (Vec<Program>, Vec<Vec<u8>>) {
     (programs, vec![vec![0xA5u8; bytes]; n])
 }
 
+/// One run on a fresh arena with trace capture under `trace`.
+fn run_traced(
+    cfg: SimConfig,
+    programs: Vec<Program>,
+    mems: Vec<Vec<u8>>,
+    trace: TraceConfig,
+) -> SimResult {
+    let spec =
+        RunSpec { cfg, programs: Arc::new(programs), memories: mems.into(), trace: Some(trace) };
+    SimArena::new().run_spec(spec).unwrap()
+}
+
 #[test]
 fn trace_off_captures_nothing_and_costs_no_stats() {
     let (programs, mems) = complement_exchange(3, 64);
-    let mut sim = Simulator::new(SimConfig::ipsc860(3), programs, mems);
-    let r = sim.run().unwrap();
+    let r = SimArena::new().run(&SimConfig::ipsc860(3), &programs, mems).unwrap();
     assert!(r.trace.is_empty());
     assert_eq!(r.stats.trace_events_dropped, 0);
 }
@@ -40,8 +53,7 @@ fn trace_off_captures_nothing_and_costs_no_stats() {
 #[test]
 fn trace_records_link_nic_and_barrier_spans() {
     let (programs, mems) = complement_exchange(3, 64);
-    let mut sim = Simulator::new(SimConfig::ipsc860(3), programs, mems).with_trace();
-    let r = sim.run().unwrap();
+    let r = run_traced(SimConfig::ipsc860(3), programs, mems, TraceConfig::default());
     let mut holds = 0u64;
     let (mut sends, mut recvs, mut barriers, mut barrier_waits) = (0u64, 0u64, 0u64, 0u64);
     for e in &r.trace {
@@ -73,9 +85,7 @@ fn trace_records_link_nic_and_barrier_spans() {
 #[test]
 fn trace_ring_overflow_is_counted_in_stats() {
     let (programs, mems) = complement_exchange(4, 32);
-    let mut sim = Simulator::new(SimConfig::ipsc860(4), programs, mems)
-        .with_trace_config(TraceConfig::with_capacity(8));
-    let r = sim.run().unwrap();
+    let r = run_traced(SimConfig::ipsc860(4), programs, mems, TraceConfig::with_capacity(8));
     assert_eq!(r.trace.len(), 8, "ring keeps exactly its capacity");
     assert!(r.stats.trace_events_dropped > 0, "overflow must be visible in SimStats");
     // Oldest-first eviction: the survivors are the chronologically

@@ -271,9 +271,9 @@ fn traffic_dead_pair_skip_reports_per_job() {
     assert_eq!(r.memories[1], vec![0u8; 128], "the hole stays unwritten");
 }
 
-/// The co-tenancy sweep builders: staggers derive per-run configs off
-/// one shared program set, and the policy sweep answers blocking vs
-/// reactive in one batch.
+/// Co-tenancy sweeps queued one run per cell: staggers derive per-run
+/// configs off one shared program set, and a policy sweep answers
+/// blocking vs reactive in one batch.
 #[test]
 fn traffic_batch_sweeps_cover_staggers_and_policies() {
     let d = 2;
@@ -282,23 +282,45 @@ fn traffic_batch_sweeps_cover_staggers_and_policies() {
     let (p1, m1) = one_way(d, 400, 2);
     let programs = Arc::new(compose_programs(d, &[p0.clone(), p1.clone()]));
     let memories = Arc::new(compose_memories(d, &[m0.clone(), m1.clone()]));
-    let mut batch = SimBatch::new(SimConfig::ipsc860(d));
-    let staggers = batch.stagger_sweep(&jobs, [0, 10_000_000], &programs, &memories);
+    let base = SimConfig::ipsc860(d);
+    let mut batch = SimBatch::new(base.clone());
+    // Job `j` starts `j · s` in; the offsets live in the config, so one
+    // program set serves every stagger.
+    let staggers: Vec<usize> = [0u64, 10_000_000]
+        .into_iter()
+        .map(|s| {
+            let staggered = jobs
+                .iter()
+                .enumerate()
+                .map(|(j, job)| JobSpec { start_ns: j as u64 * s, ..job.clone() })
+                .collect();
+            batch.push_with_config(
+                base.clone().with_jobs(staggered),
+                Arc::clone(&programs),
+                &memories,
+            )
+        })
+        .collect();
+    // One flow-controlled mix under each link policy (`None` = blocking
+    // sources).
     let flow_jobs = vec![JobSpec::default().with_flow(FlowCtl::default()), JobSpec::default()];
-    let policies = batch.policy_sweep(
-        [None, Some(LinkPolicy::DropTail { queue_limit: 4 })],
-        &flow_jobs,
-        &programs,
-        &memories,
+    let policies: Vec<usize> = [None, Some(LinkPolicy::DropTail { queue_limit: 4 })]
+        .into_iter()
+        .map(|policy| {
+            let mut cfg = base.clone().with_jobs(flow_jobs.clone());
+            if let Some(p) = policy {
+                cfg = cfg.with_netcond(NetCondition::default().with_link_policy(p));
+            }
+            batch.push_with_config(cfg, Arc::clone(&programs), &memories)
+        })
+        .collect();
+    // A tenancy mix with its own composed programs.
+    let mix = batch.push_with_config(
+        base.clone().with_jobs(jobs.clone()),
+        Arc::new(compose_programs(d, &[p0, p1])),
+        compose_memories(d, &[m0, m1]),
     );
-    let ladder = batch.tenancy_ladder(vec![jobs.clone()], |mix| {
-        assert_eq!(mix.len(), 2);
-        (
-            compose_programs(d, &[p0.clone(), p1.clone()]),
-            compose_memories(d, &[m0.clone(), m1.clone()]),
-        )
-    });
-    assert_eq!((staggers.clone(), policies.clone(), ladder.clone()), (0..2, 2..4, 4..5));
+    assert_eq!((staggers, policies, mix), (vec![0, 1], vec![2, 3], 4));
     let results = batch.run();
     assert!(results.iter().all(Result::is_ok));
     // Overlapped co-tenants contend; fully staggered ones do not.

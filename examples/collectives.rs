@@ -17,7 +17,7 @@ use multiphase_exchange::model::patterns::{
     allgather_time, best_pattern_partition, broadcast_time, scatter_time,
 };
 use multiphase_exchange::model::MachineParams;
-use multiphase_exchange::simnet::{SimConfig, Simulator};
+use multiphase_exchange::simnet::{SimArena, SimConfig};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -44,8 +44,9 @@ fn main() {
             "scatter" => (build_scatter_programs(d, &best, m), scatter_memories(d, m)),
             _ => (build_allgather_programs(d, &best, m), allgather_memories(d, m)),
         };
-        let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, memories);
-        let result = sim.run().expect("collective failed");
+        let result = SimArena::new()
+            .run(&SimConfig::ipsc860(d), &programs, memories)
+            .expect("collective failed");
         let ok = match name {
             "broadcast" => verify_broadcast(d, m, &result.memories),
             "scatter" => verify_scatter(d, m, &result.memories),
@@ -75,9 +76,9 @@ fn main() {
         round_lower_bound(&perm)
     );
     let programs = build_permutation_programs(d, &perm, m);
-    let mut sim =
-        Simulator::new(SimConfig::ipsc860(d), programs, permutation_memories(d, &perm, m));
-    let r = sim.run().expect("permutation failed");
+    let r = SimArena::new()
+        .run(&SimConfig::ipsc860(d), &programs, permutation_memories(d, &perm, m))
+        .expect("permutation failed");
     assert!(verify_permutation(&perm, m, &r.memories));
     println!(
         "Scheduled run: {:.1} us, {} edge-contention events (guaranteed zero).",

@@ -14,7 +14,7 @@
 use multiphase_exchange::exchange::api::CompleteExchange;
 use multiphase_exchange::exchange::builder::build_naive_programs;
 use multiphase_exchange::exchange::verify::{stamped_memories, verify_naive_exchange};
-use multiphase_exchange::simnet::{SimConfig, Simulator};
+use multiphase_exchange::simnet::{SimArena, SimConfig};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -32,8 +32,8 @@ fn main() {
     for mem in memories.iter_mut() {
         mem.resize(2 * n * m, 0);
     }
-    let mut sim = Simulator::new(SimConfig::ipsc860(d), programs, memories);
-    let naive = sim.run().expect("naive run failed");
+    let naive =
+        SimArena::new().run(&SimConfig::ipsc860(d), &programs, memories).expect("naive run failed");
     assert!(verify_naive_exchange(d, m, &naive.memories).is_empty(), "naive data wrong");
     println!("naive unscheduled all-to-all:");
     println!("  time                   {:>10.1} us", naive.finish_time.as_us());
