@@ -3,10 +3,15 @@
 //! Keys are fully structural — machine parameters by exact bits,
 //! condition by quantized fingerprint — so equal keys mean "the model
 //! would build the identical hull". Shards are independently locked
-//! `HashMap`s with a per-shard LRU tick; a warm fetch is one hash, one
-//! short critical section, one `Arc` clone — by owned key
-//! ([`HullCache::get`]) or, without building one, by the borrowed parts
-//! of a query ([`HullCache::probe`]).
+//! `HashMap`s with a per-shard LRU tick and hit count. A key hashes as
+//! one word from digests taken when its parts were made (the machine's
+//! in [`MachineKey::of`], the fingerprint's when it was quantized) and
+//! `d` and the switching bit, so a lookup hashes nothing again; the
+//! full-key comparison then reads every part. A warm answer is one
+//! short critical section ([`HullCache::serve`]): the caller's closure
+//! runs on the cached hull under the shard lock, so a hit clones no
+//! `Arc` and counts itself where it already holds the lock.
+//! [`HullCache::get`] hands out an `Arc` clone instead.
 
 use crate::hull::PlanHull;
 use mce_model::{ConditionFingerprint, MachineParams};
@@ -14,64 +19,36 @@ use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-/// Multiply-rotate hasher in the rustc-hash mold. The cache probes on
-/// every warm query, keys are a handful of machine-word writes (the
-/// condition contributes only its precomputed digest), and SipHash's
-/// DoS resistance buys nothing against keys the process itself builds
-/// — so a two-instruction mix per word is the right trade.
+/// The maps' hasher. Every key hashes as the one word
+/// [`KeyRef::hash_word`] writes, already mixed, so the word *is* the
+/// hash; `write` folds anything else in for the `Hasher` contract.
 #[derive(Default)]
-struct FxHasher {
-    hash: u64,
-}
+struct WordHasher(u64);
 
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
+impl Hasher for WordHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf));
+        for &b in bytes {
+            self.write_u64(u64::from(b));
         }
     }
 
     #[inline]
-    fn write_u8(&mut self, v: u8) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn write_u32(&mut self, v: u32) {
-        self.mix(v as u64);
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64);
+    fn write_u64(&mut self, word: u64) {
+        self.0 = self.0.rotate_left(5) ^ word;
     }
 
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        self.0
     }
 }
 
-type FxBuildHasher = BuildHasherDefault<FxHasher>;
+/// Odd multiplier of the rustc-hash mold: multiplying by it carries
+/// every input bit into the high half of the hash.
+const MIX: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
 /// A [`MachineParams`] reduced to a hashable identity: every float by
 /// its exact IEEE-754 bits plus the two discrete knobs. The
@@ -79,6 +56,10 @@ type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// labelled but identically timed machines share hulls.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MachineKey {
+    /// A pure function of the fields below, taken once in
+    /// [`MachineKey::of`] for the key's one-word hash. First, so
+    /// comparing two machines' keys reads it first.
+    digest: u64,
     lambda: u64,
     lambda_zero: u64,
     tau: u64,
@@ -92,13 +73,28 @@ pub struct MachineKey {
 impl MachineKey {
     /// The identity of `p`.
     pub fn of(p: &MachineParams) -> MachineKey {
+        let words = [
+            p.lambda.to_bits(),
+            p.lambda_zero.to_bits(),
+            p.tau.to_bits(),
+            p.delta.to_bits(),
+            p.rho.to_bits(),
+            p.barrier_per_dim.to_bits(),
+            u64::from(p.pairwise_sync),
+            p.unforced_threshold as u64,
+        ];
+        // Each word at its own rotation, then the high half folded onto
+        // the low: every bit of every word reaches the bits below 58,
+        // which the key hash's one multiply spreads over the shard pick.
+        let folded = words.iter().zip(0..).fold(0, |h, (&w, i)| h ^ w.rotate_left(8 * i));
         MachineKey {
-            lambda: p.lambda.to_bits(),
-            lambda_zero: p.lambda_zero.to_bits(),
-            tau: p.tau.to_bits(),
-            delta: p.delta.to_bits(),
-            rho: p.rho.to_bits(),
-            barrier_per_dim: p.barrier_per_dim.to_bits(),
+            digest: folded ^ folded >> 32,
+            lambda: words[0],
+            lambda_zero: words[1],
+            tau: words[2],
+            delta: words[3],
+            rho: words[4],
+            barrier_per_dim: words[5],
             pairwise_sync: p.pairwise_sync,
             unforced_threshold: p.unforced_threshold,
         }
@@ -119,15 +115,15 @@ pub struct CacheKey {
     pub fingerprint: ConditionFingerprint,
 }
 
-/// A [`CacheKey`] by reference: what [`HullCache::probe`] looks a hull
+/// A [`CacheKey`] by reference: what [`HullCache::serve`] looks a hull
 /// up by when the fingerprint is the one a [`ConditionSummary`] keeps
 /// ([`ConditionSummary::fingerprint_ref`]) — nothing is cloned to ask.
 /// Hashes and compares as the key it names (every word of the
-/// fingerprint included, so colliding digests never share a hull).
+/// fingerprint compared, so colliding digests never share a hull).
 ///
 /// [`ConditionSummary`]: mce_model::ConditionSummary
 /// [`ConditionSummary::fingerprint_ref`]: mce_model::ConditionSummary::fingerprint_ref
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KeyRef<'a> {
     /// Machine identity.
     pub machine: &'a MachineKey,
@@ -150,6 +146,23 @@ impl KeyRef<'_> {
             fingerprint: self.fingerprint.clone(),
         }
     }
+
+    /// The key's hash: the machine's and the fingerprint's precomputed
+    /// digests (each a function of every word of its part), `d` and
+    /// the switching bit, multiplied through once. Keys that differ
+    /// only in the machine — a sweep over τ or λ under one condition —
+    /// spread over the shards like any others.
+    fn hash_word(&self) -> u64 {
+        let parts = u64::from(self.d) << 1 | u64::from(self.saf);
+        (self.fingerprint.digest() ^ self.machine.digest ^ parts).wrapping_mul(MIX)
+    }
+}
+
+/// As [`CacheKey`] and `dyn Keyed` hash: one word.
+impl Hash for KeyRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash_word())
+    }
 }
 
 impl CacheKey {
@@ -163,8 +176,7 @@ impl CacheKey {
 /// [`CacheKey`], and `HashMap` lookups go through `Borrow`, which must
 /// hand out a *reference*; a `CacheKey` holds no `KeyRef` to point at,
 /// but it can point at itself as a `dyn Keyed` — so both forms look a
-/// hull up as `&dyn Keyed`, hashed and compared through
-/// [`KeyRef`]'s derived impls.
+/// hull up as `&dyn Keyed`, hashed and compared through [`KeyRef`].
 trait Keyed {
     fn key_ref(&self) -> KeyRef<'_>;
 }
@@ -214,8 +226,19 @@ struct Entry {
 }
 
 struct Shard {
-    map: HashMap<CacheKey, Entry, FxBuildHasher>,
+    map: HashMap<CacheKey, Entry, BuildHasherDefault<WordHasher>>,
     tick: u64,
+    /// Lookups [`HullCache::serve`] found a hull for.
+    hits: u64,
+}
+
+/// Lock a shard. A poisoned lock is taken as it is: a panic inside a
+/// critical section (a caller's closure in [`HullCache::serve`], which
+/// sees the hull only by shared reference) leaves the map, the tick
+/// and the hit count each a valid value, so one failed query must not
+/// fail every later one that lands on the shard.
+fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
+    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Sharded LRU map from [`CacheKey`] to precomputed [`PlanHull`]s.
@@ -232,43 +255,68 @@ impl HullCache {
         let shards = shards.max(1);
         HullCache {
             shards: (0..shards)
-                .map(|_| Mutex::new(Shard { map: HashMap::default(), tick: 0 }))
+                .map(|_| Mutex::new(Shard { map: HashMap::default(), tick: 0, hits: 0 }))
                 .collect(),
             per_shard_capacity: per_shard_capacity.max(1),
             evictions: AtomicU64::new(0),
         }
     }
 
-    fn shard<Q: Hash + ?Sized>(&self, key: &Q) -> &Mutex<Shard> {
-        let mut h = FxHasher::default();
-        key.hash(&mut h);
-        // Rotate so shard choice and in-map bucket use different bits.
-        &self.shards[(h.finish().rotate_left(17) % self.shards.len() as u64) as usize]
+    /// The shard of a key hashing to `hash`, by a multiply-shift range
+    /// reduction of bits 25..57 — no division. A map picks its bucket
+    /// from a hash's low bits and its control tag from the top seven,
+    /// so the shard choice leaves those to the map inside the shard.
+    fn shard(&self, hash: u64) -> &Mutex<Shard> {
+        &self.shards[self.shard_index(hash)]
     }
 
-    fn fetch<Q>(&self, key: &Q) -> Option<Arc<PlanHull>>
+    fn shard_index(&self, hash: u64) -> usize {
+        let window = u64::from((hash >> 25) as u32);
+        // `window < 2^32`, so the index is below `shards.len()`.
+        ((window * self.shards.len() as u64) >> 32) as usize
+    }
+
+    /// Under `key`'s shard lock: bump the tick and, when a hull is
+    /// cached for `key`, its recency, count a hit when `count_hit`,
+    /// and run `f` on it.
+    fn lookup<Q, R>(
+        &self,
+        key: &Q,
+        hash: u64,
+        count_hit: bool,
+        f: impl FnOnce(&Arc<PlanHull>) -> R,
+    ) -> Option<R>
     where
         CacheKey: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let mut shard = self.shard(key).lock().expect("cache shard poisoned");
+        let mut guard = lock(self.shard(hash));
+        let shard = &mut *guard;
         shard.tick += 1;
-        let tick = shard.tick;
-        shard.map.get_mut(key).map(|e| {
-            e.last_used = tick;
-            Arc::clone(&e.hull)
-        })
+        let entry = shard.map.get_mut(key)?;
+        entry.last_used = shard.tick;
+        shard.hits += u64::from(count_hit);
+        Some(f(&entry.hull))
     }
 
-    /// Fetch the hull for `key`, bumping its recency.
+    /// Fetch the hull for `key`, bumping its recency. Not counted in
+    /// [`HullCache::hits`]: a fetch hands the hull out, it serves no
+    /// answer from it.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<PlanHull>> {
-        self.fetch(key)
+        self.lookup(key, key.as_key_ref().hash_word(), false, Arc::clone)
     }
 
-    /// [`HullCache::get`] by borrowed key: the same shard, the same
-    /// full-key comparison, the same recency bump.
-    pub fn probe(&self, key: KeyRef<'_>) -> Option<Arc<PlanHull>> {
-        self.fetch(&key as &dyn Keyed)
+    /// Run `f` on the hull cached for `key`, under its shard's lock,
+    /// and return what `f` returns; `None`, without running `f`, when
+    /// no hull is cached for `key`. Like [`HullCache::get`] it bumps
+    /// the hull's recency (same shard, same full-key comparison); a
+    /// hit also counts in [`HullCache::hits`], inside the same critical
+    /// section. The hull is lent, not cloned: a hit takes the shard
+    /// lock and no other synchronizing step. `f` holds the shard for
+    /// as long as it runs, so it should be short — find a face, build
+    /// an answer — and leave anything slow for after it returns.
+    pub fn serve<R>(&self, key: KeyRef<'_>, f: impl FnOnce(&PlanHull) -> R) -> Option<R> {
+        self.lookup(&key as &dyn Keyed, key.hash_word(), true, |hull| f(hull))
     }
 
     /// Insert a hull, evicting the shard's least-recently-used entry
@@ -276,7 +324,7 @@ impl HullCache {
     /// insert; last write wins (the hulls are identical — keys are
     /// structural — so this only wastes the duplicate build).
     pub fn insert(&self, key: CacheKey, hull: Arc<PlanHull>) {
-        let mut shard = self.shard(&key).lock().expect("cache shard poisoned");
+        let mut shard = lock(self.shard(key.as_key_ref().hash_word()));
         shard.tick += 1;
         let tick = shard.tick;
         shard.map.insert(key, Entry { hull, last_used: tick });
@@ -294,12 +342,18 @@ impl HullCache {
 
     /// Total cached hulls across shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("cache shard poisoned").map.len()).sum()
+        self.shards.iter().map(|s| lock(s).map.len()).sum()
     }
 
     /// Whether no hull is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Lookups by [`HullCache::serve`] that found a hull, since
+    /// construction.
+    pub fn hits(&self) -> u64 {
+        self.shards.iter().map(|s| lock(s).hits).sum()
     }
 
     /// Evictions since construction.
@@ -313,6 +367,7 @@ mod tests {
     use super::*;
     use mce_model::ConditionSummary;
     use mce_simnet::config::SwitchingMode;
+    use std::collections::HashSet;
 
     fn key(d: u32, level: u32) -> CacheKey {
         let mut cond = ConditionSummary::noop(d);
@@ -365,32 +420,72 @@ mod tests {
 
     #[test]
     fn a_borrowed_key_is_the_key_it_names() {
-        // Many shards, so a probe that hashed differently from the
-        // owned key would look in the wrong one.
-        let cache = HullCache::new(16, 4);
+        // Many shards, so a lookup that hashed differently from the
+        // owned key would look in the wrong one; room for each
+        // condition under two machines.
+        let cache = HullCache::new(16, 8);
         let keys: Vec<CacheKey> = (0..12).map(|level| key(5, level)).collect();
         for k in &keys {
             cache.insert(k.clone(), hull(5));
         }
+        let mut slower = MachineParams::ipsc860();
+        slower.tau += 0.001;
+        let other = MachineKey::of(&slower);
+        let at = |key: KeyRef| cache.serve(key, |h| h as *const PlanHull);
         for (level, k) in keys.iter().enumerate() {
             // Keyed afresh: equal words in another allocation, so the
             // comparison is by value.
             let again = key(5, level as u32);
             let rebuilt = again.as_key_ref();
             assert_eq!(rebuilt.to_key(), *k);
-            let found = cache.probe(rebuilt).expect("stored key");
-            assert!(Arc::ptr_eq(&found, &cache.get(k).expect("stored key")));
-            // Every part is compared, not just the digest's shard.
-            assert!(cache.probe(KeyRef { saf: true, ..rebuilt }).is_none());
-            assert!(cache.probe(KeyRef { d: 4, ..rebuilt }).is_none());
+            let stored = cache.get(k).expect("stored key");
+            assert_eq!(at(rebuilt), Some(Arc::as_ptr(&stored)));
+            // Every part is compared, not just the hash's.
+            assert_eq!(at(KeyRef { saf: true, ..rebuilt }), None);
+            assert_eq!(at(KeyRef { d: 4, ..rebuilt }), None);
+            // One float apart, the same condition under another
+            // machine gets a hull of its own.
+            let elsewhere = KeyRef { machine: &other, ..rebuilt };
+            assert_eq!(at(elsewhere), None);
+            cache.insert(elsewhere.to_key(), hull(5));
+            let own = cache.get(&elsewhere.to_key()).expect("inserted key");
+            assert!(!Arc::ptr_eq(&own, &stored));
+            assert_eq!(at(elsewhere), Some(Arc::as_ptr(&own)));
+            assert_eq!(at(rebuilt), Some(Arc::as_ptr(&stored)));
         }
-        // A probe bumps recency exactly as a get does.
+        // A served lookup bumps recency exactly as a get does, and only
+        // it counts a hit.
         let lru = HullCache::new(1, 2);
         lru.insert(key(4, 0), hull(4));
         lru.insert(key(4, 1), hull(4));
-        assert!(lru.probe(key(4, 0).as_key_ref()).is_some());
+        assert_eq!(lru.serve(key(4, 0).as_key_ref(), |_| ()), Some(()));
         lru.insert(key(4, 2), hull(4));
-        assert!(lru.get(&key(4, 0)).is_some(), "probed key survives");
+        assert!(lru.get(&key(4, 0)).is_some(), "served key survives");
         assert!(lru.get(&key(4, 1)).is_none(), "LRU evicted");
+        assert_eq!(lru.hits(), 1);
+        // The machine is hashed too: 64 machines under one condition,
+        // stepped by thousandths, by whole units or in a discrete knob,
+        // spread over the shards, and none is evicted from room for
+        // four times as many.
+        let sweeps: [fn(&mut MachineParams, u32); 3] = [
+            |p, i| p.tau += 0.001 * f64::from(i),
+            |p, i| p.lambda = f64::from(i + 1),
+            |p, i| p.unforced_threshold += i as usize,
+        ];
+        for sweep in sweeps {
+            let spread = HullCache::new(16, 16);
+            let condition = key(5, 0);
+            let mut shards = HashSet::new();
+            for i in 0..64 {
+                let mut p = MachineParams::ipsc860();
+                sweep(&mut p, i);
+                let machine = MachineKey::of(&p);
+                let k = CacheKey { machine, ..condition.clone() };
+                shards.insert(spread.shard_index(k.as_key_ref().hash_word()));
+                spread.insert(k, hull(5));
+            }
+            assert!(shards.len() >= 14, "64 machines in {} of 16 shards", shards.len());
+            assert_eq!((spread.len(), spread.evictions()), (64, 0));
+        }
     }
 }

@@ -9,6 +9,7 @@ use crate::{
 };
 use mce_hypercube::MAX_DIMENSION;
 use mce_model::{best_partition_by, ConditionSummary, StepTable};
+use mce_partitions::Partition;
 use mce_simnet::config::SwitchingMode;
 use mce_simnet::conformance::condition_summary;
 use mce_simnet::SimConfig;
@@ -95,7 +96,6 @@ impl<'q> Resolved<'q> {
 pub struct PlanEngine {
     options: PlanOptions,
     cache: HullCache,
-    hits: AtomicU64,
     misses: AtomicU64,
     fallbacks: AtomicU64,
     fallback_errors: AtomicU64,
@@ -115,7 +115,6 @@ impl PlanEngine {
         PlanEngine {
             options,
             cache,
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
             fallback_errors: AtomicU64::new(0),
@@ -131,7 +130,7 @@ impl PlanEngine {
     /// Counter snapshot.
     pub fn stats(&self) -> PlanStats {
         PlanStats {
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: self.cache.hits(),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.cache.evictions(),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
@@ -185,9 +184,9 @@ impl PlanEngine {
 
     /// Answer one query. Warm path: the condition's kept fingerprint
     /// (quantized when the condition was first keyed, not now), one
-    /// hash of the borrowed key, one sharded-cache fetch, one binary
-    /// search and two float ops — the only allocation is the answer's
-    /// own partition.
+    /// short critical section on a cache shard, and inside it a full
+    /// key comparison, one binary search over the faces and two float
+    /// ops — the only allocation is the answer's own partition.
     ///
     /// # Panics
     ///
@@ -220,15 +219,34 @@ impl PlanEngine {
             return answer;
         }
         let machine = MachineKey::of(&q.machine);
-        let key = key_of(q, &machine, r.summary);
-        let hull = match self.cache.probe(key) {
-            Some(hull) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                hull
+        self.answer_cached(q, r.summary, key_of(q, &machine, r.summary))
+    }
+
+    /// The hull-path answer to a query priced under `summary` whose
+    /// hull is cached, or is to be, under `key`. A hit finds the face
+    /// under the shard's lock ([`HullCache::serve`]) and takes its
+    /// partition out; anything slow — the exact fold of a block in a
+    /// boundary band, an exact-mode pricing — runs after the lock is
+    /// released. A miss builds the hull, inserts it and answers from it.
+    // Always inlined, as are `face_of` and `answer_on`: called out of
+    // line, each hands its key or its answer over through memory, which
+    // costs a warm answer about a fifth of its time (the perf ledger's
+    // `plan_warm` stream on a 2-vCPU Xeon: ~80 ns inlined, ~100 ns with
+    // this function and the face step out of line).
+    #[inline(always)]
+    fn answer_cached(
+        &self,
+        q: &PlanQuery,
+        summary: &ConditionSummary,
+        key: KeyRef<'_>,
+    ) -> PlanAnswer {
+        match self.cache.serve(key, |hull| face_of(q, hull)) {
+            Some(on_face) => self.answer_on(q, summary, on_face),
+            None => {
+                let hull = self.build_and_insert(q, summary, key.to_key());
+                self.answer_from_hull(q, summary, &hull)
             }
-            None => self.build_and_insert(q, r.summary, key.to_key()),
-        };
-        self.answer_from_hull(q, r.summary, &hull)
+        }
     }
 
     /// Batch entry point: groups the queries by cache key, builds every
@@ -278,32 +296,27 @@ impl PlanEngine {
             (i, Arc::new(PlanHull::build(&q.machine, q.switching, q.d, resolved[i].0.summary)))
         });
         self.misses.fetch_add(built.len() as u64, Ordering::Relaxed);
-        // The first answer drawn from a freshly built hull belongs to
-        // its miss; every later one is a hit.
-        let mut fresh = seen;
-        for (i, hull) in built {
-            self.cache.insert(resolved[i].1.clone(), hull);
+        for (i, hull) in &built {
+            self.cache.insert(resolved[*i].1.clone(), Arc::clone(hull));
         }
+        // The query that asked for a build is answered from it, the
+        // miss's answer; every other is served from the cache, a hit
+        // (or, evicted since by a tiny cache under a huge batch, a
+        // rebuild). `built` is in query order.
+        let mut fresh = built.into_iter().peekable();
         Ok(queries
             .iter()
             .zip(&resolved)
-            .map(|(q, (r, key, sim_cfg))| {
+            .enumerate()
+            .map(|(i, (q, (r, key, sim_cfg)))| {
                 let simulated = sim_cfg.and_then(|cfg| self.simulate(q, cfg, r.summary));
                 if let Some(answer) = simulated {
                     return answer;
                 }
-                let hull = match self.cache.get(key) {
-                    Some(hull) => {
-                        if !fresh.remove(key) {
-                            self.hits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        hull
-                    }
-                    // Evicted between insert and answer (tiny cache
-                    // under a huge batch): rebuild inline.
-                    None => self.build_and_insert(q, r.summary, key.clone()),
-                };
-                self.answer_from_hull(q, r.summary, &hull)
+                match fresh.next_if(|(at, _)| *at == i) {
+                    Some((_, hull)) => self.answer_from_hull(q, r.summary, &hull),
+                    None => self.answer_cached(q, r.summary, key.as_key_ref()),
+                }
             })
             .collect())
     }
@@ -331,27 +344,56 @@ impl PlanEngine {
         summary: &ConditionSummary,
         hull: &PlanHull,
     ) -> PlanAnswer {
-        let (face, near_boundary) = hull.locate(q.m);
-        let (part, predicted) = if near_boundary {
-            // Within the band two candidates are ~1e-6 apart: re-run
-            // the exact fold so ties and float-level orderings match
-            // `conditioned_best_partition` bit for bit.
-            let table = StepTable::new(summary);
-            best_partition_by(q.d, |p| price(&q.machine, q.switching, q.d, &table, q.m, p))
-        } else {
-            let predicted = if self.options.exact_predictions {
-                price(&q.machine, q.switching, q.d, summary, q.m, &face.partition)
-            } else {
-                face.time_at(q.m)
-            };
-            (face.partition.clone(), predicted)
-        };
-        PlanAnswer {
-            algorithm: Algorithm::of(&part),
-            best_partition: part,
-            predicted_us: predicted,
-            source: AnswerSource::Hull,
+        self.answer_on(q, summary, face_of(q, hull))
+    }
+
+    /// The answer from what [`face_of`] found: the face's partition,
+    /// predicted by its affine value or, in exact mode, by the model;
+    /// with no face, the exact fold.
+    #[inline(always)]
+    fn answer_on(
+        &self,
+        q: &PlanQuery,
+        summary: &ConditionSummary,
+        on_face: Option<(Partition, f64)>,
+    ) -> PlanAnswer {
+        match on_face {
+            Some((part, _)) if self.options.exact_predictions => {
+                let predicted = price(&q.machine, q.switching, q.d, summary, q.m, &part);
+                hull_answer(part, predicted)
+            }
+            Some((part, at_m)) => hull_answer(part, at_m),
+            None => fold_answer(q, summary),
         }
+    }
+}
+
+/// The partition of the face under `q.m` and its affine value there,
+/// or `None` when `q.m` lies in a boundary band, where only
+/// [`fold_answer`] may decide.
+#[inline(always)]
+fn face_of(q: &PlanQuery, hull: &PlanHull) -> Option<(Partition, f64)> {
+    let (face, near_boundary) = hull.locate(q.m);
+    (!near_boundary).then(|| (face.partition.clone(), face.time_at(q.m)))
+}
+
+/// The answer to a query whose block lies in a boundary band. Within
+/// the band two candidates are ~1e-6 apart, so the exact fold re-runs
+/// and ties and float-level orderings match
+/// `conditioned_best_partition` bit for bit. It reads no hull.
+fn fold_answer(q: &PlanQuery, summary: &ConditionSummary) -> PlanAnswer {
+    let table = StepTable::new(summary);
+    let (part, predicted) =
+        best_partition_by(q.d, |p| price(&q.machine, q.switching, q.d, &table, q.m, p));
+    hull_answer(part, predicted)
+}
+
+fn hull_answer(part: Partition, predicted_us: f64) -> PlanAnswer {
+    PlanAnswer {
+        algorithm: Algorithm::of(&part),
+        best_partition: part,
+        predicted_us,
+        source: AnswerSource::Hull,
     }
 }
 
@@ -457,15 +499,56 @@ mod tests {
         }
         let answers = engine.answer_batch(&queries);
         assert_eq!(answers.len(), queries.len());
-        let s = engine.stats();
+        let hits_and_misses = || {
+            let s = engine.stats();
+            (s.hits, s.misses)
+        };
         // Two distinct conditions -> two builds; remaining answers hit.
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.hits, 4);
+        assert_eq!(hits_and_misses(), (4, 2));
         // Per-query agreement with the sequential path.
         let sequential = PlanEngine::default();
         for (q, a) in queries.iter().zip(&answers) {
             assert_eq!(&sequential.answer(q), a);
         }
+        // Warm: every answer a hit, counted in its shard.
+        for (q, a) in queries.iter().zip(&answers) {
+            assert_eq!(&engine.answer(q), a);
+        }
+        assert_eq!(hits_and_misses(), (10, 2));
+        // Cached keys beside one new key, asked twice: one build, the
+        // rest hits.
+        let saf = |m: f64| PlanQuery::clean(5, m, machine.clone()).with_store_and_forward();
+        let mixed = [queries[0].clone(), saf(30.0), queries[3].clone(), saf(90.0)];
+        let again = engine.answer_batch(&mixed);
+        assert_eq!(hits_and_misses(), (13, 3));
+        for (q, a) in mixed.iter().zip(&again) {
+            assert_eq!(&sequential.answer(q), a);
+        }
+    }
+
+    #[test]
+    fn a_panic_under_a_cache_lookup_leaves_the_shard_serving() {
+        // One shard, so the panic poisons the lock every key takes.
+        let engine = PlanEngine::new(PlanOptions { shards: 1, ..PlanOptions::default() });
+        let q = PlanQuery::clean(4, 80.0, MachineParams::ipsc860());
+        let first = engine.answer(&q);
+        let machine = MachineKey::of(&q.machine);
+        let key = key_of(&q, &machine, clean_summary(4));
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.cache.serve(key, |_| panic!("a caller's closure fails"))
+        }));
+        assert!(panicked.is_err());
+        // The lookup hit before its closure failed, and counts.
+        assert_eq!((engine.stats().hits, engine.stats().misses), (1, 1));
+        assert!(engine.cache.get(&key.to_key()).is_some());
+        let saf = PlanQuery::clean(4, 80.0, MachineParams::ipsc860()).with_store_and_forward();
+        let saf_key = key_of(&saf, &machine, clean_summary(4)).to_key();
+        let hull = PlanHull::build(&saf.machine, saf.switching, 4, clean_summary(4));
+        engine.cache.insert(saf_key, Arc::new(hull));
+        assert_eq!(engine.cache.len(), 2);
+        assert_eq!(engine.answer(&q), first);
+        assert_eq!(engine.answer(&saf).source, AnswerSource::Hull);
+        assert_eq!((engine.stats().hits, engine.stats().misses), (3, 1));
     }
 
     #[test]

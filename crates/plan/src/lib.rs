@@ -23,10 +23,14 @@
 //!    optimality once
 //!    ([`optimality_hull_affine_by`](mce_model::optimality_hull_affine_by))
 //!    and caches its faces with affine coefficients. A warm query is
-//!    one cache probe by the query's borrowed parts
-//!    ([`HullCache::probe`]: one hash, one shard lock, full-key
-//!    comparison), a binary search over faces and two float ops — no
-//!    model evaluation, and no allocation but the answer's partition
+//!    one short critical section on a cache shard, looked up by the
+//!    query's borrowed parts ([`HullCache::serve`]: a one-word hash of
+//!    the machine's and the fingerprint's precomputed digests, `d` and
+//!    the switching bit, one shard lock, a full-key comparison), inside
+//!    which the engine finds the face (a binary search) and its
+//!    prediction (two float ops) and the shard counts the hit — no
+//!    model evaluation, no reference count moved, and no allocation but
+//!    the answer's partition
 //!    (`tests/warm_path.rs` counts). There is no second, smaller cache
 //!    in front of it.
 //! 3. **Batch API** — [`PlanEngine::answer_batch`] groups queries by
