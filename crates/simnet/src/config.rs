@@ -61,10 +61,11 @@ pub struct SimConfig {
     /// the concurrency window — true for FORCED-protocol exchanges
     /// (pairwise-synchronized sends, as `mce-core`'s builder emits by
     /// default), whose handshakes align transmission starts. The
-    /// sharded driver then skips the pristine-input snapshot it
-    /// otherwise keeps for the sequential fallback; a *false*
-    /// declaration surfaces as [`crate::SimError::SyncDeclarationViolated`]
-    /// instead of silently wrong results. Ignored on sequential runs.
+    /// driver then skips the pristine-input snapshot it otherwise
+    /// keeps for a rerun without windows; a *false* declaration
+    /// surfaces as [`crate::SimError::SyncDeclarationViolated`]
+    /// instead of silently wrong results. Ignored on runs that open no
+    /// windows.
     pub declared_sync: bool,
     /// Concurrent tenant jobs sharing the cube (see
     /// [`crate::traffic`]). Empty (the default) is the single-tenant
@@ -98,18 +99,7 @@ impl SimConfig {
 
     /// The Section 4.3 hypothetical machine, no jitter.
     pub fn hypothetical(dimension: u32) -> Self {
-        SimConfig {
-            dimension,
-            params: MachineParams::hypothetical(),
-            concurrency_window_ns: 2_000,
-            jitter_frac: 0.0,
-            seed: 0x5eed_1991,
-            switching: SwitchingMode::Circuit,
-            netcond: None,
-            shards: 1,
-            declared_sync: false,
-            jobs: Vec::new(),
-        }
+        SimConfig { params: MachineParams::hypothetical(), ..SimConfig::ipsc860(dimension) }
     }
 
     /// Switch to store-and-forward message forwarding (iPSC/1 style).
@@ -145,10 +135,10 @@ impl SimConfig {
     }
 
     /// Declare the workload pairwise-synchronized (FORCED protocol):
-    /// the sharded driver skips its fallback snapshot of the inputs,
-    /// and a NIC concurrency-window violation inside a shard window
-    /// becomes [`crate::SimError::SyncDeclarationViolated`] instead of
-    /// a transparent sequential rerun. Results of successful runs are
+    /// the driver skips its snapshot of the inputs, and a NIC
+    /// concurrency-window violation inside a shard window becomes
+    /// [`crate::SimError::SyncDeclarationViolated`] instead of a
+    /// transparent rerun without windows. Results of successful runs are
     /// unchanged — bit-identical to the sequential engine.
     pub fn with_declared_sync(mut self) -> Self {
         self.declared_sync = true;
@@ -255,12 +245,6 @@ impl SimConfig {
         us_to_ns(lambda)
             + us_to_ns(self.params.tau) * bytes as u64
             + us_to_ns(self.params.delta) * hops as u64
-    }
-
-    /// Duration in ns of one store-and-forward hop of `bytes`:
-    /// `λ + τ·bytes + δ` (λ₀ for zero-byte messages).
-    pub fn hop_ns(&self, bytes: usize) -> u64 {
-        self.transmission_ns(bytes, 1)
     }
 
     /// Duration in ns of the UNFORCED reserve-acknowledge handshake

@@ -153,9 +153,9 @@ pub enum SimError {
     /// shard window hit a NIC concurrency-window violation — the
     /// workload is not the FORCED-protocol exchange it was declared to
     /// be. Without the declaration the run would have transparently
-    /// fallen back to the sequential engine; with it, the driver skips
-    /// the input snapshot that fallback needs, so the violation is
-    /// surfaced instead of risking silent divergence. Rerun without
+    /// been rerun without windows; with it, the driver skips the input
+    /// snapshot that rerun needs, so the violation is surfaced instead
+    /// of risking silent divergence. Rerun without
     /// `with_declared_sync`.
     SyncDeclarationViolated,
 }
@@ -512,7 +512,10 @@ impl Transmission {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A scheduled event, and its own heap key: the heap orders by
+/// `(time, seq, event)` with `seq` unique per push, so the event never
+/// decides the order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
     NodeReady(NodeId),
     TransmissionEnd(TransmissionId),
@@ -531,6 +534,15 @@ enum Event {
 /// [`SimArena::run_shared`] and [`SimArena::run_spec`]. A shared
 /// program set's compilation comes from the process-wide cache (see
 /// [`crate::compile`]); the arena keeps no compile cache of its own.
+///
+/// Every door ends in one driver loop over one master runtime, built
+/// once per run: it seeds the events and drains them, and a run that
+/// [`crate::shard`] admits holds each barrier to run the next phase
+/// either globally or in concurrent subcube windows. Any other run
+/// holds no barrier and leaves the loop after its first drain — the
+/// sequential engine is that loop with no windows. A window that
+/// breaks the determinism argument discards the attempt: the arena
+/// restores the inputs and runs the same loop again without windows.
 ///
 /// Arena reuse is invisible in the results: every run starts from
 /// fully reset state, so outputs are bit-identical to a run on a fresh
@@ -557,8 +569,8 @@ pub struct SimArena {
     scratch: Vec<u8>,
     sched: Scheduler,
     /// Per-shard sub-arenas recycling the window runtimes of the
-    /// sharded driver (see [`crate::shard`]); empty until a
-    /// `shards > 1` run happens on this arena.
+    /// driver (see [`crate::shard`]); empty until a windowed phase
+    /// runs on this arena.
     shard_arenas: Vec<SimArena>,
     /// Pooled full-size memory shell for shard windows (only used
     /// inside `shard_arenas` entries): one empty `Vec<u8>` per node,
@@ -567,9 +579,10 @@ pub struct SimArena {
     /// Pooled node list of the shard's current window (only used
     /// inside `shard_arenas` entries).
     window_nodes: Vec<u32>,
-    /// Pooled flat copy of the run's initial memories, kept by the
-    /// sharded driver so a window violation can rerun the original
-    /// inputs sequentially without allocating the backup per run.
+    /// Pooled flat copy of the run's initial memories, kept for runs
+    /// that may open windows so a window violation can rerun the
+    /// original inputs without windows, without allocating the backup
+    /// per run.
     pristine: Vec<u8>,
 }
 
@@ -708,288 +721,64 @@ impl SimArena {
                 }
             }
         }
-        if crate::shard::eligible(cfg, trace.is_some(), until.is_some()) {
-            // The sharded attempt consumes the memories; keep a
-            // pristine copy so a window violation can fall back to the
-            // sequential engine on the original inputs (see
-            // [`crate::shard`]). Flat and pooled: one backing buffer
-            // reused across runs instead of a fresh clone per node.
-            // A `declared_sync` config waives the snapshot — the
-            // declaration promises no NIC-window violation, and a
-            // broken promise surfaces as a typed error below.
-            let mut pristine = std::mem::take(&mut self.pristine);
-            pristine.clear();
-            if !cfg.declared_sync {
-                for m in &memories {
-                    pristine.extend_from_slice(m);
-                }
-            }
-            match self.run_sharded(cfg, compiled, memories) {
-                ShardedRun::Finished(out) => {
-                    self.pristine = pristine;
-                    return out.map(Some);
-                }
-                ShardedRun::SequentialFallback(_) if cfg.declared_sync => {
-                    self.pristine = pristine;
-                    return Err(SimError::SyncDeclarationViolated);
-                }
-                ShardedRun::SequentialFallback(mut mutated) => {
-                    // Node memory lengths never change during a run,
-                    // so the flat backup restores in place.
-                    let mut off = 0;
-                    for m in &mut mutated {
-                        let len = m.len();
-                        m.copy_from_slice(&pristine[off..off + len]);
-                        off += len;
-                    }
-                    self.pristine = pristine;
-                    memories = mutated;
-                }
+        // A run `shard::eligible` admits holds every barrier, so the
+        // driver can run the next phase in subcube windows; any other
+        // run never holds one and is the plain sequential engine.
+        let mut windows = crate::shard::eligible(cfg, trace.is_some(), until.is_some());
+        // A windowed attempt consumes the memories; keep a pristine
+        // copy so a window violation can rerun the original inputs
+        // without windows (see [`crate::shard`]). Flat and pooled: one
+        // backing buffer reused across runs instead of a fresh clone
+        // per node. A `declared_sync` config waives the snapshot — the
+        // declaration promises no NIC-window violation, and a broken
+        // promise surfaces as a typed error.
+        self.pristine.clear();
+        if windows && !cfg.declared_sync {
+            for m in &memories {
+                self.pristine.extend_from_slice(m);
             }
         }
         // Resolve network conditions (fault-avoiding routes, injection
         // schedule) before any simulated time elapses; Unroutable
         // surfaces here.
-        let conditioned = match &cfg.netcond {
+        let mut conditioned = match &cfg.netcond {
             Some(nc) => Some(build_conditioned(cfg, compiled, nc)?),
             None => None,
         };
-        let mut rt = Runtime::from_arena(
-            cfg,
-            &compiled.programs,
-            compiled.total_sends,
-            memories,
-            trace,
-            self,
-            None,
-        );
-        if let Some(nc) = &cfg.netcond {
-            rt.links.set_speeds(cfg.dimension, &nc.resolve_speeds(cfg.dimension));
-            rt.conditioned = conditioned;
-        }
-        let out = rt.run(compiled, until);
-        rt.reclaim(self);
-        out
-    }
-
-    /// Attempt the run on the sharded driver (see [`crate::shard`] for
-    /// the execution model and the determinism argument). Returns
-    /// [`ShardedRun::SequentialFallback`] when a shard window pushed a
-    /// NIC-lapse wake-up — the one situation whose bit-identity to the
-    /// sequential engine is not proven — so the caller reruns the
-    /// original inputs on the sequential path.
-    fn run_sharded(
-        &mut self,
-        cfg: &SimConfig,
-        compiled: &Compiled,
-        memories: Vec<Vec<u8>>,
-    ) -> ShardedRun {
-        let mut rt = Runtime::from_arena(
-            cfg,
-            &compiled.programs,
-            compiled.total_sends,
-            memories,
-            None,
-            self,
-            None,
-        );
-        rt.barrier_hold = true;
-        let end = Self::drive_mixed(&mut rt, compiled, &mut self.shard_arenas);
-        let out = match end {
-            Ok(MixedEnd::Complete) => ShardedRun::Finished(rt.finish(compiled)),
-            Ok(MixedEnd::Fallback) => {
-                ShardedRun::SequentialFallback(std::mem::take(&mut rt.memories))
-            }
-            Err(e) => ShardedRun::Finished(Err(e)),
-        };
-        rt.reclaim(self);
-        out
-    }
-
-    /// The sharded driver's main loop: run barrier-delimited phases,
-    /// choosing per phase between concurrent shard windows and the
-    /// globally serialized engine. An associated fn (not a method) so
-    /// the master runtime and the shard arenas can be borrowed side by
-    /// side.
-    fn drive_mixed(
-        rt: &mut Runtime<'_>,
-        compiled: &Compiled,
-        arenas: &mut Vec<SimArena>,
-    ) -> Result<MixedEnd, SimError> {
-        rt.seed();
         loop {
-            rt.drain(compiled)?;
-            let Some(mut release) = rt.held_release.take() else {
-                // Queue drained with no held barrier: the run
-                // completed (or deadlocked) — `finish` sorts it out.
-                return Ok(MixedEnd::Complete);
-            };
-            loop {
-                match rt.phase_mode(compiled) {
-                    PhaseMode::Global { cross_sends } => {
-                        rt.stats.shard_barrier_stalls += 1;
-                        rt.stats.shard_cross_events += cross_sends;
-                        rt.seed_release(release);
-                        break; // outer loop drains this phase globally
-                    }
-                    PhaseMode::Windowed(plan) => {
-                        rt.stats.shard_windows += 1;
-                        match Self::run_window(rt, compiled, release, plan, arenas)? {
-                            WindowEnd::Violation => return Ok(MixedEnd::Fallback),
-                            WindowEnd::Complete => return Ok(MixedEnd::Complete),
-                            WindowEnd::Released(next) => release = next,
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Execute one windowed phase: split the master runtime into
-    /// per-shard window runtimes, drain them concurrently, and merge
-    /// the results back in shard-index order (every merge step is
-    /// deterministic, and the shards' state is disjoint by the window
-    /// invariant).
-    fn run_window(
-        rt: &mut Runtime<'_>,
-        compiled: &Compiled,
-        release: SimTime,
-        plan: ShardPlan,
-        arenas: &mut Vec<SimArena>,
-    ) -> Result<WindowEnd, SimError> {
-        let count = plan.count as usize;
-        let d = rt.cfg.dimension;
-        let n = rt.nodes.len();
-        while arenas.len() < count {
-            arenas.push(SimArena::new());
-        }
-        // The system is quiescent at a barrier boundary: no pending
-        // retries, no live circuits, no in-place payloads.
-        debug_assert!(rt.dirty.is_empty());
-        debug_assert_eq!(rt.links.busy_count(), 0);
-        debug_assert!(rt.inplace_out.iter().all(Option::is_none));
-        let mut shard_rts: Vec<(Runtime<'_>, Vec<u32>)> = Vec::with_capacity(count);
-        for (s, arena) in arenas.iter_mut().enumerate().take(count) {
-            let mut list = std::mem::take(&mut arena.window_nodes);
-            plan.nodes_of(d, s as u32, &mut list);
-            let mut mems = std::mem::take(&mut arena.shell);
-            mems.resize(n, Vec::new());
-            for &x in &list {
-                std::mem::swap(&mut mems[x as usize], &mut rt.memories[x as usize]);
-            }
-            let mut srt = Runtime::from_arena(
-                rt.cfg,
+            let mut rt = Runtime::from_arena(
+                cfg,
                 &compiled.programs,
                 compiled.total_sends,
-                mems,
+                memories,
+                trace,
+                self,
                 None,
-                arena,
-                Some(&list),
             );
-            // A shard never releases a barrier on its own: its nodes
-            // pile up in `barrier_entered` and the queue drains empty,
-            // ending the window.
-            srt.barrier_target = u64::MAX;
-            for &x in &list {
-                let xi = x as usize;
-                copy_quiescent(&mut srt.nodes[xi], &rt.nodes[xi]);
-                let ns = compiled.programs[xi].num_slots as usize;
-                let (gb, lb) = (rt.slot_base[xi] as usize, srt.slot_base[xi] as usize);
-                srt.slots[lb..lb + ns].copy_from_slice(&rt.slots[gb..gb + ns]);
+            if let Some(nc) = &cfg.netcond {
+                rt.links.set_speeds(cfg.dimension, &nc.resolve_speeds(cfg.dimension));
+                rt.conditioned = conditioned.take();
             }
-            // Seed in node order — the projection of the sequential
-            // barrier release onto this shard.
-            for &x in &list {
-                srt.push(release, Event::NodeReady(NodeId(x)));
-            }
-            shard_rts.push((srt, list));
-        }
-        let results = rayon::parallel_map(shard_rts, |(mut srt, list)| {
-            let res = srt.drain(compiled);
-            (srt, list, res)
-        });
-        let mut entered = 0u64;
-        let mut last_entry = SimTime::ZERO;
-        let mut violated = false;
-        let mut first_err: Option<SimError> = None;
-        for (s, (mut srt, list, res)) in results.into_iter().enumerate() {
-            for &x in &list {
-                let xi = x as usize;
-                std::mem::swap(&mut rt.memories[xi], &mut srt.memories[xi]);
-                copy_quiescent(&mut rt.nodes[xi], &srt.nodes[xi]);
-                let ns = compiled.programs[xi].num_slots as usize;
-                let (gb, lb) = (rt.slot_base[xi] as usize, srt.slot_base[xi] as usize);
-                rt.slots[gb..gb + ns].copy_from_slice(&srt.slots[lb..lb + ns]);
-            }
-            // Cross-boundary UNFORCED buffering: carry early arrivals
-            // into the master map, translating the shard's packed slot
-            // indices back to global ones (shards own disjoint slots).
-            // The next phase then runs globally.
-            for (k, v) in srt.buffered.drain() {
-                let owner = list
-                    .iter()
-                    .map(|&x| x as usize)
-                    .find(|&xi| {
-                        let lb = srt.slot_base[xi];
-                        let ns = compiled.programs[xi].num_slots;
-                        (lb..lb + ns).contains(&k)
-                    })
-                    .expect("buffered key outside shard slots");
-                let gk = rt.slot_base[owner] + (k - srt.slot_base[owner]);
-                rt.buffered.insert(gk, v);
-            }
-            rt.stats.absorb(&srt.stats);
-            entered += srt.barrier_entered[0];
-            if srt.last_barrier_entry > last_entry {
-                last_entry = srt.last_barrier_entry;
-            }
-            violated |= srt.lapse_pushes > 0;
-            let peak = srt.sched.events.peak_pending();
-            if peak > rt.stats.shard_peak_pending {
-                rt.stats.shard_peak_pending = peak;
-            }
-            if first_err.is_none() {
-                if let Err(e) = res {
-                    first_err = Some(e);
+            rt.barrier_hold = windows;
+            let out = rt.drive(compiled, until, &mut self.shard_arenas);
+            memories = std::mem::take(&mut rt.memories);
+            rt.reclaim(self);
+            match out {
+                Err(SimError::SyncDeclarationViolated) if windows && !cfg.declared_sync => {
+                    // Node memory lengths never change during a run,
+                    // so the flat backup restores in place.
+                    let mut off = 0;
+                    for m in &mut memories {
+                        let len = m.len();
+                        m.copy_from_slice(&self.pristine[off..off + len]);
+                        off += len;
+                    }
+                    windows = false;
                 }
+                out => return out,
             }
-            let shell = std::mem::take(&mut srt.memories);
-            srt.reclaim_window(&mut arenas[s]);
-            arenas[s].shell = shell;
-            arenas[s].window_nodes = list;
         }
-        if let Some(e) = first_err {
-            return Err(e);
-        }
-        if violated {
-            return Ok(WindowEnd::Violation);
-        }
-        if entered == n as u64 {
-            rt.stats.barriers += 1;
-            return Ok(WindowEnd::Released(last_entry.plus_ns(rt.cfg.barrier_ns())));
-        }
-        // Not every node reached a barrier: either the whole run is
-        // done, or it deadlocked — `finish` tells them apart.
-        Ok(WindowEnd::Complete)
     }
-}
-
-/// Outcome of [`SimArena::run_sharded`].
-// One value exists per run and it is consumed immediately, so the
-// variant size skew costs nothing; boxing would only add a hop.
-#[allow(clippy::large_enum_variant)]
-enum ShardedRun {
-    Finished(Result<SimResult, SimError>),
-    /// A window pushed a NIC-lapse wake-up: rerun sequentially. The
-    /// mutated memory vectors ride along so the caller can restore
-    /// their contents from the pristine backup in place.
-    SequentialFallback(Vec<Vec<u8>>),
-}
-
-/// Outcome of the mixed driver's main loop.
-enum MixedEnd {
-    Complete,
-    Fallback,
 }
 
 /// Outcome of one shard window.
@@ -999,9 +788,6 @@ enum WindowEnd {
     Released(SimTime),
     /// The run ended inside the window (every node done, or stuck).
     Complete,
-    /// A shard pushed a NIC-lapse wake-up: discard the sharded
-    /// attempt.
-    Violation,
 }
 
 /// Shared config/shape validation for every arena-driven run.
@@ -1161,8 +947,8 @@ struct Runtime<'c> {
     /// never synchronize with each other).
     barrier_entered: Vec<u64>,
     /// Barrier-entry count that releases a job's barrier: the per-job
-    /// node count on sequential runs, `u64::MAX` inside a shard window
-    /// (a shard never releases a barrier on its own — the sharded
+    /// node count on the master runtime, `u64::MAX` inside a shard
+    /// window (a shard never releases a barrier on its own — the
     /// driver coordinates the release across shards; see
     /// [`crate::shard`]).
     barrier_target: u64,
@@ -1183,20 +969,22 @@ struct Runtime<'c> {
     /// after every drained event.
     fatal: Option<SimError>,
     /// When set, a completed barrier records its release time in
-    /// `held_release` instead of waking the nodes: the sharded driver
-    /// runs one barrier-delimited phase at a time and decides each
-    /// phase's execution mode at the boundary.
+    /// `held_release` instead of waking the nodes: the driver runs one
+    /// barrier-delimited phase at a time and decides each phase's
+    /// execution mode at the boundary. Off for every run that
+    /// [`crate::shard`] does not admit, and for the rerun after a
+    /// window violation.
     barrier_hold: bool,
     /// Release time of the barrier that completed under
     /// `barrier_hold` (last entry time + barrier cost).
     held_release: Option<SimTime>,
-    /// Time of the most recent barrier entry; the sharded driver
-    /// takes the max across shards to time the release.
+    /// Time of the most recent barrier entry; the driver takes the
+    /// max across shards to time a windowed phase's release.
     last_barrier_entry: SimTime,
     /// NIC-lapse wake-ups pushed by this runtime. A shard window that
     /// pushed any is not provably bit-identical to the sequential
     /// engine (see [`crate::shard`]), so the driver discards the whole
-    /// sharded attempt and reruns the inputs sequentially.
+    /// attempt and reruns the inputs without windows.
     lapse_pushes: u64,
     stats: SimStats,
     /// Structured trace sink; `None` (the default) keeps the traced
@@ -1205,28 +993,8 @@ struct Runtime<'c> {
     sink: Option<Box<TraceSink>>,
 }
 
-/// Orderable event payload for the heap (derives Ord).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum EventKey {
-    NodeReady(u32),
-    TransmissionEnd(u64),
-    Inject(u32),
-    Retransmit(u64),
-}
-
-impl From<Event> for EventKey {
-    fn from(e: Event) -> EventKey {
-        match e {
-            Event::NodeReady(n) => EventKey::NodeReady(n.0),
-            Event::TransmissionEnd(t) => EventKey::TransmissionEnd(t),
-            Event::Inject(i) => EventKey::Inject(i),
-            Event::Retransmit(t) => EventKey::Retransmit(t),
-        }
-    }
-}
-
 /// The engine's event scheduler: the main [`CalendarQueue`] heap over
-/// `(time, seq, EventKey)`, the same-time FIFO (events scheduled for
+/// `(time, seq, Event)`, the same-time FIFO (events scheduled for
 /// the instant currently being drained skip the heap entirely — they
 /// dominate the event mix), and the NIC-lapse heap of
 /// `(time_ns, qseq, tid)` wake-ups for concurrency-window conditions
@@ -1238,8 +1006,8 @@ impl From<Event> for EventKey {
 /// drift apart.
 #[derive(Default)]
 struct Scheduler {
-    events: CalendarQueue<EventKey>,
-    fifo: VecDeque<EventKey>,
+    events: CalendarQueue<Event>,
+    fifo: VecDeque<Event>,
     lapse: CalendarQueue<TransmissionId>,
     /// Sequence stamp of the last queued event; orders same-time
     /// entries by push order.
@@ -1264,7 +1032,7 @@ impl Scheduler {
 
     /// Schedule `ev` at `at`, given the instant currently draining.
     #[inline]
-    fn push(&mut self, at: SimTime, cur_t: SimTime, ev: EventKey) {
+    fn push(&mut self, at: SimTime, cur_t: SimTime, ev: Event) {
         if at == cur_t {
             // Same-time events keep sequence order by construction:
             // everything already queued for this instant was pushed
@@ -1285,21 +1053,21 @@ impl Scheduler {
     /// still queued. Time advances nowhere else, so the bound is
     /// tested once per instant, not once per event.
     #[inline]
-    fn pop_next(&mut self, cur_t: &mut SimTime) -> Option<(SimTime, EventKey)> {
-        if let Some((t, _, key)) = self.events.pop_if_time(cur_t.as_ns()) {
-            return Some((SimTime(t), key));
+    fn pop_next(&mut self, cur_t: &mut SimTime) -> Option<(SimTime, Event)> {
+        if let Some((t, _, ev)) = self.events.pop_if_time(cur_t.as_ns()) {
+            return Some((SimTime(t), ev));
         }
-        if let Some(key) = self.fifo.pop_front() {
-            return Some((*cur_t, key));
+        if let Some(ev) = self.fifo.pop_front() {
+            return Some((*cur_t, ev));
         }
         if let Some(until) = self.until {
             if self.events.peek()?.0 > until.as_ns() {
                 return None;
             }
         }
-        let (t, _, key) = self.events.pop()?;
+        let (t, _, ev) = self.events.pop()?;
         *cur_t = SimTime(t);
-        Some((SimTime(t), key))
+        Some((SimTime(t), ev))
     }
 }
 
@@ -1488,24 +1256,16 @@ impl<'c> Runtime<'c> {
     /// run-specific contents (stale wait-queue registrations, lapse
     /// wake-ups and unfinished transmissions from error runs must not
     /// leak into the next run). Payload pool and scratch survive
-    /// as-is: their contents are overwritten before use.
+    /// as-is: their contents are overwritten before use. So do the slot
+    /// table and its base offsets: [`Runtime::from_arena`] re-lays them
+    /// for every run, and a shard window of the same shape as the last
+    /// keeps the allocation untouched (the split pass overwrites every
+    /// cell from the master).
     fn reclaim(self, arena: &mut SimArena) {
-        self.reclaim_impl(arena, false)
-    }
-
-    /// [`Runtime::reclaim`] for shard-window runtimes: additionally
-    /// keeps the slot table and base offsets *as-is*, so the next
-    /// window of the same shape skips re-zeroing them (the split pass
-    /// overwrites every cell from the master anyway).
-    fn reclaim_window(self, arena: &mut SimArena) {
-        self.reclaim_impl(arena, true)
-    }
-
-    fn reclaim_impl(self, arena: &mut SimArena, keep_slot_tables: bool) {
         let Runtime {
             nodes,
-            mut slots,
-            mut slot_base,
+            slots,
+            slot_base,
             mut buffered,
             mut inplace_out,
             mut links,
@@ -1522,10 +1282,6 @@ impl<'c> Runtime<'c> {
             cfg,
             ..
         } = self;
-        if !keep_slot_tables {
-            slots.clear();
-            slot_base.clear();
-        }
         buffered.clear();
         inplace_out.clear();
         transmissions.clear();
@@ -1563,7 +1319,7 @@ impl<'c> Runtime<'c> {
     }
 
     fn push(&mut self, at: SimTime, ev: Event) {
-        self.sched.push(at, self.cur_t, ev.into());
+        self.sched.push(at, self.cur_t, ev);
     }
 
     #[inline]
@@ -1622,16 +1378,49 @@ impl<'c> Runtime<'c> {
         }
     }
 
-    /// Run to the end, or — bounded — to the first instant past
-    /// `until`: `None` when that leaves a program unfinished.
-    fn run(
+    /// The one driver loop behind every run: seed, drain, and at each
+    /// held barrier (`barrier_hold`) pick the next phase's mode —
+    /// globally serialized, or split into concurrent shard windows.
+    /// A run that holds no barrier leaves the loop after its first
+    /// drain: that is the sequential engine. Runs to the end or —
+    /// bounded — to the first instant past `until`: `None` when that
+    /// leaves a program unfinished. A window that pushed a NIC-lapse
+    /// wake-up ends the attempt with
+    /// [`SimError::SyncDeclarationViolated`]; the caller reruns the
+    /// inputs without windows unless the config declared sync.
+    fn drive(
         &mut self,
         compiled: &Compiled,
         until: Option<SimTime>,
+        arenas: &mut Vec<SimArena>,
     ) -> Result<Option<SimResult>, SimError> {
         self.sched.until = until;
         self.seed();
-        self.drain(compiled)?;
+        'phases: loop {
+            self.drain(compiled)?;
+            // Queue drained with no held barrier: the run completed,
+            // deadlocked or hit its bound.
+            let Some(mut release) = self.held_release.take() else {
+                break;
+            };
+            loop {
+                match self.phase_mode(compiled) {
+                    PhaseMode::Global { cross_sends } => {
+                        self.stats.shard_barrier_stalls += 1;
+                        self.stats.shard_cross_events += cross_sends;
+                        self.seed_release(release);
+                        continue 'phases;
+                    }
+                    PhaseMode::Windowed(plan) => {
+                        self.stats.shard_windows += 1;
+                        match self.run_window(compiled, release, plan, arenas)? {
+                            WindowEnd::Complete => break 'phases,
+                            WindowEnd::Released(next) => release = next,
+                        }
+                    }
+                }
+            }
+        }
         // Events left behind a drained scheduler are the ones a bound
         // held back.
         if !self.sched.events.is_empty() {
@@ -1648,6 +1437,139 @@ impl<'c> Runtime<'c> {
             }
         }
         self.finish(compiled).map(Some)
+    }
+
+    /// Execute one windowed phase for [`Runtime::drive`], from the
+    /// barrier it held: split this master runtime into per-shard
+    /// window runtimes (recycled through `arenas`, one per shard),
+    /// drain them concurrently, and merge the results back in
+    /// shard-index order (every merge step is deterministic, and the
+    /// shards' state is disjoint by the window invariant). The master
+    /// queue stays empty throughout; the outcome says whether the next
+    /// barrier releases or the run ended. A shard that pushed a
+    /// NIC-lapse wake-up voids the attempt:
+    /// [`SimError::SyncDeclarationViolated`].
+    fn run_window(
+        &mut self,
+        compiled: &Compiled,
+        release: SimTime,
+        plan: ShardPlan,
+        arenas: &mut Vec<SimArena>,
+    ) -> Result<WindowEnd, SimError> {
+        let count = plan.count as usize;
+        let d = self.cfg.dimension;
+        let n = self.nodes.len();
+        while arenas.len() < count {
+            arenas.push(SimArena::new());
+        }
+        // The system is quiescent at a barrier boundary: no pending
+        // retries, no live circuits, no in-place payloads.
+        debug_assert!(self.dirty.is_empty());
+        debug_assert_eq!(self.links.busy_count(), 0);
+        debug_assert!(self.inplace_out.iter().all(Option::is_none));
+        let mut shard_rts: Vec<(Runtime<'c>, Vec<u32>)> = Vec::with_capacity(count);
+        for (s, arena) in arenas.iter_mut().enumerate().take(count) {
+            let mut list = std::mem::take(&mut arena.window_nodes);
+            plan.nodes_of(d, s as u32, &mut list);
+            let mut mems = std::mem::take(&mut arena.shell);
+            mems.resize(n, Vec::new());
+            for &x in &list {
+                std::mem::swap(&mut mems[x as usize], &mut self.memories[x as usize]);
+            }
+            let mut srt = Runtime::from_arena(
+                self.cfg,
+                &compiled.programs,
+                compiled.total_sends,
+                mems,
+                None,
+                arena,
+                Some(&list),
+            );
+            // A shard never releases a barrier on its own: its nodes
+            // pile up in `barrier_entered` and the queue drains empty,
+            // ending the window.
+            srt.barrier_target = u64::MAX;
+            for &x in &list {
+                let xi = x as usize;
+                copy_quiescent(&mut srt.nodes[xi], &self.nodes[xi]);
+                let ns = compiled.programs[xi].num_slots as usize;
+                let (gb, lb) = (self.slot_base[xi] as usize, srt.slot_base[xi] as usize);
+                srt.slots[lb..lb + ns].copy_from_slice(&self.slots[gb..gb + ns]);
+            }
+            // Seed in node order — the projection of the sequential
+            // barrier release onto this shard.
+            for &x in &list {
+                srt.push(release, Event::NodeReady(NodeId(x)));
+            }
+            shard_rts.push((srt, list));
+        }
+        let results = rayon::parallel_map(shard_rts, |(mut srt, list)| {
+            let res = srt.drain(compiled);
+            (srt, list, res)
+        });
+        let mut entered = 0u64;
+        let mut last_entry = SimTime::ZERO;
+        let mut violated = false;
+        let mut first_err: Option<SimError> = None;
+        for (s, (mut srt, list, res)) in results.into_iter().enumerate() {
+            for &x in &list {
+                let xi = x as usize;
+                std::mem::swap(&mut self.memories[xi], &mut srt.memories[xi]);
+                copy_quiescent(&mut self.nodes[xi], &srt.nodes[xi]);
+                let ns = compiled.programs[xi].num_slots as usize;
+                let (gb, lb) = (self.slot_base[xi] as usize, srt.slot_base[xi] as usize);
+                self.slots[gb..gb + ns].copy_from_slice(&srt.slots[lb..lb + ns]);
+            }
+            // Cross-boundary UNFORCED buffering: carry early arrivals
+            // into the master map, translating the shard's packed slot
+            // indices back to global ones (shards own disjoint slots).
+            // The next phase then runs globally.
+            for (k, v) in srt.buffered.drain() {
+                let owner = list
+                    .iter()
+                    .map(|&x| x as usize)
+                    .find(|&xi| {
+                        let lb = srt.slot_base[xi];
+                        let ns = compiled.programs[xi].num_slots;
+                        (lb..lb + ns).contains(&k)
+                    })
+                    .expect("buffered key outside shard slots");
+                let gk = self.slot_base[owner] + (k - srt.slot_base[owner]);
+                self.buffered.insert(gk, v);
+            }
+            self.stats.absorb(&srt.stats);
+            entered += srt.barrier_entered[0];
+            if srt.last_barrier_entry > last_entry {
+                last_entry = srt.last_barrier_entry;
+            }
+            violated |= srt.lapse_pushes > 0;
+            let peak = srt.sched.events.peak_pending();
+            if peak > self.stats.shard_peak_pending {
+                self.stats.shard_peak_pending = peak;
+            }
+            if first_err.is_none() {
+                if let Err(e) = res {
+                    first_err = Some(e);
+                }
+            }
+            let shell = std::mem::take(&mut srt.memories);
+            srt.reclaim(&mut arenas[s]);
+            arenas[s].shell = shell;
+            arenas[s].window_nodes = list;
+        }
+        if let Some(e) = first_err {
+            return Err(e);
+        }
+        if violated {
+            return Err(SimError::SyncDeclarationViolated);
+        }
+        if entered == n as u64 {
+            self.stats.barriers += 1;
+            return Ok(WindowEnd::Released(last_entry.plus_ns(self.cfg.barrier_ns())));
+        }
+        // Not every node reached a barrier: either the whole run is
+        // done, or it deadlocked — `finish` tells them apart.
+        Ok(WindowEnd::Complete)
     }
 
     /// Queue the run's initial events: every node context ready at its
@@ -1682,12 +1604,12 @@ impl<'c> Runtime<'c> {
     /// empty — which means the run completed, deadlocked, or (under
     /// `barrier_hold`) reached a phase boundary.
     fn drain(&mut self, compiled: &Compiled) -> Result<(), SimError> {
-        while let Some((t, key)) = self.sched.pop_next(&mut self.cur_t) {
-            match key {
-                EventKey::NodeReady(n) => self.step_node(NodeId(n), t, compiled)?,
-                EventKey::TransmissionEnd(id) => self.finish_transmission(id, t)?,
-                EventKey::Inject(i) => self.inject_background(i as usize, t),
-                EventKey::Retransmit(id) => self.fire_retransmit(id, t),
+        while let Some((t, ev)) = self.sched.pop_next(&mut self.cur_t) {
+            match ev {
+                Event::NodeReady(x) => self.step_node(x, t, compiled)?,
+                Event::TransmissionEnd(id) => self.finish_transmission(id, t)?,
+                Event::Inject(i) => self.inject_background(i as usize, t),
+                Event::Retransmit(id) => self.fire_retransmit(id, t),
             }
             // Errors raised inside the pending scan (a flow-controlled
             // source out of retries) surface between events.
@@ -1757,7 +1679,7 @@ impl<'c> Runtime<'c> {
 
     /// Push the barrier-release wakes for every node — what the
     /// sequential barrier handler does when it completes, deferred to
-    /// the sharded driver under `barrier_hold`.
+    /// the driver under `barrier_hold`.
     fn seed_release(&mut self, release: SimTime) {
         for i in 0..self.nodes.len() {
             self.push(release, Event::NodeReady(NodeId(i as u32)));
@@ -2222,8 +2144,8 @@ impl<'c> Runtime<'c> {
             Some((max_f, sum_f)) => self.conditioned_priced_ns(nbytes, kind, max_f, sum_f, id),
             None => {
                 // Integer pricing from the precomputed per-run rates;
-                // bit-identical to `SimConfig::transmission_ns` /
-                // `hop_ns` / `reserve_ack_ns`.
+                // bit-identical to `SimConfig::transmission_ns` (one
+                // hop in store-and-forward mode) / `reserve_ack_ns`.
                 let bytes = nbytes as u64;
                 let lam = if bytes == 0 { self.ns_lambda0 } else { self.ns_lambda };
                 let dur_hops = if circuit { hops as u64 } else { 1 };

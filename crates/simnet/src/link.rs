@@ -5,10 +5,10 @@
 //! directed link, and counts contention events for the statistics
 //! report.
 //!
-//! Storage is a dense table indexed by `(from, dimension)` — O(1)
-//! checks with no hashing on the engine's hot path. The table grows on
-//! demand, so a [`LinkTable::new`] built without a dimension hint
-//! still works for any cube.
+//! Storage is a dense whole-cube table indexed by `(from, dimension)`
+//! — O(1) checks with no hashing on the engine's hot path. Shard
+//! windows use the same layout: a shard may sit on any coset of the
+//! cube, and its nodes touch only their own rows.
 //!
 //! The same index addresses each link's *wait list*: the transmissions
 //! blocked on the link, re-examined by the engine whenever it is
@@ -34,14 +34,10 @@ const FREE: TransmissionId = 0;
 #[derive(Debug)]
 pub struct LinkTable {
     /// Holder of each directed link (`FREE` = unheld), indexed by
-    /// `(from - from_base) * stride + dimension`.
+    /// `from * stride + dimension`.
     busy: Vec<TransmissionId>,
     /// Dimensions per node in the index space.
     stride: usize,
-    /// First node id covered by this table (`0` for a whole-cube
-    /// table; a shard-local table covers `[from_base, from_base +
-    /// len)` — see [`LinkTable::for_range`]).
-    from_base: u32,
     /// Number of currently busy directed links.
     busy_links: usize,
     /// Per-link slowdown factors, same indexing as `busy`; empty for
@@ -57,44 +53,13 @@ pub struct LinkTable {
     watch_entries: usize,
 }
 
-impl Default for LinkTable {
-    fn default() -> Self {
-        LinkTable::new()
-    }
-}
-
 impl LinkTable {
-    /// Fresh, all-free table for an unknown cube size. Uses a stride
-    /// wide enough for any supported dimension.
-    pub fn new() -> Self {
-        LinkTable {
-            busy: Vec::new(),
-            stride: 32,
-            from_base: 0,
-            busy_links: 0,
-            speeds: Vec::new(),
-            watch: Vec::new(),
-            watch_entries: 0,
-        }
-    }
-
-    /// Fresh table sized for a `d`-dimensional cube (tighter stride
-    /// and a pre-sized backing array).
+    /// Fresh, all-free table for a `d`-dimensional cube.
     pub fn for_cube(d: u32) -> Self {
-        Self::for_range(d, 0, 1usize << d)
-    }
-
-    /// Fresh table covering only the `len` nodes starting at `base`
-    /// within a `d`-dimensional cube. Shard-local tables use this so
-    /// each shard's occupancy state is contiguous and sized to the
-    /// subcube it owns; callers must only present links whose `from`
-    /// lies in the covered range.
-    pub fn for_range(d: u32, base: u32, len: usize) -> Self {
         let stride = (d as usize).max(1);
         LinkTable {
-            busy: vec![FREE; len * stride],
+            busy: vec![FREE; stride << d],
             stride,
-            from_base: base,
             busy_links: 0,
             speeds: Vec::new(),
             watch: Vec::new(),
@@ -104,32 +69,12 @@ impl LinkTable {
 
     #[inline]
     fn index(&self, l: &DirectedLink) -> usize {
-        debug_assert!(l.from.0 >= self.from_base, "link {l} below this table's node range");
-        (l.from.0 - self.from_base) as usize * self.stride + l.dimension() as usize
-    }
-
-    #[inline]
-    fn holder(&self, l: &DirectedLink) -> TransmissionId {
-        let i = self.index(l);
-        if i < self.busy.len() {
-            self.busy[i]
-        } else {
-            FREE
-        }
+        l.from.0 as usize * self.stride + l.dimension() as usize
     }
 
     /// Whether every link in `path` is currently free.
     pub fn all_free(&self, path: &[DirectedLink]) -> bool {
-        path.iter().all(|l| self.holder(l) == FREE)
-    }
-
-    /// Holders currently blocking `path` (deduplicated, sorted).
-    pub fn blockers(&self, path: &[DirectedLink]) -> Vec<TransmissionId> {
-        let mut ids: Vec<TransmissionId> =
-            path.iter().map(|l| self.holder(l)).filter(|&id| id != FREE).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
+        path.iter().all(|l| self.busy[self.index(l)] == FREE)
     }
 
     /// Atomically acquire all links in `path` for transmission `id`.
@@ -142,9 +87,6 @@ impl LinkTable {
         assert_ne!(id, FREE, "transmission ids start at 1");
         for l in path {
             let i = self.index(l);
-            if i >= self.busy.len() {
-                self.busy.resize(i + 1, FREE);
-            }
             assert_eq!(self.busy[i], FREE, "link {l} already held; engine bug");
             self.busy[i] = id;
             self.busy_links += 1;
@@ -155,11 +97,7 @@ impl LinkTable {
     pub fn release(&mut self, path: &[DirectedLink], id: TransmissionId) {
         for l in path {
             let i = self.index(l);
-            assert_eq!(
-                self.busy.get(i).copied(),
-                Some(id),
-                "link {l} not held by {id}; engine bug"
-            );
+            assert_eq!(self.busy[i], id, "link {l} not held by {id}; engine bug");
             self.busy[i] = FREE;
             self.busy_links -= 1;
         }
@@ -181,11 +119,11 @@ impl LinkTable {
     /// Register `id` on the wait list of every link in `path` (once
     /// per link, however often it asks).
     pub(crate) fn watch(&mut self, path: &[DirectedLink], id: TransmissionId) {
+        if self.watch.is_empty() {
+            self.watch.resize_with(self.busy.len(), Vec::new);
+        }
         for l in path {
             let i = self.index(l);
-            if i >= self.watch.len() {
-                self.watch.resize_with(self.busy.len().max(i + 1), Vec::new);
-            }
             let waiting = &mut self.watch[i];
             if !waiting.contains(&id) {
                 waiting.push(id);
@@ -232,10 +170,6 @@ impl LinkTable {
     /// [`crate::netcond::NetCondition::resolve_speeds`]) and is
     /// re-strided into this table's index space.
     pub fn set_speeds(&mut self, d: u32, factors: &[f64]) {
-        // Conditioned runs never shard (the engine falls back to the
-        // sequential path), so speed tables only ever land on
-        // whole-cube tables.
-        debug_assert_eq!(self.from_base, 0, "speed tables require a whole-cube link table");
         let n = 1usize << d;
         let dims = d as usize;
         debug_assert_eq!(factors.len(), n * dims);
@@ -299,7 +233,7 @@ mod tests {
 
     #[test]
     fn acquire_release_cycle() {
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::for_cube(3);
         let p = links_of(0, 7);
         assert!(table.all_free(&p));
         table.acquire(&p, 1);
@@ -312,50 +246,23 @@ mod tests {
 
     #[test]
     fn detects_conflicting_paths() {
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::for_cube(5);
         // Paper's example: 0->31 and 2->23 share directed link 3->7.
         let p1 = links_of(0, 31);
         let p2 = links_of(2, 23);
         table.acquire(&p1, 1);
         assert!(!table.all_free(&p2));
-        assert_eq!(table.blockers(&p2), vec![1]);
+        let shared = DirectedLink { from: NodeId(3), to: NodeId(7) };
+        let blocked: Vec<_> = p2.iter().filter(|l| !table.all_free(&[**l])).collect();
+        assert_eq!(blocked, [&shared]);
         // 14->11 shares only a node with 0->31: free to proceed.
         let p3 = links_of(14, 11);
         assert!(table.all_free(&p3));
     }
 
     #[test]
-    fn pre_sized_table_matches_grow_on_demand() {
-        let mut grown = LinkTable::new();
-        let mut sized = LinkTable::for_cube(5);
-        for (id, (s, t)) in [(1u64, (0u32, 31u32)), (2, (14, 11)), (3, (5, 6))].into_iter() {
-            grown.acquire(&links_of(s, t), id);
-            sized.acquire(&links_of(s, t), id);
-        }
-        assert_eq!(grown.busy_count(), sized.busy_count());
-        assert_eq!(grown.blockers(&links_of(2, 23)), sized.blockers(&links_of(2, 23)));
-    }
-
-    #[test]
-    fn range_table_matches_whole_cube_within_its_range() {
-        // A shard-local table over the upper half of a d5 cube must
-        // behave exactly like the whole-cube table for in-range paths.
-        let mut whole = LinkTable::for_cube(5);
-        let mut part = LinkTable::for_range(5, 16, 16);
-        let p = links_of(16, 31); // e-cube path stays within 16..=31
-        whole.acquire(&p, 1);
-        part.acquire(&p, 1);
-        assert_eq!(whole.busy_count(), part.busy_count());
-        assert_eq!(part.blockers(&links_of(16, 31)), whole.blockers(&links_of(16, 31)));
-        part.release(&p, 1);
-        whole.release(&p, 1);
-        assert!(part.all_free(&p));
-        assert_eq!(part.busy_count(), 0);
-    }
-
-    #[test]
     fn opposite_directions_independent() {
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::for_cube(3);
         table.acquire(&links_of(0, 7), 1);
         assert!(table.all_free(&links_of(7, 0)), "full duplex");
     }
@@ -404,16 +311,12 @@ mod tests {
         table.clear_watchers();
         assert!(!table.has_watchers());
         assert_eq!(table.watchers(&p[2]), 0);
-        // A table built without a size hint grows its lists on demand.
-        let mut grown = LinkTable::new();
-        grown.watch(&p, 1);
-        assert_eq!(grown.watchers(&p[1]), 1);
     }
 
     #[test]
     #[should_panic(expected = "already held")]
     fn double_acquire_is_an_engine_bug() {
-        let mut table = LinkTable::new();
+        let mut table = LinkTable::for_cube(2);
         let p = links_of(0, 3);
         table.acquire(&p, 1);
         table.acquire(&p, 2);

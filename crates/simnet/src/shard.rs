@@ -47,7 +47,7 @@
 //!   (vendored rayon workers) and merge back in shard-index order at
 //!   the barrier.
 //! * **Global** — the phase's sends touch every candidate axis: the
-//!   phase runs on the ordinary sequential engine, bit-for-bit. The
+//!   master runtime drains the phase itself, bit-for-bit. The
 //!   driver counts these in `shard_barrier_stalls` /
 //!   `shard_cross_events` (cross sends under the default top-bit
 //!   layout).
@@ -81,7 +81,7 @@
 //!   (the overwhelmingly common case: synchronized exchange phases
 //!   align NIC starts within the concurrency window) proves the
 //!   window exact. If any shard pushed one, the driver **discards the
-//!   entire sharded attempt and reruns the run sequentially** from a
+//!   entire attempt and reruns the run without windows** from a
 //!   pristine copy of the inputs — slower, never wrong.
 //!
 //! The pristine copy is the fallback's insurance premium: one flat
@@ -95,10 +95,12 @@
 //! instead of falling back — a typed, reproducible error, never a
 //! silently divergent result.
 //!
-//! Sharding engages only where that argument holds: circuit
-//! switching, zero jitter, no network conditions, tracing off (see
-//! `eligible`). Everything else — store-and-forward, jittered or
-//! conditioned runs — takes the sequential path unchanged. Two
+//! Sharding engages only where that argument holds (see `eligible`):
+//! circuit switching, zero jitter, no network conditions, a single
+//! job, tracing off and no bound. Every other run — store-and-forward,
+//! jittered, conditioned, multi-tenant, traced or bounded — is the same
+//! driver holding no barrier: the master runtime drains the whole run
+//! in one go, which is the sequential engine. Two
 //! documented blemishes remain on *failed* runs: deadlock reports may
 //! name shard-local transmission ids, and when several shards fail in
 //! the same window the first error in shard order (not simulated-time
@@ -235,7 +237,9 @@ pub(crate) enum PhaseMode {
     },
 }
 
-/// Whether a run may take the sharded driver at all. The determinism
+/// Whether a run may hold its barriers for shard windows; a run that
+/// may not drains from start to end without a held barrier. The
+/// determinism
 /// argument above needs circuit switching (quiescent barriers), zero
 /// jitter (transmission ids are per-shard) and an unconditioned
 /// network (no background injections, no global speed table); traced

@@ -93,6 +93,30 @@ fn partition_of(d: u32, seed: u64) -> Vec<u32> {
     dims
 }
 
+/// The d2 NIC-lapse workload: pairs (0,1) and (2,3) are each
+/// intra-shard at `shards: 2`, so the phase after the barrier scans as
+/// Windowed. Within each pair both nodes send without pairwise sync and
+/// the second sender computes 50 µs first — its transmit start lands
+/// mid-receive, outside the NIC concurrency window, so the
+/// transmission blocks and pushes a lapse wake-up inside the window.
+fn staggered_nosync() -> (Vec<Program>, Vec<Vec<u8>>) {
+    use mce_hypercube::NodeId;
+    use mce_simnet::{Op, Tag};
+    let bytes = 500usize;
+    let pair = |other: u32, stagger: bool| {
+        let mut ops = vec![Op::post_recv(NodeId(other), Tag::data(0, 1), 0..bytes), Op::Barrier];
+        if stagger {
+            ops.push(Op::Compute { ns: 50_000 });
+        }
+        ops.push(Op::send(NodeId(other), 0..bytes, Tag::data(0, 1)));
+        ops.push(Op::wait_recv(NodeId(other), Tag::data(0, 1)));
+        Program { ops }
+    };
+    let programs = vec![pair(1, false), pair(0, true), pair(3, false), pair(2, true)];
+    let memories = (0..4u8).map(|i| vec![0x10 + i; bytes]).collect();
+    (programs, memories)
+}
+
 mod properties {
     use super::*;
     use proptest::prelude::*;
@@ -219,26 +243,7 @@ fn sharded_windows_actually_execute() {
 /// zero *despite* `shards > 1`, results exactly sequential.
 #[test]
 fn shard_lapse_fallback_reruns_sequentially() {
-    use mce_hypercube::NodeId;
-    use mce_simnet::{Op, Tag};
-    // d2 cube, shards = 2: pairs (0,1) and (2,3) are each intra-shard,
-    // so the phase after the barrier scans as Windowed. Within each
-    // pair both nodes send without pairwise sync and the second sender
-    // computes 50 µs first — its transmit start lands mid-receive,
-    // outside the NIC concurrency window, so the transmission blocks
-    // and pushes a lapse wake-up inside the window.
-    let bytes = 500usize;
-    let pair = |other: u32, stagger: bool| {
-        let mut ops = vec![Op::post_recv(NodeId(other), Tag::data(0, 1), 0..bytes), Op::Barrier];
-        if stagger {
-            ops.push(Op::Compute { ns: 50_000 });
-        }
-        ops.push(Op::send(NodeId(other), 0..bytes, Tag::data(0, 1)));
-        ops.push(Op::wait_recv(NodeId(other), Tag::data(0, 1)));
-        Program { ops }
-    };
-    let programs = vec![pair(1, false), pair(0, true), pair(3, false), pair(2, true)];
-    let memories: Vec<Vec<u8>> = (0..4u8).map(|i| vec![0x10 + i; bytes]).collect();
+    let (programs, memories) = staggered_nosync();
     let cfg = SimConfig::ipsc860(2);
     let seq = run(cfg.clone(), &programs, &memories);
     assert!(
@@ -268,26 +273,13 @@ fn declared_sync_runs_are_bit_identical() {
 }
 
 /// A broken declaration must surface as a typed error, never as
-/// silently divergent results: the staggered no-sync workload from
-/// [`shard_lapse_fallback_reruns_sequentially`] pushes a NIC-lapse
-/// wake-up inside a window, and with `declared_sync` there is no
-/// pristine snapshot to fall back to.
+/// silently divergent results: the [`staggered_nosync`] workload
+/// pushes a NIC-lapse wake-up inside a window, and with
+/// `declared_sync` there is no pristine snapshot to fall back to.
 #[test]
 fn declared_sync_violation_is_a_typed_error() {
-    use mce_hypercube::NodeId;
-    use mce_simnet::{Op, SimError, Tag};
-    let bytes = 500usize;
-    let pair = |other: u32, stagger: bool| {
-        let mut ops = vec![Op::post_recv(NodeId(other), Tag::data(0, 1), 0..bytes), Op::Barrier];
-        if stagger {
-            ops.push(Op::Compute { ns: 50_000 });
-        }
-        ops.push(Op::send(NodeId(other), 0..bytes, Tag::data(0, 1)));
-        ops.push(Op::wait_recv(NodeId(other), Tag::data(0, 1)));
-        Program { ops }
-    };
-    let programs = vec![pair(1, false), pair(0, true), pair(3, false), pair(2, true)];
-    let memories: Vec<Vec<u8>> = (0..4u8).map(|i| vec![0x10 + i; bytes]).collect();
+    use mce_simnet::SimError;
+    let (programs, memories) = staggered_nosync();
     let cfg = SimConfig::ipsc860(2).with_shards(2).with_declared_sync();
     let err = SimArena::new().run(&cfg, &programs, memories).unwrap_err();
     assert_eq!(err, SimError::SyncDeclarationViolated);
@@ -305,4 +297,32 @@ fn single_shard_config_is_the_sequential_engine() {
     assert_eq!(a.node_finish, b.node_finish);
     assert_eq!(a.memories, b.memories);
     assert_eq!(a.stats, b.stats, "shards: 1 must not even differ in telemetry");
+}
+
+/// One arena across discarded and kept windowed attempts: a lapse
+/// fallback leaves the arena's master runtime, shard arenas and
+/// pristine buffer behind mid-run, and the next run — windowed,
+/// fallen back, sequential or at another shard count — must not see
+/// any of it. Each result equals a fresh arena's, statistics included.
+#[test]
+fn arena_reuse_across_sharded_attempts_matches_fresh_arenas() {
+    let lapse = staggered_nosync();
+    let d6 = (build_multiphase_programs(6, &[2, 2, 2], 8), stamped_memories(6, 8));
+    let d5 = (build_multiphase_programs(5, &[2, 3], 10), stamped_memories(5, 10));
+    let sequence = [
+        ("lapse shards2", SimConfig::ipsc860(2).with_shards(2), &lapse),
+        ("d6 shards8", SimConfig::ipsc860(6).with_shards(8), &d6),
+        ("lapse shards2 again", SimConfig::ipsc860(2).with_shards(2), &lapse),
+        ("d6 sequential", SimConfig::ipsc860(6), &d6),
+        ("d5 shards4", SimConfig::ipsc860(5).with_shards(4), &d5),
+    ];
+    let mut arena = SimArena::new();
+    for (label, cfg, (programs, memories)) in sequence {
+        let reused = arena.run(&cfg, programs, memories.clone()).expect("reused run failed");
+        let fresh = run(cfg, programs, memories);
+        assert_eq!(reused.finish_time, fresh.finish_time, "{label}: finish time");
+        assert_eq!(reused.node_finish, fresh.node_finish, "{label}: node finish times");
+        assert_eq!(reused.memories, fresh.memories, "{label}: memories");
+        assert_eq!(reused.stats, fresh.stats, "{label}: stats");
+    }
 }
