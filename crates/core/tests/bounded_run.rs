@@ -4,14 +4,22 @@
 //! on both sides of the finish time, a bounded run yields a result
 //! exactly when every program finishes by the bound, that result is
 //! the unbounded run's, and an abandoned run leaves nothing behind in
-//! the arena.
+//! the arena. The price floor a bounded run cuts on
+//! (`mce_simnet::finish_floor`) is checked against the finish time of
+//! runs over a wider space: link factors below and above 1, faults with
+//! dead pairs skipped, heavy jitter, staggered tenant jobs, `Compute`
+//! ops and UNFORCED sends.
 
 use mce_core::builder::build_multiphase_programs;
 use mce_core::verify::stamped_memories;
 use mce_hypercube::NodeId;
 use mce_partitions::partitions;
 use mce_simnet::conformance::hotspot_condition;
-use mce_simnet::{MsgKind, Op, Program, SimArena, SimConfig, SimResult, SimTime, Tag};
+use mce_simnet::traffic::{compose_memories, compose_programs};
+use mce_simnet::{
+    finish_floor, Cable, JobSpec, MsgKind, NetCondition, Op, Program, SimArena, SimConfig,
+    SimResult, SimTime, SpeedProfile, Tag,
+};
 use proptest::prelude::*;
 
 /// What a finished bounded run must share with the unbounded one:
@@ -82,6 +90,142 @@ proptest! {
         }
         // Cut or finished, the arena's next run is a fresh arena's.
         let again = arena.run(&cfg, &programs, stamped_memories(d, m)).unwrap();
+        assert_identical(&again, &full);
+    }
+}
+
+/// The knobs of one floor workload beyond the exchange itself.
+#[derive(Debug, Clone, Copy)]
+struct Knobs {
+    saf: bool,
+    /// 0: none, 1: 5 %, 2: 50 %.
+    jitter: u8,
+    /// 0: nominal, 1: uniform, 2: seeded in [0.3, 2.5], 3: one cable
+    /// overridden.
+    speed: u8,
+    hotspot: bool,
+    /// One dead cable, its unroutable pairs skipped.
+    fault: bool,
+    /// Two copies of the exchange as tenant jobs, the second staggered.
+    jobs: bool,
+    /// Data sends UNFORCED instead of FORCED.
+    unforced: bool,
+    /// A `Compute` of a node-dependent length after every barrier.
+    compute: bool,
+    seed: u64,
+}
+
+/// A multiphase exchange at `d`, `parts`, `m` under the machine and
+/// condition `k` describes: its config, programs and memories.
+fn floor_workload(
+    d: u32,
+    parts: &[u32],
+    m: usize,
+    k: Knobs,
+) -> (SimConfig, Vec<Program>, Vec<Vec<u8>>) {
+    let n = 1u32 << d;
+    let seed = k.seed;
+    let mut programs = build_multiphase_programs(d, parts, m);
+    for (x, program) in programs.iter_mut().enumerate() {
+        let mut ops = Vec::with_capacity(program.ops.len());
+        for op in program.ops.drain(..) {
+            let barrier = matches!(op, Op::Barrier);
+            ops.push(match op {
+                Op::Send { dst, from, tag, .. } if k.unforced && !from.is_empty() => {
+                    Op::Send { dst, from, tag, kind: MsgKind::Unforced }
+                }
+                op => op,
+            });
+            if barrier && k.compute {
+                ops.push(Op::Compute { ns: (seed ^ x as u64) % 20_000 });
+            }
+        }
+        program.ops = ops;
+    }
+    let mut memories = stamped_memories(d, m);
+    let mut cfg = SimConfig::ipsc860(d);
+    if k.saf {
+        cfg = cfg.with_store_and_forward();
+    }
+    match k.jitter {
+        0 => {}
+        1 => cfg = cfg.with_jitter(0.05, seed),
+        _ => cfg = cfg.with_jitter(0.5, seed),
+    }
+    let mut nc = if k.hotspot { hotspot_condition(d, n / 2) } else { NetCondition::default() };
+    let factor = [0.25, 0.5, 2.0, 2.5][(seed % 4) as usize];
+    match k.speed {
+        0 => {}
+        1 => nc.speed = SpeedProfile::Uniform(factor),
+        2 => nc.speed = SpeedProfile::Seeded { min: 0.3, max: 2.5, seed },
+        _ => {
+            let cable = Cable::new(NodeId((seed >> 8) as u32 % n), (seed >> 16) as u32 % d);
+            nc = nc.with_override(cable, factor);
+        }
+    }
+    if k.fault {
+        nc = nc.with_fault(NodeId((seed >> 24) as u32 % n), (seed >> 32) as u32 % d);
+        nc = nc.with_skip_dead_pairs();
+    }
+    if k.hotspot || k.speed > 0 || k.fault {
+        cfg = cfg.with_netcond(nc);
+    }
+    if k.jobs {
+        cfg = cfg.with_jobs(vec![JobSpec::default(), JobSpec::at(seed % 400_000)]);
+        programs = compose_programs(d, &[programs.clone(), programs]);
+        memories = compose_memories(d, &[memories.clone(), memories]);
+    }
+    (cfg, programs, memories)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn the_floor_never_passes_the_finish_time(
+        d in 2u32..=5,
+        which_partition in 0usize..64,
+        m in 1usize..48,
+        saf in 0u8..2,
+        jitter in 0u8..3,
+        speed in 0u8..4,
+        hotspot in 0u8..2,
+        fault in 0u8..2,
+        jobs in 0u8..2,
+        unforced in 0u8..2,
+        compute in 0u8..2,
+        seed in 0u64..u64::MAX,
+    ) {
+        let parts = partitions(d);
+        let part = &parts[which_partition % parts.len()];
+        let knobs = Knobs {
+            saf: saf == 1,
+            jitter,
+            speed,
+            hotspot: hotspot == 1,
+            fault: fault == 1,
+            jobs: jobs == 1,
+            unforced: unforced == 1,
+            compute: compute == 1,
+            seed,
+        };
+        let (cfg, programs, memories) = floor_workload(d, part.parts(), m, knobs);
+        let floor = finish_floor(&cfg, &programs).unwrap();
+        let full = SimArena::new().run(&cfg, &programs, memories.clone()).unwrap();
+        prop_assert!(floor <= full.finish_time, "floor {} past finish {}", floor, full.finish_time);
+
+        // The cut never fires on a run that finishes by its bound ...
+        let mut arena = SimArena::new();
+        let at_finish = arena.run_until(&cfg, &programs, memories.clone(), full.finish_time);
+        assert_same_outcome(&at_finish.unwrap().expect("finishes at its own finish time"), &full);
+        // ... and a bound below the floor is always a loss, after which
+        // the arena's next run is a fresh arena's.
+        if floor > SimTime::ZERO {
+            let below = SimTime(floor.as_ns() - 1);
+            let cut = arena.run_until(&cfg, &programs, memories.clone(), below).unwrap();
+            prop_assert!(cut.is_none(), "a run finished before its floor");
+        }
+        let again = arena.run(&cfg, &programs, memories).unwrap();
         assert_identical(&again, &full);
     }
 }

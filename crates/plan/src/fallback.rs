@@ -8,14 +8,15 @@
 //! the candidate partitions by *running* them and answers from
 //! measurement. The question is which candidate finishes first, so a
 //! candidate is simulated only as far as the best finish time seen so
-//! far: see [`simulate_answer`].
+//! far, and not at all when its price floor already passes it: see
+//! [`simulate_answer`].
 
 use mce_core::builder::build_multiphase_programs;
 use mce_core::verify::stamped_memories;
 use mce_model::ConditionSummary;
 use mce_partitions::Partition;
 use mce_simnet::conformance::{candidate_partitions, predicted_us_with, ScenarioError};
-use mce_simnet::{SimArena, SimConfig, SimError, SimTime};
+use mce_simnet::{finish_floor, SimArena, SimConfig, SimError, SimTime};
 
 /// Whether a condition sits outside the model's accuracy envelope:
 /// some dimension's *saturated hit rate* — the fraction of that
@@ -37,8 +38,12 @@ pub struct Simulated {
     /// Its simulated finish time, µs.
     pub simulated_us: f64,
     /// Candidates abandoned at the incumbent's finish time instead of
-    /// being run to completion.
+    /// being run to completion, the skipped ones included.
     pub cut_runs: u32,
+    /// Candidates never simulated: their price floor
+    /// ([`mce_simnet::finish_floor`]) already passed the incumbent's
+    /// finish time. Each is also one of the `cut_runs`.
+    pub skipped: u32,
 }
 
 /// Simulate one query's candidate set at block size `m` under `cfg`,
@@ -53,14 +58,18 @@ pub struct Simulated {
 /// [until](SimArena::run_until) the best finish time so far: a run cut
 /// there cannot be the minimum, and one that ties it finishes and is
 /// compared by cast index, so the order decides what the answer costs
-/// and never what it is.
+/// and never what it is. A later candidate whose
+/// [price floor](mce_simnet::finish_floor) is already past that time
+/// cannot finish by it either: it is skipped — never stamped, compiled
+/// or simulated — and counted as cut.
 ///
 /// # Errors
 ///
 /// The typed [`ScenarioError`] of the first candidate in cast order
 /// whose simulation failed (e.g. an unroutable pair under a faulted
-/// condition) — the caller degrades to the analytic hull answer. A
-/// failure hidden behind a cut is not one: that candidate had lost.
+/// condition; the floor reports the run's own) — the caller degrades
+/// to the analytic hull answer. A failure hidden behind a cut or a
+/// skip is not one: that candidate had lost.
 pub fn simulate_answer(
     cfg: &SimConfig,
     cond: &ConditionSummary,
@@ -72,30 +81,54 @@ pub fn simulate_answer(
         cast.iter().map(|p| predicted_us_with(cfg, cond, p.parts(), m)).collect();
     let mut order: Vec<usize> = (0..cast.len()).collect();
     order.sort_by(|&a, &b| predicted[a].total_cmp(&predicted[b]));
-    let (winner, finish, cut_runs) = simulate_in_order(cfg, &cast, &order, m)?;
-    Ok(Simulated { partition: cast[winner].clone(), simulated_us: finish.as_us(), cut_runs })
+    let ran = simulate_in_order(cfg, &cast, &order, m)?;
+    Ok(Simulated {
+        partition: cast[ran.winner].clone(),
+        simulated_us: ran.finish.as_us(),
+        cut_runs: ran.cut_runs,
+        skipped: ran.skipped,
+    })
+}
+
+/// What [`simulate_in_order`] measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Ran {
+    /// The winner's cast index.
+    winner: usize,
+    /// Its finish time.
+    finish: SimTime,
+    /// Runs cut at the incumbent, skipped ones included.
+    cut_runs: u32,
+    /// Candidates whose floor passed the incumbent.
+    skipped: u32,
 }
 
 /// Run `cast`'s members in `order` (a permutation of its indices),
-/// each bounded by the best finish time before it, and return the
-/// winner's cast index, its finish time and how many runs were cut.
+/// each bounded by the best finish time before it — or skipped when
+/// its floor is already past that — and report the winner.
 fn simulate_in_order(
     cfg: &SimConfig,
     cast: &[Partition],
     order: &[usize],
     m: usize,
-) -> Result<(usize, SimTime, u32), ScenarioError> {
+) -> Result<Ran, ScenarioError> {
     let d = cfg.dimension;
     let mut arena = SimArena::new();
     let mut best: Option<(SimTime, usize)> = None;
     let mut failed: Option<(usize, SimError)> = None;
-    let mut cut_runs = 0;
+    let (mut cut_runs, mut skipped) = (0, 0);
     for &i in order {
         let programs = build_multiphase_programs(d, cast[i].parts(), m);
-        let memories = stamped_memories(d, m);
         let run = match best {
-            None => arena.run(cfg, &programs, memories).map(Some),
-            Some((finish, _)) => arena.run_until(cfg, &programs, memories, finish),
+            None => arena.run(cfg, &programs, stamped_memories(d, m)).map(Some),
+            Some((finish, _)) => match finish_floor(cfg, &programs) {
+                Ok(floor) if floor > finish => {
+                    skipped += 1;
+                    Ok(None)
+                }
+                Ok(_) => arena.run_until(cfg, &programs, stamped_memories(d, m), finish),
+                Err(error) => Err(error),
+            },
         };
         match run {
             Ok(Some(run)) => {
@@ -120,7 +153,7 @@ fn simulate_in_order(
         });
     }
     let (finish, winner) = best.expect("a cast is never empty, and no member failed");
-    Ok((winner, finish, cut_runs))
+    Ok(Ran { winner, finish, cut_runs, skipped })
 }
 
 #[cfg(test)]
@@ -147,13 +180,14 @@ mod tests {
         let cfg = SimConfig::ipsc860(d).with_netcond(hotspot_condition(d, 8));
         let cast =
             [Partition::new(vec![2, 1]), Partition::new(vec![3]), Partition::new(vec![2, 1])];
-        let alone = |i: usize| simulate_in_order(&cfg, &cast, &[i], 64).unwrap().1;
+        let alone = |i: usize| simulate_in_order(&cfg, &cast, &[i], 64).unwrap().finish;
         assert_eq!(alone(0), alone(2));
         assert!(alone(0) < alone(1), "the tied pair must be the one that wins");
         for order in [[0, 1, 2], [0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
-            let (winner, finish, cut_runs) = simulate_in_order(&cfg, &cast, &order, 64).unwrap();
-            assert_eq!((winner, finish), (0, alone(0)), "order {order:?}");
-            assert!(cut_runs <= 1, "a tie finishes, it is not cut: order {order:?}");
+            let ran = simulate_in_order(&cfg, &cast, &order, 64).unwrap();
+            assert_eq!((ran.winner, ran.finish), (0, alone(0)), "order {order:?}");
+            assert!(ran.cut_runs <= 1, "a tie finishes, it is not cut: order {order:?}");
+            assert!(ran.skipped <= ran.cut_runs, "order {order:?}");
         }
     }
 

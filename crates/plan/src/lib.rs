@@ -41,7 +41,8 @@
 //!    `crates/model/README.md`) are answered from measurement, marked
 //!    [`AnswerSource::Fallback`]: the candidate partitions are
 //!    simulated one after another, each only as far as the best
-//!    finish time before it ([`fallback::simulate_answer`]). A
+//!    finish time before it, and not at all when its price floor
+//!    already passes that time ([`fallback::simulate_answer`]). A
 //!    simulation *failure* (typed
 //!    [`ScenarioError`](mce_simnet::conformance::ScenarioError))
 //!    degrades to the analytic hull answer instead of aborting — the

@@ -55,6 +55,7 @@
 
 use crate::compile::{compile, shared_compiled_for, Compiled, CompiledOp, CompiledProgram};
 use crate::config::{SimConfig, SwitchingMode};
+use crate::floor::PriceFloor;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::link::{LinkTable, TransmissionId};
 use crate::message::{MsgKind, Tag};
@@ -326,15 +327,22 @@ struct Conditioned {
     remaining: Vec<u32>,
 }
 
-/// Resolve a [`NetCondition`] against a compiled program set: find a
-/// fault-avoiding route for every send and every background stream (or
-/// fail with [`SimError::Unroutable`]), and set up the injection
-/// schedule.
-fn build_conditioned(
+/// Fault-avoiding routes keyed by `(phys src, mask)`, and the pairs
+/// skipped as dead (see [`Conditioned`]).
+pub(crate) type FaultRoutes = (FxHashMap<(u32, u32), Vec<u8>>, FxHashSet<(u32, u32)>);
+
+/// Resolve `nc`'s faults for every send of a program set — `sends`
+/// yields `(context, destination)` in program order — and every
+/// background stream: a fault-avoiding route for each pair whose
+/// e-cube route crosses a dead cable, a dead pair under
+/// [`NetCondition::skip_dead_pairs`] where none exists, or the first
+/// such pair's [`SimError::Unroutable`]. The one resolution behind a
+/// run's conditioned state and [`crate::floor::finish_floor`].
+pub(crate) fn resolve_faults(
     cfg: &SimConfig,
-    compiled: &Compiled,
     nc: &NetCondition,
-) -> Result<Conditioned, SimError> {
+    sends: impl IntoIterator<Item = (u32, u32)>,
+) -> Result<FaultRoutes, SimError> {
     let mut reroutes: FxHashMap<(u32, u32), Vec<u8>> = Default::default();
     let mut dead_pairs: FxHashSet<(u32, u32)> = Default::default();
     // Multi-job contexts fold onto physical nodes: routes, faults and
@@ -364,17 +372,32 @@ fn build_conditioned(
                 None => Err(SimError::Unroutable { src, dst }),
             }
         };
-        for (x, program) in compiled.programs.iter().enumerate() {
-            for op in program.ops(&compiled.ops) {
-                if let CompiledOp::Send { dst, .. } = op {
-                    resolve(NodeId(x as u32 & node_mask), NodeId(dst.0 & node_mask))?;
-                }
-            }
+        for (x, dst) in sends {
+            resolve(NodeId(x & node_mask), NodeId(dst & node_mask))?;
         }
         for stream in &nc.background {
             resolve(stream.src, stream.dst)?;
         }
     }
+    Ok((reroutes, dead_pairs))
+}
+
+/// Resolve a [`NetCondition`] against a compiled program set: find a
+/// fault-avoiding route for every send and every background stream (or
+/// fail with [`SimError::Unroutable`]), and set up the injection
+/// schedule.
+fn build_conditioned(
+    cfg: &SimConfig,
+    compiled: &Compiled,
+    nc: &NetCondition,
+) -> Result<Conditioned, SimError> {
+    let sends = compiled.programs.iter().enumerate().flat_map(|(x, program)| {
+        program.ops(&compiled.ops).iter().filter_map(move |op| match op {
+            CompiledOp::Send { dst, .. } => Some((x as u32, dst.0)),
+            _ => None,
+        })
+    });
+    let (reroutes, dead_pairs) = resolve_faults(cfg, nc, sends)?;
     // A dead background stream injects nothing instead of erroring.
     let remaining = nc
         .background
@@ -606,20 +629,34 @@ impl SimArena {
     }
 
     /// [`SimArena::run`] given a bound: the run is abandoned
-    /// (`Ok(None)`) the first time simulated time would advance past
-    /// `until` with some program unfinished. When every program
-    /// finished by then (`until` itself included) the result carries
-    /// the unbounded run's `finish_time`, memories and statistics,
-    /// except that background traffic injected after `until` is
-    /// neither simulated nor counted (`background_*`; the `sched_*`
-    /// telemetry follows the events actually queued).
+    /// (`Ok(None)`) as soon as some program provably cannot finish by
+    /// `until` — a context stepped at `t` whose remaining ops' price
+    /// floor (see [`crate::floor`]) ends past `until` — and at the
+    /// latest the first time simulated time would advance past `until`
+    /// with some program unfinished. When every program finished by
+    /// then (`until` itself included) the result carries the unbounded
+    /// run's `finish_time`, memories and statistics, except that
+    /// background traffic injected after `until` is neither simulated
+    /// nor counted (`background_*`; the `sched_*` telemetry follows the
+    /// events actually queued).
     ///
     /// For callers that compare runs and already hold a finish time to
     /// beat. The bound is an argument because it belongs to one
     /// question about a run, not to the machine a [`SimConfig`]
     /// describes; a bounded run is sequential whatever `cfg.shards`
     /// says, and an abandoned run leaves the arena as an errored one
-    /// does: ready for the next.
+    /// does: ready for the next. The floor costs a bounded run one
+    /// compare per node step (and one pass over the ops to set it up);
+    /// an unbounded run carries no floor state and pays one untaken
+    /// branch per node step, nothing per event.
+    ///
+    /// # Errors
+    ///
+    /// The run's [`SimError`]. Errors found before any simulated time
+    /// elapses (config, compile, horizon, [`SimError::Unroutable`])
+    /// always surface; a runtime error the run would have met after
+    /// the cut — past `until`, or between a floor cut and `until` —
+    /// does not: that run had lost.
     pub fn run_until(
         &mut self,
         cfg: &SimConfig,
@@ -745,6 +782,12 @@ impl SimArena {
             Some(nc) => Some(build_conditioned(cfg, compiled, nc)?),
             None => None,
         };
+        let speeds = cfg.netcond.as_ref().map(|nc| nc.resolve_speeds(cfg.dimension));
+        // The price floor (see [`crate::floor`]): what a bounded run
+        // cuts on, and what a debug build checks every finished run
+        // against. An unbounded release run prices nothing.
+        let floor = (until.is_some() || cfg!(debug_assertions))
+            .then(|| PriceFloor::new(cfg, speeds.as_deref()));
         loop {
             let mut rt = Runtime::from_arena(
                 cfg,
@@ -755,10 +798,11 @@ impl SimArena {
                 self,
                 None,
             );
-            if let Some(nc) = &cfg.netcond {
-                rt.links.set_speeds(cfg.dimension, &nc.resolve_speeds(cfg.dimension));
+            if let Some(speeds) = &speeds {
+                rt.links.set_speeds(cfg.dimension, speeds);
                 rt.conditioned = conditioned.take();
             }
+            rt.floor = floor;
             rt.barrier_hold = windows;
             let out = rt.drive(compiled, until, &mut self.shard_arenas);
             memories = std::mem::take(&mut rt.memories);
@@ -791,7 +835,11 @@ enum WindowEnd {
 }
 
 /// Shared config/shape validation for every arena-driven run.
-fn check_shape(cfg: &SimConfig, num_programs: usize, num_memories: usize) -> Result<(), SimError> {
+pub(crate) fn check_shape(
+    cfg: &SimConfig,
+    num_programs: usize,
+    num_memories: usize,
+) -> Result<(), SimError> {
     cfg.validate().map_err(|reason| SimError::InvalidConfig { reason })?;
     let n = cfg.total_contexts();
     if num_programs != n || num_memories != n {
@@ -991,6 +1039,16 @@ struct Runtime<'c> {
     /// paths down to one pointer test per emission site, so a
     /// trace-off run is bit-identical to a build without the sink.
     sink: Option<Box<TraceSink>>,
+    /// The run's price floor: set on bounded runs, and on every run of
+    /// a debug build (which checks it in [`Runtime::finish`]).
+    floor: Option<PriceFloor>,
+    /// Bounded runs only (empty otherwise): per context, the floor of
+    /// the ops from the second field's pc on, settled lazily at each
+    /// step (see [`Runtime::cut_by_floor`]).
+    floor_left: Vec<(u64, u32)>,
+    /// Set when a context's floor passed the bound: the run was
+    /// abandoned mid-drain.
+    floor_cut: bool,
 }
 
 /// The engine's event scheduler: the main [`CalendarQueue`] heap over
@@ -1230,6 +1288,9 @@ impl<'c> Runtime<'c> {
             fatal: None,
             stats,
             sink: trace.map(|tc| Box::new(TraceSink::new(tc, n))),
+            floor: None,
+            floor_left: Vec::new(),
+            floor_cut: false,
         }
     }
 
@@ -1395,6 +1456,9 @@ impl<'c> Runtime<'c> {
         arenas: &mut Vec<SimArena>,
     ) -> Result<Option<SimResult>, SimError> {
         self.sched.until = until;
+        if until.is_some() {
+            self.arm_floor(compiled);
+        }
         self.seed();
         'phases: loop {
             self.drain(compiled)?;
@@ -1420,6 +1484,9 @@ impl<'c> Runtime<'c> {
                     }
                 }
             }
+        }
+        if self.floor_cut {
+            return Ok(None);
         }
         // Events left behind a drained scheduler are the ones a bound
         // held back.
@@ -1647,6 +1714,9 @@ impl<'c> Runtime<'c> {
         if !stuck.is_empty() {
             return Err(SimError::Deadlock { stuck, forced_drops: self.stats.forced_drops });
         }
+        if cfg!(debug_assertions) {
+            self.assert_floor(compiled);
+        }
         // Scheduler telemetry: peak pending of the main event heap.
         self.stats.sched_peak_pending = self.sched.events.peak_pending();
         let finish_time = self.nodes.iter().map(|s| s.finish).max().unwrap_or(SimTime::ZERO);
@@ -1675,6 +1745,74 @@ impl<'c> Runtime<'c> {
             stats: std::mem::take(&mut self.stats),
             trace,
         })
+    }
+
+    /// The floor of `ops`, context `x`'s ops from some pc on, under this
+    /// run's prices and dead pairs.
+    fn ops_floor(&self, floor: &PriceFloor, x: NodeId, ops: &[CompiledOp], c: &Compiled) -> u64 {
+        ops.iter().fold(0u64, |sum, op| {
+            let dead = |dst: u32| self.pair_is_dead(x, NodeId(dst));
+            sum.saturating_add(floor.compiled_op_ns(x.0, op, &c.perms, dead))
+        })
+    }
+
+    /// Bounded runs: every context's floor is its whole program's,
+    /// settled at pc 0.
+    fn arm_floor(&mut self, compiled: &Compiled) {
+        let floor = self.floor.expect("a bounded run prices its floor");
+        let programs = compiled.programs.iter().enumerate();
+        let left = programs
+            .map(|(xi, p)| {
+                (self.ops_floor(&floor, NodeId(xi as u32), p.ops(&compiled.ops), compiled), 0)
+            })
+            .collect();
+        self.floor_left = left;
+    }
+
+    /// Bounded runs, at each step of context `x` at `t`: take the ops
+    /// it executed since its last step off its floor, and abandon the
+    /// run when what is left cannot end by the bound — `t + left >
+    /// until`, so the context cannot finish by `until` and neither can
+    /// the run. The queue is emptied so that the drain ends at once,
+    /// and `floor_cut` tells [`Runtime::drive`] why. Cutting here never
+    /// changes the outcome of a run that finishes by `until`; a runtime
+    /// error the run would have met before `until` reads as a loss.
+    fn cut_by_floor(&mut self, x: NodeId, t: SimTime, compiled: &Compiled) -> bool {
+        let (Some(floor), Some(until)) = (self.floor, self.sched.until) else {
+            return false;
+        };
+        let xi = x.index();
+        let pc = self.nodes[xi].pc;
+        let (left, settled) = self.floor_left[xi];
+        let ops = &compiled.programs[xi].ops(&compiled.ops)[settled as usize..pc];
+        let left = left.saturating_sub(self.ops_floor(&floor, x, ops, compiled));
+        self.floor_left[xi] = (left, pc as u32);
+        if t.as_ns().saturating_add(left) <= until.as_ns() {
+            return false;
+        }
+        self.floor_cut = true;
+        self.sched.events.clear();
+        self.sched.fifo.clear();
+        true
+    }
+
+    /// Debug builds: no context of a finished run ended before its job's
+    /// start plus its program's floor. Checks the floor's soundness on
+    /// every run the debug suite finishes.
+    fn assert_floor(&self, compiled: &Compiled) {
+        let Some(floor) = self.floor else { return };
+        let per_job = (self.node_mask + 1) as usize;
+        for (xi, p) in compiled.programs.iter().enumerate() {
+            let x = NodeId(xi as u32);
+            let start = self.cfg.jobs.get(xi / per_job).map_or(0, |job| job.start_ns);
+            let least =
+                start.saturating_add(self.ops_floor(&floor, x, p.ops(&compiled.ops), compiled));
+            let finish = self.nodes[xi].finish.as_ns();
+            assert!(
+                finish >= least,
+                "context {x} finished at {finish} ns, before its floor {least} ns"
+            );
+        }
     }
 
     /// Push the barrier-release wakes for every node — what the
@@ -1749,6 +1887,9 @@ impl<'c> Runtime<'c> {
         let xi = x.index();
         if self.nodes[xi].status == Status::Done {
             return Ok(()); // stale wake-up after completion
+        }
+        if !self.floor_left.is_empty() && self.cut_by_floor(x, t, compiled) {
+            return Ok(());
         }
         self.nodes[xi].status = Status::Ready;
         loop {

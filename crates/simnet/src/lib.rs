@@ -104,6 +104,7 @@ pub mod compile;
 pub mod config;
 pub mod conformance;
 pub mod engine;
+pub mod floor;
 pub(crate) mod fxhash;
 pub mod link;
 pub mod message;
@@ -119,6 +120,7 @@ pub mod traffic;
 pub use batch::{SimArena, SimBatch};
 pub use config::SimConfig;
 pub use engine::{SimError, SimResult};
+pub use floor::finish_floor;
 pub use message::{MsgKind, Tag};
 pub use netcond::{BackgroundStream, Cable, LinkPolicy, NetCondition, SpeedProfile};
 pub use program::{Op, Program};
