@@ -56,7 +56,7 @@ proptest! {
         jitter in 0u8..2,
         hotspot in 0u8..2,
         seed in 0u64..u64::MAX,
-        bound_kind in 0u8..6,
+        bound_kind in 0u8..7,
     ) {
         let parts = partitions(d);
         let part = &parts[which_partition % parts.len()];
@@ -79,7 +79,8 @@ proptest! {
             2 => finish,
             3 => finish + 1,
             4 => seed % finish,
-            _ => finish + seed % finish,
+            5 => finish + seed % finish,
+            _ => SimTime::HORIZON.as_ns(),
         });
 
         let mut arena = SimArena::new();
@@ -273,4 +274,66 @@ fn payloads_nobody_waits_for_still_land_after_the_programs_finish() {
         .unwrap()
         .expect("every program finished by the bound");
     assert_identical(&bounded, &full);
+}
+
+#[test]
+fn a_horizon_bound_stops_the_background_when_the_programs_finish() {
+    // Dense hotspot ladders keep injecting long after these exchanges
+    // are over (d7, 128 streams, {3,2,2}: 4 164 of 19 200 injections
+    // start by the finish). Bounded by the horizon, a run is the
+    // unbounded run up to the instant its last context finishes, and
+    // simulates none of the background tail after it.
+    let cases: [(u32, u32, usize, bool, &[u32]); 6] = [
+        (6, 32, 24, false, &[2, 2, 2]),
+        (6, 32, 24, false, &[1, 1, 1, 1, 1, 1]),
+        (7, 128, 16, false, &[3, 2, 2]),
+        (7, 128, 16, false, &[4, 3]),
+        (5, 16, 32, true, &[3, 2]),
+        (5, 16, 32, true, &[5]),
+    ];
+    for (d, streams, m, saf, part) in cases {
+        let mut cfg = SimConfig::ipsc860(d).with_netcond(hotspot_condition(d, streams));
+        if saf {
+            cfg = cfg.with_store_and_forward();
+        }
+        let programs = build_multiphase_programs(d, part, m);
+        let full = SimArena::new().run(&cfg, &programs, stamped_memories(d, m)).unwrap();
+        let bounded = SimArena::new()
+            .run_until(&cfg, &programs, stamped_memories(d, m), SimTime::HORIZON)
+            .unwrap()
+            .expect("a run that finishes finishes by the horizon");
+        assert_same_outcome(&bounded, &full);
+        assert!(
+            bounded.stats.background_transmissions < full.stats.background_transmissions,
+            "d{d} {part:?}: {} of {} background injections",
+            bounded.stats.background_transmissions,
+            full.stats.background_transmissions
+        );
+    }
+}
+
+#[test]
+fn a_payload_nobody_waits_for_drains_only_its_own_work() {
+    // The payload of `payloads_nobody_waits_for_still_land_after_the_
+    // programs_finish`, under a hotspot ladder whose streams outlive it
+    // by far: the bounded run lands the payload, contending with the
+    // background exactly as the unbounded run does, and stops there.
+    let d = 3u32;
+    let m = 64usize;
+    let tag = Tag::data(0, 1);
+    let mut programs = vec![Program::empty(); 1 << d];
+    programs[0].ops.push(Op::Send { dst: NodeId(7), from: 0..m, tag, kind: MsgKind::Forced });
+    programs[7].ops.push(Op::post_recv(NodeId(0), tag, 0..m));
+    let memories = || (0..1u8 << d).map(|x| vec![x + 1; m]).collect::<Vec<_>>();
+    let cfg = SimConfig::ipsc860(d).with_store_and_forward().with_netcond(hotspot_condition(d, 8));
+    let full = SimArena::new().run(&cfg, &programs, memories()).unwrap();
+    assert_eq!(full.memories[7], vec![1u8; m], "the payload lands in the unbounded run");
+    for until in [full.finish_time, SimTime::HORIZON] {
+        let bounded = SimArena::new()
+            .run_until(&cfg, &programs, memories(), until)
+            .unwrap()
+            .expect("every program finished by the bound");
+        assert_same_outcome(&bounded, &full);
+        assert!(bounded.stats.background_transmissions < full.stats.background_transmissions);
+    }
 }

@@ -64,7 +64,7 @@
 
 use crate::{
     best_partition_by, crossover_block_size, multiphase_saf_time, multiphase_time, optimal_cs_time,
-    standard_exchange_time, MachineParams,
+    standard_exchange_time, AffineHullFace, MachineParams,
 };
 use mce_partitions::Partition;
 use serde::{Deserialize, Deserializer, Serialize};
@@ -634,6 +634,15 @@ mod steps {
         /// Close the sums into terms for `concurrency` simultaneous
         /// transmissions.
         pub fn finish(&self, concurrency: u32) -> StepTerms {
+            self.finish_rooted(concurrency, (self.hops as f64).sqrt())
+        }
+
+        /// [`StepAcc::finish`] given `√hops`: the one per-hop-count
+        /// term that is a value of its own in the sums (every other
+        /// one is divided into them, and a hoisted reciprocal would
+        /// round differently), so a table fill takes it from a table
+        /// of `d + 1` roots instead of one square root per mask.
+        fn finish_rooted(&self, concurrency: u32, root_hops: f64) -> StepTerms {
             if self.hops == 0 {
                 return StepTerms {
                     max_factor: 1.0,
@@ -659,7 +668,7 @@ mod steps {
             StepTerms {
                 max_factor: order_stat.max(self.max_mean),
                 sum_factor: self.sum_mean,
-                spread_scale: self.sum_spread / hops * hops.sqrt(),
+                spread_scale: self.sum_spread / hops * root_hops,
                 contention,
             }
         }
@@ -712,34 +721,36 @@ mod steps {
 
     impl<'c> StepTable<'c> {
         /// Price every mask of `summary`'s cube. Allocates `56 · 2^d`
-        /// bytes: bound `d` first when it comes from outside (the
-        /// planner does, at `mce_hypercube::MAX_DIMENSION`).
+        /// bytes, and `80 · 2^(d-1)` more while it fills: bound `d`
+        /// first when it comes from outside (the planner does, at
+        /// `mce_hypercube::MAX_DIMENSION`).
         pub fn new(summary: &'c ConditionSummary) -> StepTable<'c> {
             let mut steps = Vec::new();
             if !summary.is_noop() {
-                let d = summary.dimension();
-                steps.resize(1usize << d, StepAcc::EMPTY.finish(0));
-                fill(summary, 1 << d, StepAcc::EMPTY, 0, 0, &mut steps);
+                let d = summary.dimension() as usize;
+                let concurrency = 1 << d;
+                let roots: Vec<f64> = (0..=d).map(|hops| (hops as f64).sqrt()).collect();
+                // Masks in index order, each its top bit over a lower
+                // mask: that mask's running sums are kept (those of the
+                // masks below the top dimension, the only lower ones),
+                // so each fold is one dimension and every sum comes
+                // out in ascending order, as in the kernel.
+                let mut accs = Vec::with_capacity(1 << d.saturating_sub(1));
+                accs.push(StepAcc::EMPTY);
+                steps.reserve_exact(1 << d);
+                steps.push(StepAcc::EMPTY.finish(concurrency));
+                for top in 0..d {
+                    let (f, c) = (&summary.factors[top], &summary.contention[top]);
+                    for low in 0..1 << top {
+                        let acc: StepAcc = accs[low].with_dim(f, c);
+                        steps.push(acc.finish_rooted(concurrency, roots[acc.hops as usize]));
+                        if top + 1 < d {
+                            accs.push(acc);
+                        }
+                    }
+                }
             }
             StepTable { summary, steps }
-        }
-    }
-
-    /// Write the terms of `mask` (accumulated in `acc`, all bits below
-    /// `from`) and of every mask that extends it upward: depth-first,
-    /// so each accumulator is folded once and lives on the stack.
-    fn fill(
-        summary: &ConditionSummary,
-        concurrency: u32,
-        acc: StepAcc,
-        mask: u32,
-        from: usize,
-        out: &mut [StepTerms],
-    ) {
-        out[mask as usize] = acc.finish(concurrency);
-        for k in from..summary.factors.len() {
-            let next = acc.with_dim(&summary.factors[k], &summary.contention[k]);
-            fill(summary, concurrency, next, mask | 1 << k, k + 1, out);
         }
     }
 
@@ -772,75 +783,92 @@ pub trait StepSource: steps::Source {}
 impl StepSource for ConditionSummary {}
 impl StepSource for StepTable<'_> {}
 
-/// Price one circuit-switched schedule step: a pairwise exchange of
-/// `bytes` over a mask with the given terms, with pairwise-sync
-/// overhead when the machine uses it, plus the expected contention
-/// delay.
-fn circuit_step_us(p: &MachineParams, bytes: f64, terms: &StepTerms) -> f64 {
-    let transfer = p.lambda_eff()
-        + p.tau * bytes * terms.max_factor
-        + p.delta_eff() * terms.sum_factor
-        + tuning::DESYNC * p.delta_eff() * terms.spread_scale;
-    // The sync and data acquisitions are back to back on the same
-    // links, so a step waits on the background at most once.
-    transfer + terms.delay_us(transfer)
+/// Price one circuit-switched schedule step at each block size of
+/// `bytes`: a pairwise exchange over a mask with the given terms, with
+/// pairwise-sync overhead when the machine uses it, plus the expected
+/// contention delay.
+fn circuit_step_us<const N: usize>(
+    p: &MachineParams,
+    bytes: [f64; N],
+    terms: &StepTerms,
+) -> [f64; N] {
+    bytes.map(|bytes| {
+        let transfer = p.lambda_eff()
+            + p.tau * bytes * terms.max_factor
+            + p.delta_eff() * terms.sum_factor
+            + tuning::DESYNC * p.delta_eff() * terms.spread_scale;
+        // The sync and data acquisitions are back to back on the same
+        // links, so a step waits on the background at most once.
+        transfer + terms.delay_us(transfer)
+    })
 }
 
-/// One conditioned store-and-forward schedule step: the step's message
-/// is received and retransmitted at every hop, so each dimension of
-/// `mask` is a full `λ + τ·m·f + δ·f` transfer at that dimension's
-/// mean factor (no path maximum — hops don't share a circuit), with
-/// sync messages likewise forwarded per hop. The per-hop sum stays a
-/// loop of its own: its `bytes` term sits inside it, so tabling it
-/// would re-associate the floats.
-fn saf_step_us(
+/// One conditioned store-and-forward schedule step at each block size
+/// of `bytes`: the step's message is received and retransmitted at
+/// every hop, so each dimension of `mask` is a full `λ + τ·m·f + δ·f`
+/// transfer at that dimension's mean factor (no path maximum — hops
+/// don't share a circuit), with sync messages likewise forwarded per
+/// hop. The per-hop sum stays a loop of its own: its `bytes` term sits
+/// inside it, so tabling it would re-associate the floats.
+fn saf_step_us<const N: usize>(
     p: &MachineParams,
-    bytes: f64,
+    bytes: [f64; N],
     mask: u32,
     cond: &ConditionSummary,
     terms: &StepTerms,
-) -> f64 {
-    let mut transfer = 0.0;
+) -> [f64; N] {
+    let mut transfer = [0.0; N];
     let mut m = mask;
     while m != 0 {
         let f = &cond.factors[m.trailing_zeros() as usize];
         m &= m - 1;
         let f_tau = f.mean + tuning::SAF_TAU_SPREAD * (f.max - f.min);
-        transfer += p.lambda + p.tau * bytes * f_tau + p.delta * f.mean;
-        if p.pairwise_sync {
-            transfer += p.lambda_zero + p.delta * f.mean;
+        for (transfer, bytes) in transfer.iter_mut().zip(bytes) {
+            *transfer += p.lambda + p.tau * bytes * f_tau + p.delta * f.mean;
+            if p.pairwise_sync {
+                *transfer += p.lambda_zero + p.delta * f.mean;
+            }
         }
     }
     // Heterogeneous per-direction hop times desynchronize the pair and
     // the NIC window serializes part of the overlap, as in the
     // circuit-switched step.
-    transfer += tuning::DESYNC * p.delta_eff() * terms.spread_scale;
-    transfer + terms.delay_us(transfer)
+    transfer.map(|transfer| {
+        let transfer = transfer + tuning::DESYNC * p.delta_eff() * terms.spread_scale;
+        transfer + terms.delay_us(transfer)
+    })
 }
 
 /// The one phase summation behind every conditioned multiphase
 /// pricing: the partial exchange on dimensions `lo .. lo + di` of a
-/// `d`-cube, its `2^di - 1` steps priced by `step(bytes, mask, terms)`
-/// with terms read from `src`, plus the shuffle and the barrier.
-fn phase_us<S: StepSource>(
+/// `d`-cube at each block size of `ms`, its `2^di - 1` steps priced by
+/// `step(bytes, mask, terms)` with terms read from `src` once per step
+/// for all the sizes, plus the shuffle and the barrier. Each size's
+/// sum is the same float sequence whatever the other sizes.
+fn phase_us<S: StepSource, const N: usize>(
     p: &MachineParams,
-    m: f64,
+    ms: [f64; N],
     lo: u32,
     di: u32,
     d: u32,
     src: &S,
-    step: impl Fn(f64, u32, &StepTerms) -> f64,
-) -> f64 {
-    let meff = crate::effective_block_size(m, di, d);
-    let mut t = 0.0;
+    step: impl Fn([f64; N], u32, &StepTerms) -> [f64; N],
+) -> [f64; N] {
+    let meff = ms.map(|m| crate::effective_block_size(m, di, d));
+    let mut t = [0.0; N];
     for j in 1u32..(1 << di) {
         let mask = j << lo;
-        t += step(meff, mask, &src.step(mask));
+        for (t, step_us) in t.iter_mut().zip(step(meff, mask, &src.step(mask))) {
+            *t += step_us;
+        }
     }
-    if di < d {
-        t += p.shuffle_time(m * (1u64 << d) as f64);
+    for (t, m) in t.iter_mut().zip(ms) {
+        if di < d {
+            *t += p.shuffle_time(m * (1u64 << d) as f64);
+        }
+        *t += p.barrier_time(d);
     }
-    t + p.barrier_time(d)
+    t
 }
 
 /// The phases of partition `dims`, laid out top-down, summed.
@@ -850,13 +878,13 @@ fn phases_us<S: StepSource>(
     d: u32,
     dims: &[u32],
     src: &S,
-    step: impl Fn(f64, u32, &StepTerms) -> f64,
+    step: impl Fn([f64; 1], u32, &StepTerms) -> [f64; 1],
 ) -> f64 {
     let mut hi = d;
     let mut t = 0.0;
     for &di in dims {
         hi -= di;
-        t += phase_us(p, m, hi, di, d, src, &step);
+        t += phase_us(p, [m], hi, di, d, src, &step)[0];
     }
     t
 }
@@ -880,7 +908,7 @@ pub fn conditioned_partial_exchange_time(
     if cond.is_noop() {
         return crate::partial_exchange_time(p, m, di, d);
     }
-    phase_us(p, m, lo, di, d, cond, |bytes, _, terms| circuit_step_us(p, bytes, terms))
+    phase_us(p, [m], lo, di, d, cond, |bytes, _, terms| circuit_step_us(p, bytes, terms))[0]
 }
 
 /// Check a partition and a condition against the cube they price.
@@ -1076,7 +1104,8 @@ pub fn conditioned_partial_exchange_saf_time(
     if cond.is_noop() {
         return crate::saf::partial_exchange_saf_time(p, m, di, d);
     }
-    phase_us(p, m, lo, di, d, cond, |bytes, mask, terms| saf_step_us(p, bytes, mask, cond, terms))
+    phase_us(p, [m], lo, di, d, cond, |bytes, mask, terms| saf_step_us(p, bytes, mask, cond, terms))
+        [0]
 }
 
 /// Conditioned analogue of [`crate::multiphase_saf_time`]: the full
@@ -1107,6 +1136,100 @@ pub fn conditioned_best_saf_partition(
 ) -> (Partition, f64) {
     let table = StepTable::new(cond);
     best_partition_by(d, |part| conditioned_multiphase_saf_time(p, m, d, part.parts(), &table))
+}
+
+/// The conditioned hull of optimality of a `d`-cube under `cond`, with
+/// [`conditioned_multiphase_time`] pricing each partition — or
+/// [`conditioned_multiphase_saf_time`] when `store_and_forward` — read
+/// from one [`StepTable`] of the condition: the faces of
+/// [`crate::optimality_hull_affine_by`] under that pricing, bit for
+/// bit, for a fraction of its price. The partitions share their phase
+/// fields (a d10 cube's 42 partitions have 192 phases over 35 fields
+/// `(lo, di)`), so each field is priced once, at `m = 0` and `m = 1` in
+/// one pass over its masks, and every partition sums its fields in its
+/// own phase order — the very sums a per-partition price adds.
+///
+/// This is the planner's hull builder (`mce_plan::PlanHull::build`).
+pub fn conditioned_optimality_hull(
+    p: &MachineParams,
+    d: u32,
+    cond: &ConditionSummary,
+    store_and_forward: bool,
+) -> Vec<AffineHullFace> {
+    assert_eq!(cond.dimension(), d, "summary dimension mismatch");
+    let table = StepTable::new(cond);
+    crate::hull::lower_envelope(&partition_lines(p, d, &table, store_and_forward))
+}
+
+/// The two block sizes a line is sampled at: its intercept is the
+/// price at the first, its slope the price at the second minus that.
+const LINE_SIZES: [f64; 2] = [0.0, 1.0];
+
+/// Every partition of `d`, in enumeration order, as its line
+/// `(partition, t0, slope)`: `t0` bit-equal to the partition's price at
+/// `m = 0` and `slope` to its price at `m = 1` minus `t0`, each price
+/// the one [`conditioned_multiphase_time`] (or, with
+/// `store_and_forward`, [`conditioned_multiphase_saf_time`]) returns
+/// for `cond`.
+pub(crate) fn partition_lines<S: StepSource>(
+    p: &MachineParams,
+    d: u32,
+    cond: &S,
+    store_and_forward: bool,
+) -> Vec<(Partition, f64, f64)> {
+    let parts = mce_partitions::partitions(d);
+    if cond.is_noop() {
+        // The unconditioned model prices a phase by `di` alone.
+        let phases: Vec<[f64; 2]> = (1..=d)
+            .map(|di| {
+                LINE_SIZES.map(|m| match store_and_forward {
+                    false => crate::partial_exchange_time(p, m, di, d),
+                    true => crate::saf::partial_exchange_saf_time(p, m, di, d),
+                })
+            })
+            .collect();
+        let line = |part: Partition| {
+            let price = |k: usize| part.parts().iter().map(|&di| phases[di as usize - 1][k]).sum();
+            let t0: f64 = price(0);
+            let t1: f64 = price(1);
+            (part, t0, t1 - t0)
+        };
+        return parts.into_iter().map(line).collect();
+    }
+    if store_and_forward {
+        let summary = cond.summary();
+        field_lines(p, d, parts, cond, |bytes, mask, terms| {
+            saf_step_us(p, bytes, mask, summary, terms)
+        })
+    } else {
+        field_lines(p, d, parts, cond, |bytes, _, terms| circuit_step_us(p, bytes, terms))
+    }
+}
+
+/// [`partition_lines`] of a conditioned cube, its steps priced by
+/// `step`: each phase field `(lo, di)` priced at both sizes the first
+/// time a partition reaches it, then summed like [`phases_us`] sums.
+fn field_lines<S: StepSource>(
+    p: &MachineParams,
+    d: u32,
+    parts: Vec<Partition>,
+    src: &S,
+    step: impl Fn([f64; 2], u32, &StepTerms) -> [f64; 2],
+) -> Vec<(Partition, f64, f64)> {
+    let width = d as usize + 1;
+    let mut fields: Vec<Option<[f64; 2]>> = vec![None; width * width];
+    let line = |part: Partition| {
+        let (mut hi, mut t) = (d, [0.0; 2]);
+        for &di in part.parts() {
+            hi -= di;
+            let field = fields[hi as usize * width + di as usize]
+                .get_or_insert_with(|| phase_us(p, LINE_SIZES, hi, di, d, src, &step));
+            t[0] += field[0];
+            t[1] += field[1];
+        }
+        (part, t[0], t[1] - t[0])
+    };
+    parts.into_iter().map(line).collect()
 }
 
 #[cfg(test)]
@@ -1224,6 +1347,44 @@ mod tests {
         // The empty mask prices nothing.
         assert_eq!((cond.max_factor(0), cond.sum_factor(0), cond.spread_scale(0)), (1.0, 0.0, 0.0));
         assert_eq!(cond.step_delay_us(0, 1 << d, 250.0), 0.0);
+    }
+
+    #[test]
+    fn shared_field_pricing_is_the_per_partition_price() {
+        // Every line of the phase-shared pricer against pricing its
+        // partition alone at m = 0 and m = 1, bit for bit: circuit and
+        // store and forward, no-op, spread, uniform and contended
+        // conditions, d1-d10.
+        let machines =
+            [MachineParams::ipsc860(), MachineParams::ncube2_like(), MachineParams::hypothetical()];
+        for d in 1..=10u32 {
+            let n = 1usize << d;
+            let spread: Vec<f64> =
+                (0..n * d as usize).map(|i| 1.0 + ((i * 7919) % 23) as f64 / 9.0).collect();
+            let mut contended = ConditionSummary::from_link_factors(d, &spread);
+            contended.add_stream(n as u32 - 1, 314.0, 600.0);
+            contended.add_stream(1, 90.0, 1500.0);
+            let spread = ConditionSummary::from_link_factors(d, &spread);
+            let conditions = [ConditionSummary::noop(d), spread, uniform(d, 1.7), contended];
+            for (p, cond) in machines.iter().flat_map(|p| conditions.iter().map(move |c| (p, c))) {
+                for saf in [false, true] {
+                    let lines = partition_lines(p, d, &StepTable::new(cond), saf);
+                    let parts = mce_partitions::partitions(d);
+                    assert_eq!(lines.len(), parts.len());
+                    for ((part, t0, slope), expected) in lines.iter().zip(&parts) {
+                        assert_eq!(part, expected);
+                        let price = |m| match saf {
+                            false => conditioned_multiphase_time(p, m, d, part.parts(), cond),
+                            true => conditioned_multiphase_saf_time(p, m, d, part.parts(), cond),
+                        };
+                        let (at0, at1) = (price(0.0), price(1.0));
+                        let what = format!("{} d{d} saf {saf} {part} {cond:?}", p.name);
+                        assert_eq!(t0.to_bits(), at0.to_bits(), "{what}");
+                        assert_eq!(slope.to_bits(), (at1 - at0).to_bits(), "{what}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -121,12 +121,15 @@ pub fn affine_face_index(faces: &[AffineHullFace], m: f64) -> Option<usize> {
 /// Every pricing in this crate is affine in `m`, so each partition is
 /// one line `t0 + slope·m` (sampled at `m = 0` and `m = 1`) and holds
 /// at most one contiguous interval; the candidate breakpoints are the
-/// pairwise line crossings at positive `m`, and probing the interior
-/// of each inter-crossing interval (where no two lines tie) recovers
-/// the envelope's winner per interval. The breakpoints are exact
-/// intersections, and the faces carry their affine coefficients. This
-/// is the one hull builder: the figures' casts, the planner's stored
-/// hulls (`mce_plan`) and every study read it.
+/// pairwise line crossings at positive `m`, and the envelope's winner
+/// on each inter-crossing interval is the lines' float minimum at the
+/// interval's midpoint (where no two lines tie). The breakpoints are
+/// exact intersections, and the faces carry their affine coefficients.
+/// The crossings are not sorted to get there: a walk along the
+/// envelope, certified against those midpoints, evaluates only within
+/// rounding of its boundaries. This is the one hull builder: the
+/// figures' casts, the planner's stored hulls (`mce_plan`, through
+/// [`crate::conditioned_optimality_hull`]) and every study read it.
 ///
 /// Ties inside an interval (coincident lines) resolve toward the
 /// earlier partition in enumeration order, matching
@@ -151,54 +154,257 @@ pub fn optimality_hull_affine_by(
     lower_envelope(&lines)
 }
 
+/// Relative rounding margin of the envelope's certificate: a line
+/// `w` is *certified* at `m` when every other live line `j` lies above
+/// it there by more than `MARGIN·(|t0_j| + |t0_w| + (|s_j| + |s_w|)·m)`
+/// — 64 machine epsilons of the lines' magnitudes, where evaluating
+/// `t0 + slope·m` rounds by about one on either side and computing the
+/// gap itself by a few more. A certified `w` is therefore the strict
+/// float minimum at `m`, whatever the evaluation order; and the gap is
+/// affine in `m`, so where `w` is certified is one interval.
+const MARGIN: f64 = 64.0 * f64::EPSILON;
+
+/// One line of the envelope: its index in enumeration order, its
+/// intercept and its slope.
+type Line = (usize, f64, f64);
+
+/// A run of the envelope: the winning line's index and the block-size
+/// interval `[from, to)` it wins.
+type Run = (usize, f64, f64);
+
 /// The lower envelope over `m >= 0` of the lines `(partition, t0,
-/// slope)`, given in enumeration order.
-fn lower_envelope(lines: &[(Partition, f64, f64)]) -> Vec<AffineHullFace> {
-    // Candidate breakpoints: every pairwise crossing at m > 0. p(d)
-    // grows slowly (p(20) = 627), so the quadratic pass is cheap next
-    // to the 2·p(d) model evaluations that produced the lines.
-    let mut cuts: Vec<f64> = Vec::new();
-    for i in 0..lines.len() {
-        for j in (i + 1)..lines.len() {
-            let (_, a0, a_s) = lines[i];
-            let (_, b0, b_s) = lines[j];
-            if a_s != b_s {
-                let x = (b0 - a0) / (a_s - b_s);
-                if x.is_finite() && x > 0.0 {
-                    cuts.push(x);
-                }
-            }
-        }
-    }
-    cuts.sort_by(f64::total_cmp);
-    cuts.dedup();
-    // A line that an earlier one dominates (intercept and slope both
-    // no larger) never wins a probe: float `*` and `+` are monotone,
-    // so at every m >= 0 the earlier line evaluates no higher, and
-    // ties go to the lower index. Probing only the rest finds the same
-    // winners among far fewer lines (42 -> ~16 on a degraded d10
-    // cube). A dominated line's crossings stay in `cuts`: they place
-    // the probes, and where near-coincident lines cross within ulps of
-    // each other one of them can be the breakpoint the sweep reports.
-    let mut live: Vec<(usize, f64, f64)> = Vec::new();
+/// slope)`, given in enumeration order: bit for bit the faces of the
+/// sweep that probes the midpoint of every interval between two
+/// consecutive pairwise crossings at `m > 0` (all lines', dominated
+/// ones included) and takes the float minimum of the live lines there.
+///
+/// That sweep sorts every crossing (≈ 620 at d10) and evaluates the
+/// live lines at every probe. [`walk`] sorts only the few crossings
+/// within rounding of a boundary and evaluates only there; the hulls it
+/// cannot certify go through [`sweep`], which evaluates only where a
+/// certified winner runs out.
+pub(crate) fn lower_envelope(lines: &[(Partition, f64, f64)]) -> Vec<AffineHullFace> {
+    let live = live_lines(lines);
+    let runs = walk(lines, &live).unwrap_or_else(|| sweep(lines, &live));
+    faces(lines, runs)
+}
+
+/// The lines no earlier line dominates. A dominated line (intercept
+/// and slope both no smaller than an earlier one's) never wins a probe:
+/// float `*` and `+` are monotone, so at every m >= 0 the earlier line
+/// evaluates no higher, and ties go to the lower index. Its crossings
+/// still place the sweep's probes.
+fn live_lines(lines: &[(Partition, f64, f64)]) -> Vec<Line> {
+    let mut live: Vec<Line> = Vec::new();
     for (j, &(_, t0, slope)) in lines.iter().enumerate() {
         if !live.iter().any(|&(_, a0, a_s)| a0 <= t0 && a_s <= slope) {
             live.push((j, t0, slope));
         }
     }
-    let winner_at = |m: f64| -> usize {
-        let (mut best, t0, slope) = live[0];
-        let mut best_t = t0 + slope * m;
-        for &(i, t0, slope) in &live[1..] {
-            let t = t0 + slope * m;
-            if t < best_t {
-                best = i;
-                best_t = t;
+    live
+}
+
+/// The faces of the envelope's runs.
+fn faces(lines: &[(Partition, f64, f64)], runs: Vec<Run>) -> Vec<AffineHullFace> {
+    runs.into_iter()
+        .map(|(w, from, to)| {
+            let (part, t0, slope) = &lines[w];
+            AffineHullFace {
+                partition: part.clone(),
+                enum_index: w,
+                from,
+                to,
+                t0: *t0,
+                slope: *slope,
+            }
+        })
+        .collect()
+}
+
+/// Where the earlier line `a` and the later line `b` cross, computed
+/// the one way every envelope path computes it; `None` unless at a
+/// finite `m > 0`.
+fn crossing((a0, a_s): (f64, f64), (b0, b_s): (f64, f64)) -> Option<f64> {
+    if a_s == b_s {
+        return None;
+    }
+    let x = (b0 - a0) / (a_s - b_s);
+    (x.is_finite() && x > 0.0).then_some(x)
+}
+
+/// Every pairwise crossing of `lines` (the sweep's cuts), unsorted.
+fn crossings(lines: &[(Partition, f64, f64)]) -> impl Iterator<Item = f64> + '_ {
+    lines.iter().enumerate().flat_map(move |(i, a)| {
+        lines[i + 1..].iter().filter_map(move |b| crossing((a.1, a.2), (b.1, b.2)))
+    })
+}
+
+/// The float minimum of the live lines at `m`, ties to the lower index.
+fn winner_at(live: &[Line], m: f64) -> Line {
+    let mut best = live[0];
+    let mut best_t = best.1 + best.2 * m;
+    for &line in &live[1..] {
+        let t = line.1 + line.2 * m;
+        if t < best_t {
+            best = line;
+            best_t = t;
+        }
+    }
+    best
+}
+
+/// The gap `t_j(m) − t_w(m)` less the margin, as `(at m = 0, per
+/// byte)`: positive exactly where `j` lets `w` be certified.
+fn gap(w: Line, j: Line) -> (f64, f64) {
+    let (a, s) = (j.1 - w.1, j.2 - w.2);
+    (a - MARGIN * (j.1.abs() + w.1.abs()), s - MARGIN * (j.2.abs() + w.2.abs()))
+}
+
+/// Whether `w` is certified at `m` (see [`MARGIN`]).
+fn certified(live: &[Line], w: Line, m: f64) -> bool {
+    live.iter().all(|&j| {
+        let (a, s) = gap(w, j);
+        j.0 == w.0 || a + s * m > 0.0
+    })
+}
+
+/// Where `w` is certified, `(from, to)`: the roots of its gaps. Each
+/// root rounds once, by far less than the margin, so `w` certified at
+/// some `m` is certified on all of `[m, to)` — what lets [`sweep`] skip
+/// probes — while `from` only places [`walk`]'s bands, whose edges are
+/// checked with [`certified`] itself.
+fn certified_span(live: &[Line], w: Line) -> (f64, f64) {
+    let (mut from, mut to) = (0.0f64, f64::INFINITY);
+    for &j in live.iter().filter(|j| j.0 != w.0) {
+        let (a, s) = gap(w, j);
+        if s > 0.0 {
+            from = from.max(-a / s);
+        } else if s < 0.0 {
+            to = to.min(-a / s);
+        }
+    }
+    (from, to)
+}
+
+/// The envelope found by walking from line to line, checked against
+/// the sweep's own probes; `None` when a check fails.
+///
+/// Just past `m = 0` the envelope is the live line of least intercept
+/// (then least slope); at each boundary the line that overtakes it
+/// first (of those crossing there, the one of least slope) takes over,
+/// so slopes fall and the walk ends within `live.len()` lines.
+///
+/// Near a boundary the lines come within rounding of each other, and
+/// the sweep's winners there are whatever float evaluation says. So
+/// each boundary gets a band three times as wide as the window where
+/// neither of its two lines is certified, and one unsorted pass over
+/// all crossings collects the few inside a band (and the extreme
+/// crossings, which place the sweep's first and last probes). Inside a
+/// band the sweep's probes are evaluated as the sweep evaluates them.
+/// Every other probe lies between two bands (or a band and an end),
+/// within the points `0.5·(band edge + nearest cut inside the band)`
+/// however the crossings outside fall; each line of the walk must be
+/// certified at the two such points that bound its face, and the set
+/// where a line is certified is an interval, so every probe between
+/// has that line for its winner — the sweep's faces, and its
+/// boundaries, are the walk's.
+fn walk(lines: &[(Partition, f64, f64)], live: &[Line]) -> Option<Vec<Run>> {
+    let first = live.iter().min_by(|a, b| a.1.total_cmp(&b.1).then(a.2.total_cmp(&b.2)))?;
+    let mut steps: Vec<(Line, f64)> = vec![(*first, 0.0)];
+    loop {
+        let (w, from) = steps[steps.len() - 1];
+        let mut next: Option<(f64, Line)> = None;
+        for &j in live.iter().filter(|j| j.2 < w.2) {
+            let (a, b) = if j.0 < w.0 { (j, w) } else { (w, j) };
+            let Some(x) = crossing((a.1, a.2), (b.1, b.2)).filter(|&x| x > from) else {
+                continue;
+            };
+            if next.is_none_or(|(bx, bj)| x < bx || (x == bx && j.2 < bj.2)) {
+                next = Some((x, j));
             }
         }
-        best
-    };
-    let mut faces: Vec<AffineHullFace> = Vec::new();
+        let Some((x, j)) = next else { break };
+        steps.push((j, x));
+    }
+    let spans: Vec<(f64, f64)> = steps.iter().map(|&(w, _)| certified_span(live, w)).collect();
+    let bands: Vec<(f64, f64)> = (1..steps.len())
+        .map(|i| {
+            let x = steps[i].1;
+            let half = 3.0 * (x - spans[i - 1].1).max(spans[i].0 - x).max(0.0);
+            (x - half, x + half)
+        })
+        .collect();
+    if bands.windows(2).any(|b| b[0].1 >= b[1].0) {
+        return None;
+    }
+    let mut inside: Vec<f64> = Vec::new();
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for c in crossings(lines) {
+        lo = lo.min(c);
+        hi = hi.max(c);
+        // Without short-circuits: almost every crossing is in no band.
+        if bands.iter().fold(false, |hit, &(from, to)| hit | ((from <= c) & (c <= to))) {
+            inside.push(c);
+        }
+    }
+    inside.sort_by(f64::total_cmp);
+    inside.dedup();
+    // Each band's cuts (never none: its boundary is a crossing).
+    let mut rest = &inside[..];
+    let cuts: Vec<&[f64]> = bands
+        .iter()
+        .map(|&(_, to)| {
+            let (cuts, tail) = rest.split_at(rest.partition_point(|&c| c <= to));
+            rest = tail;
+            cuts
+        })
+        .collect();
+    // The points bounding each face's probes: the sweep's first and
+    // last probes, computed as it computes them, at the ends.
+    let (first_probe, last_probe) =
+        if lo <= hi { (0.5 * (0.0 + lo), hi + 1.0) } else { (1.0, 1.0) };
+    let below = |i: usize| 0.5 * (bands[i].0.max(0.0) + cuts[i][0]);
+    let above = |i: usize| 0.5 * (cuts[i][cuts[i].len() - 1] + bands[i].1);
+    let k = bands.len();
+    let certain = (0..=k).all(|f| {
+        let (start, end) = (
+            if f == 0 { first_probe } else { above(f - 1) },
+            if f == k { last_probe } else { below(f) },
+        );
+        certified(live, steps[f].0, start) && certified(live, steps[f].0, end)
+    });
+    if !certain {
+        return None;
+    }
+    let mut runs: Vec<Run> = vec![(steps[0].0 .0, 0.0, f64::INFINITY)];
+    for (i, cuts) in cuts.iter().enumerate() {
+        for (r, &c) in cuts.iter().enumerate() {
+            let w = match cuts.get(r + 1) {
+                Some(&next) => winner_at(live, 0.5 * (c + next)).0,
+                None => steps[i + 1].0 .0,
+            };
+            let run = runs.last_mut().expect("runs start with the first line");
+            if run.0 != w {
+                run.2 = c;
+                runs.push((w, c, f64::INFINITY));
+            }
+        }
+    }
+    Some(runs)
+}
+
+/// The sweep itself, for hulls the walk cannot certify: every crossing
+/// sorted, each interval between two consecutive ones probed at its
+/// midpoint (past the last one, one byte further) — except that once a
+/// winner is certified, the probes up to the end of its
+/// [certified span](certified_span) are not evaluated: no other line
+/// comes near it there.
+fn sweep(lines: &[(Partition, f64, f64)], live: &[Line]) -> Vec<Run> {
+    let mut cuts: Vec<f64> = crossings(lines).collect();
+    cuts.sort_by(f64::total_cmp);
+    cuts.dedup();
+    let mut runs: Vec<Run> = Vec::new();
+    let (mut w, mut until) = (live[0], f64::NEG_INFINITY);
     let mut from = 0.0f64;
     for k in 0..=cuts.len() {
         // Probe strictly inside (from, to): no line crossing lives
@@ -210,24 +416,17 @@ fn lower_envelope(lines: &[(Partition, f64, f64)]) -> Vec<AffineHullFace> {
         } else {
             (cuts[k - 1] + 1.0, f64::INFINITY)
         };
-        let w = winner_at(probe);
-        match faces.last_mut() {
-            Some(f) if f.enum_index == w => f.to = to,
-            _ => {
-                let (part, t0, slope) = &lines[w];
-                faces.push(AffineHullFace {
-                    partition: part.clone(),
-                    enum_index: w,
-                    from,
-                    to,
-                    t0: *t0,
-                    slope: *slope,
-                });
-            }
+        if probe >= until {
+            w = winner_at(live, probe);
+            until = if certified(live, w, probe) { certified_span(live, w).1 } else { probe };
+        }
+        match runs.last_mut() {
+            Some(run) if run.0 == w.0 => run.2 = to,
+            _ => runs.push((w.0, from, to)),
         }
         from = to;
     }
-    faces
+    runs
 }
 
 #[cfg(test)]
@@ -422,6 +621,74 @@ mod tests {
         }
     }
 
+    /// The envelope sweep the certified walk replaced, verbatim: every
+    /// positive crossing sorted, every interval probed at its midpoint
+    /// against every live line. The walk must reproduce it field for
+    /// field, floats bit for bit.
+    fn lower_envelope_reference(lines: &[(Partition, f64, f64)]) -> Vec<AffineHullFace> {
+        let mut cuts: Vec<f64> = Vec::new();
+        for i in 0..lines.len() {
+            for j in (i + 1)..lines.len() {
+                let (_, a0, a_s) = lines[i];
+                let (_, b0, b_s) = lines[j];
+                if a_s != b_s {
+                    let x = (b0 - a0) / (a_s - b_s);
+                    if x.is_finite() && x > 0.0 {
+                        cuts.push(x);
+                    }
+                }
+            }
+        }
+        cuts.sort_by(f64::total_cmp);
+        cuts.dedup();
+        let mut live: Vec<(usize, f64, f64)> = Vec::new();
+        for (j, &(_, t0, slope)) in lines.iter().enumerate() {
+            if !live.iter().any(|&(_, a0, a_s)| a0 <= t0 && a_s <= slope) {
+                live.push((j, t0, slope));
+            }
+        }
+        let winner_at = |m: f64| -> usize {
+            let (mut best, t0, slope) = live[0];
+            let mut best_t = t0 + slope * m;
+            for &(i, t0, slope) in &live[1..] {
+                let t = t0 + slope * m;
+                if t < best_t {
+                    best = i;
+                    best_t = t;
+                }
+            }
+            best
+        };
+        let mut faces: Vec<AffineHullFace> = Vec::new();
+        let mut from = 0.0f64;
+        for k in 0..=cuts.len() {
+            let (probe, to) = if k < cuts.len() {
+                (0.5 * (from + cuts[k]), cuts[k])
+            } else if cuts.is_empty() {
+                (1.0, f64::INFINITY)
+            } else {
+                (cuts[k - 1] + 1.0, f64::INFINITY)
+            };
+            let w = winner_at(probe);
+            match faces.last_mut() {
+                Some(f) if f.enum_index == w => f.to = to,
+                _ => {
+                    let (part, t0, slope) = &lines[w];
+                    faces.push(AffineHullFace {
+                        partition: part.clone(),
+                        enum_index: w,
+                        from,
+                        to,
+                        t0: *t0,
+                        slope: *slope,
+                    });
+                }
+            }
+            from = to;
+        }
+        faces
+    }
+
     /// The envelope sweep as it stood before dominated lines were
     /// dropped: every pair of lines contributes its crossing and every
     /// line is evaluated at every probe. Kept as the reference the
@@ -532,5 +799,189 @@ mod tests {
         // splitting beyond it. Compare the prefix the scan covers.
         assert!(exact.len() >= scanned.len());
         assert_scan_brackets(&exact, &scanned);
+    }
+
+    /// Faces equal field by field, floats by their bits.
+    fn assert_same_faces(got: &[AffineHullFace], want: &[AffineHullFace], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: {got:?}\nvs {want:?}");
+        for (g, w) in got.iter().zip(want) {
+            let bits = |f: &AffineHullFace| {
+                (f.enum_index, [f.from, f.to, f.t0, f.slope].map(f64::to_bits))
+            };
+            assert_eq!(g.partition, w.partition, "{what}");
+            assert_eq!(bits(g), bits(w), "{what}: {g:?} vs {w:?}");
+        }
+    }
+
+    /// `lines` through the envelope and through the sweep it replaced —
+    /// and through the fallback sweep alone, whether or not the walk
+    /// certifies these lines.
+    fn assert_walk_is_the_sweep(lines: &[(Partition, f64, f64)], what: &str) {
+        let reference = lower_envelope_reference(lines);
+        assert_same_faces(&lower_envelope(lines), &reference, what);
+        let swept = faces(lines, sweep(lines, &live_lines(lines)));
+        assert_same_faces(&swept, &reference, &format!("{what}, swept"));
+    }
+
+    /// SplitMix64: a seeded stream for generated inputs.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random condition of a `d`-cube: seeded per-dimension slowdown
+    /// spreads (uniform ones a fifth of the time) and, half the time,
+    /// background streams.
+    fn random_condition(d: u32, mix: &mut Mix) -> crate::ConditionSummary {
+        let n = 1usize << d;
+        let uniform = mix.below(5) == 0;
+        let spans: Vec<(f64, f64)> = (0..d)
+            .map(|_| {
+                let lo = mix.uniform(1.0, 3.0);
+                (lo, if uniform { lo } else { lo + mix.uniform(0.0, 2.0) })
+            })
+            .collect();
+        let factors: Vec<f64> = (0..n)
+            .flat_map(|_| spans.clone())
+            .map(|(lo, hi)| if lo == hi { lo } else { mix.uniform(lo, hi) })
+            .collect();
+        let mut cond = crate::ConditionSummary::from_link_factors(d, &factors);
+        if mix.below(2) == 0 {
+            for _ in 0..1 + mix.below(4) {
+                let mask = 1 + mix.below((1 << d) - 1) as u32;
+                cond.add_stream(mask, mix.uniform(20.0, 400.0), mix.uniform(400.0, 2000.0));
+            }
+        }
+        cond
+    }
+
+    #[test]
+    fn the_walk_is_the_sweep_on_random_conditioned_hulls() {
+        use crate::conditioned::{partition_lines, StepTable};
+        let machines =
+            [MachineParams::ipsc860(), MachineParams::ncube2_like(), MachineParams::hypothetical()];
+        let mut mix = Mix(1991);
+        for i in 0..5_000u64 {
+            let d = 1 + (i % 10) as u32;
+            let p = &machines[(i / 10 % 3) as usize];
+            let saf = i / 30 % 2 == 1;
+            let cond = random_condition(d, &mut mix);
+            let lines = partition_lines(p, d, &StepTable::new(&cond), saf);
+            assert_walk_is_the_sweep(&lines, &format!("hull {i}: {} d{d} saf {saf}", p.name));
+        }
+    }
+
+    #[test]
+    fn the_walk_is_the_sweep_on_clean_hulls_to_d16() {
+        for p in
+            [MachineParams::ipsc860(), MachineParams::ncube2_like(), MachineParams::hypothetical()]
+        {
+            for d in 1..=16u32 {
+                for saf in [false, true] {
+                    let lines: Vec<(Partition, f64, f64)> = partitions(d)
+                        .into_iter()
+                        .map(|part| {
+                            let price = |m| match saf {
+                                false => multiphase_time(&p, m, d, part.parts()),
+                                true => crate::multiphase_saf_time(&p, m, d, part.parts()),
+                            };
+                            let t0 = price(0.0);
+                            let slope = price(1.0) - t0;
+                            (part, t0, slope)
+                        })
+                        .collect();
+                    assert_walk_is_the_sweep(&lines, &format!("{} d{d} saf {saf}", p.name));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_walk_is_the_sweep_on_degenerate_line_sets() {
+        let parts = partitions(12);
+        let with = |coeffs: &[(f64, f64)]| -> Vec<(Partition, f64, f64)> {
+            parts.iter().zip(coeffs).map(|(p, &(t0, s))| (p.clone(), t0, s)).collect()
+        };
+        let mut cases: Vec<(&str, Vec<(f64, f64)>)> = vec![
+            ("a single line", vec![(5.0, 1.0)]),
+            ("one line, duplicated", vec![(5.0, 1.0); 6]),
+            ("all slopes equal", vec![(9.0, 2.0), (4.0, 2.0), (7.0, 2.0), (4.0, 2.0), (1.5, 2.0)]),
+            ("no positive crossing", (1..8).map(|i| (i as f64, i as f64)).collect()),
+            ("crossings only at m = 0", (1..8).map(|i| (3.0, 10.0 - i as f64)).collect()),
+            (
+                "an envelope with every line duplicated",
+                [(1.0, 9.0), (5.0, 4.0), (20.0, 1.0), (40.0, 0.5)]
+                    .iter()
+                    .flat_map(|&l| [l, l])
+                    .collect(),
+            ),
+            (
+                "three lines through one point",
+                vec![(10.0, 3.0), (20.0, 2.0), (30.0, 1.0), (15.0, 2.5), (60.0, 0.25)],
+            ),
+        ];
+        let mut mix = Mix(7);
+        for _ in 0..200 {
+            // Coarse grids: duplicates, parallels, concurrent crossings.
+            let n = 1 + mix.below(40) as usize;
+            let coeffs =
+                (0..n).map(|_| (mix.below(6) as f64 * 8.0, mix.below(5) as f64 * 0.5)).collect();
+            cases.push(("coarse grid", coeffs));
+        }
+        for (what, coeffs) in &cases {
+            assert_walk_is_the_sweep(&with(coeffs), what);
+        }
+    }
+
+    /// Lines whose envelope has a boundary where a dominated line
+    /// crosses within `ulps` units in the last place of it: the probe
+    /// between the two crossings sits within rounding of a tie, and the
+    /// sweep's winner there is whatever float evaluation says.
+    fn near_tie(mix: &mut Mix) -> (Vec<(Partition, f64, f64)>, u64) {
+        let ulps = 1 + mix.below(4);
+        let nudge = |x: f64, by: u64| f64::from_bits(x.to_bits() + by);
+        let a = (mix.uniform(50.0, 5_000.0), mix.uniform(5.0, 50.0));
+        let b = (a.0 + mix.uniform(10.0, 5_000.0), a.1 * mix.uniform(0.05, 0.95));
+        let c = (b.0 + mix.uniform(10.0, 5_000.0), b.1 * mix.uniform(0.05, 0.95));
+        // A copy of `a` or `b`, a few ulps higher, steeper or both:
+        // dominated by its original, crossing the next line within
+        // ulps of where the original does.
+        let original = if mix.below(2) == 0 { a } else { b };
+        let copy = match mix.below(3) {
+            0 => (nudge(original.0, ulps), original.1),
+            1 => (original.0, nudge(original.1, ulps)),
+            _ => (nudge(original.0, ulps), nudge(original.1, ulps)),
+        };
+        let mut coeffs = vec![a, b, c, copy];
+        // Dominated bystanders above the envelope.
+        for _ in 0..mix.below(6) {
+            coeffs.push((c.0 + mix.uniform(1.0, 100.0), a.1 + mix.uniform(0.0, 10.0)));
+        }
+        let lines = partitions(12).into_iter().zip(coeffs).map(|(p, (t0, s))| (p, t0, s)).collect();
+        (lines, ulps)
+    }
+
+    #[test]
+    fn the_walk_is_the_sweep_on_near_ties() {
+        let mut mix = Mix(28);
+        for i in 0..2_000 {
+            let (lines, ulps) = near_tie(&mut mix);
+            assert_walk_is_the_sweep(&lines, &format!("near tie {i}, {ulps} ulps"));
+        }
     }
 }

@@ -44,9 +44,10 @@ pub mod sweep;
 pub use conditioned::{
     conditioned_best_partition, conditioned_best_saf_partition, conditioned_crossover_block_size,
     conditioned_multiphase_saf_time, conditioned_multiphase_time, conditioned_optimal_cs_time,
-    conditioned_partial_exchange_saf_time, conditioned_partial_exchange_time,
-    conditioned_standard_exchange_time, conditioned_standard_wins, ConditionFingerprint,
-    ConditionSummary, DimContention, DimFactor, StepSource, StepTable, FINGERPRINT_MANTISSA_BITS,
+    conditioned_optimality_hull, conditioned_partial_exchange_saf_time,
+    conditioned_partial_exchange_time, conditioned_standard_exchange_time,
+    conditioned_standard_wins, ConditionFingerprint, ConditionSummary, DimContention, DimFactor,
+    StepSource, StepTable, FINGERPRINT_MANTISSA_BITS,
 };
 pub use crossover::{crossover_block_size, standard_wins};
 pub use hull::{

@@ -12,7 +12,6 @@
 //! [`simulate_answer`].
 
 use mce_core::builder::build_multiphase_programs;
-use mce_core::verify::stamped_memories;
 use mce_model::ConditionSummary;
 use mce_partitions::Partition;
 use mce_simnet::conformance::{candidate_partitions, predicted_us_with, ScenarioError};
@@ -53,15 +52,17 @@ pub struct Simulated {
 /// clean hull's partitions plus Standard Exchange, and the answer is
 /// the one `conformance::run_scenario` names over that cast at `[m]` —
 /// the least `(finish time, cast index)` — without running the losers
-/// out. The candidates run one after another on one arena, the one the
-/// model likes best first and each later one only
-/// [until](SimArena::run_until) the best finish time so far: a run cut
-/// there cannot be the minimum, and one that ties it finishes and is
-/// compared by cast index, so the order decides what the answer costs
-/// and never what it is. A later candidate whose
+/// out. The candidates run one after another on one arena, on
+/// zero-filled memories, the one the model likes best first — bounded
+/// only by [`SimTime::HORIZON`], so it stops when its programs do and
+/// leaves the background streams' tail unsimulated — and each later
+/// one only [until](SimArena::run_until) the best finish time so far:
+/// a run cut there cannot be the minimum, and one that ties it
+/// finishes and is compared by cast index, so the order decides what
+/// the answer costs and never what it is. A later candidate whose
 /// [price floor](mce_simnet::finish_floor) is already past that time
-/// cannot finish by it either: it is skipped — never stamped, compiled
-/// or simulated — and counted as cut.
+/// cannot finish by it either: it is skipped — never compiled or
+/// simulated — and counted as cut.
 ///
 /// # Errors
 ///
@@ -113,6 +114,11 @@ fn simulate_in_order(
     m: usize,
 ) -> Result<Ran, ScenarioError> {
     let d = cfg.dimension;
+    // The engine prices a transmission by its length alone and nothing
+    // here reads a byte back, so memories of the stamped shape filled
+    // with zeros finish every run exactly when stamped ones would.
+    let n = 1usize << d;
+    let memories = || vec![vec![0u8; n * m]; n];
     let mut arena = SimArena::new();
     let mut best: Option<(SimTime, usize)> = None;
     let mut failed: Option<(usize, SimError)> = None;
@@ -120,13 +126,16 @@ fn simulate_in_order(
     for &i in order {
         let programs = build_multiphase_programs(d, cast[i].parts(), m);
         let run = match best {
-            None => arena.run(cfg, &programs, stamped_memories(d, m)).map(Some),
+            // Nothing to beat yet: bounded by the horizon, the run stops
+            // when its programs do instead of running the background
+            // out.
+            None => arena.run_until(cfg, &programs, memories(), SimTime::HORIZON),
             Some((finish, _)) => match finish_floor(cfg, &programs) {
                 Ok(floor) if floor > finish => {
                     skipped += 1;
                     Ok(None)
                 }
-                Ok(_) => arena.run_until(cfg, &programs, stamped_memories(d, m), finish),
+                Ok(_) => arena.run_until(cfg, &programs, memories(), finish),
                 Err(error) => Err(error),
             },
         };

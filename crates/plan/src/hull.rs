@@ -3,8 +3,7 @@
 
 use mce_model::{
     affine_face_index, conditioned_multiphase_saf_time, conditioned_multiphase_time,
-    optimality_hull_affine_by, AffineHullFace, ConditionSummary, MachineParams, StepSource,
-    StepTable,
+    conditioned_optimality_hull, AffineHullFace, ConditionSummary, MachineParams, StepSource,
 };
 use mce_partitions::Partition;
 use mce_simnet::config::SwitchingMode;
@@ -72,11 +71,13 @@ impl<'de> Deserialize<'de> for PlanHull {
 
 /// Price one partition exactly as the conformance harness does
 /// (`predicted_us_with` dispatches on the same switching mode to the
-/// same two entry points) — the one pricing function shared by hull
-/// builds, exact-mode predictions and boundary re-enumeration, so
+/// same two entry points) — the one pricing function shared by
+/// exact-mode predictions and boundary re-enumeration, and bit-equal
+/// to the lines a hull build prices (`conditioned_optimality_hull`), so
 /// every path is bit-consistent with the model. `cond` is the summary
-/// for a single price, or a [`StepTable`] of it when many partitions
-/// are priced under one condition (same bits either way).
+/// for a single price, or a [`StepTable`](mce_model::StepTable) of it
+/// when many partitions are priced under one condition (same bits
+/// either way).
 pub fn price<S: StepSource>(
     machine: &MachineParams,
     switching: SwitchingMode,
@@ -94,28 +95,31 @@ pub fn price<S: StepSource>(
 }
 
 impl PlanHull {
-    /// Build the exact hull for one condition: one [`StepTable`] of
-    /// the condition's `2^d` masks, `2·p(d)` model evaluations read
-    /// from it, and the lower-envelope sweep over the lines no earlier
-    /// line dominates — the *only* place the warm path's model cost is
-    /// ever paid, once per cache key. The table is dropped on return.
+    /// Build the exact hull for one condition with
+    /// [`conditioned_optimality_hull`]: one
+    /// [`StepTable`](mce_model::StepTable) of the condition's `2^d`
+    /// masks, each phase field of the partitions priced from it once
+    /// at both sample sizes, and the certified envelope walk over the
+    /// lines — the *only* place the warm path's model cost is ever
+    /// paid, once per cache key. The table is dropped on return.
     ///
     /// Measured by the perf ledger's `plan_cold` (1 500 d10 spread
-    /// conditions, one core): a build fell from 179 µs to 52 µs
-    /// (`plan.hull.build_us`, one traced run per side) and a miss from
-    /// 160 µs to 48 µs (`miss_p50_us`, medians of ten alternating
-    /// runs) against the per-mask loops and all-lines sweep it
-    /// replaced.
+    /// conditions, one core, one traced run per side): a build fell
+    /// from 179 µs to 52 µs (`plan.hull.build_us`) when the step table
+    /// replaced per-mask loops, and from 112 µs to 53 µs when shared
+    /// field pricing and the walk replaced per-partition pricing and
+    /// the sorted sweep (on a slower day for the host: it read the
+    /// first step's 52 µs as 112). Timed alone on one pinned core, a
+    /// d10 build went from 74–84 µs to 36–43 µs: table 16–20 → 13–15
+    /// µs, line pricing 28–32 → 17–19 µs, envelope 29–32 → 3–9 µs.
     pub fn build(
         machine: &MachineParams,
         switching: SwitchingMode,
         d: u32,
         cond: &ConditionSummary,
     ) -> PlanHull {
-        let table = StepTable::new(cond);
-        let faces =
-            optimality_hull_affine_by(d, |m, part| price(machine, switching, d, &table, m, part));
-        PlanHull { d, saf: switching == SwitchingMode::StoreAndForward, faces }
+        let saf = switching == SwitchingMode::StoreAndForward;
+        PlanHull { d, saf, faces: conditioned_optimality_hull(machine, d, cond, saf) }
     }
 
     /// The face containing block size `m` (clamped; hulls tile

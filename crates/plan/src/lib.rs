@@ -21,8 +21,11 @@
 //! 2. **Sharded LRU hull cache** — per `(machine, d, switching,
 //!    fingerprint)` the engine precomputes the *exact* hull of
 //!    optimality once
-//!    ([`optimality_hull_affine_by`](mce_model::optimality_hull_affine_by))
-//!    and caches its faces with affine coefficients. A warm query is
+//!    ([`conditioned_optimality_hull`](mce_model::conditioned_optimality_hull),
+//!    the faces of
+//!    [`optimality_hull_affine_by`](mce_model::optimality_hull_affine_by)
+//!    under the conditioned model) and caches its faces with affine
+//!    coefficients. A warm query is
 //!    one short critical section on a cache shard, looked up by the
 //!    query's borrowed parts ([`HullCache::serve`]: a one-word hash of
 //!    the machine's and the fingerprint's precomputed digests, `d` and
@@ -40,9 +43,10 @@
 //!    excludes (dense anti-phased hotspot ladders; see
 //!    `crates/model/README.md`) are answered from measurement, marked
 //!    [`AnswerSource::Fallback`]: the candidate partitions are
-//!    simulated one after another, each only as far as the best
-//!    finish time before it, and not at all when its price floor
-//!    already passes that time ([`fallback::simulate_answer`]). A
+//!    simulated one after another, the first until its programs
+//!    finish, each later one only as far as the best finish time
+//!    before it, and not at all when its price floor already passes
+//!    that time ([`fallback::simulate_answer`]). A
 //!    simulation *failure* (typed
 //!    [`ScenarioError`](mce_simnet::conformance::ScenarioError))
 //!    degrades to the analytic hull answer instead of aborting — the

@@ -635,10 +635,15 @@ impl SimArena {
     /// latest the first time simulated time would advance past `until`
     /// with some program unfinished. When every program finished by
     /// then (`until` itself included) the result carries the unbounded
-    /// run's `finish_time`, memories and statistics, except that
-    /// background traffic injected after `until` is neither simulated
-    /// nor counted (`background_*`; the `sched_*` telemetry follows the
-    /// events actually queued).
+    /// run's `finish_time`, memories and statistics, except for the
+    /// background traffic: the bound shrinks to the instant the last
+    /// program finishes, and what is injected after that is neither
+    /// simulated nor counted (`background_*`; the `sched_*` telemetry
+    /// follows the events actually queued) — unless a store-and-forward
+    /// payload nobody waits for is still on its way to a memory, in
+    /// which case the run goes on exactly until that payload lands.
+    /// A bound of [`SimTime::HORIZON`] therefore bounds nothing but the
+    /// background tail.
     ///
     /// For callers that compare runs and already hold a finish time to
     /// beat. The bound is an argument because it belongs to one
@@ -647,8 +652,9 @@ impl SimArena {
     /// says, and an abandoned run leaves the arena as an errored one
     /// does: ready for the next. The floor costs a bounded run one
     /// compare per node step (and one pass over the ops to set it up);
-    /// an unbounded run carries no floor state and pays one untaken
-    /// branch per node step, nothing per event.
+    /// an unbounded run, and one bounded at the horizon (no floor can
+    /// pass it), carries no floor state and pays one untaken branch per
+    /// node step, nothing per event.
     ///
     /// # Errors
     ///
@@ -1049,6 +1055,9 @@ struct Runtime<'c> {
     /// Set when a context's floor passed the bound: the run was
     /// abandoned mid-drain.
     floor_cut: bool,
+    /// Bounded runs only: contexts not finished yet. When the last one
+    /// finishes, the bound shrinks to that instant.
+    unfinished: usize,
 }
 
 /// The engine's event scheduler: the main [`CalendarQueue`] heap over
@@ -1291,6 +1300,7 @@ impl<'c> Runtime<'c> {
             floor: None,
             floor_left: Vec::new(),
             floor_cut: false,
+            unfinished: 0,
         }
     }
 
@@ -1456,8 +1466,13 @@ impl<'c> Runtime<'c> {
         arenas: &mut Vec<SimArena>,
     ) -> Result<Option<SimResult>, SimError> {
         self.sched.until = until;
-        if until.is_some() {
-            self.arm_floor(compiled);
+        if let Some(until) = until {
+            self.unfinished = self.nodes.len();
+            // Nothing finishes past the horizon, so no floor can pass
+            // it: a run bounded there only stops with its programs.
+            if until < SimTime::HORIZON {
+                self.arm_floor(compiled);
+            }
         }
         self.seed();
         'phases: loop {
@@ -1497,9 +1512,12 @@ impl<'c> Runtime<'c> {
             // Every program finished by `until`, so `finish_time` is
             // settled and what is still queued is background traffic —
             // unless a store-and-forward payload nobody waits for is
-            // still hopping towards a memory: that tail runs out.
-            if self.transmissions.iter().flatten().any(|tr| !tr.background) {
-                self.sched.until = None;
+            // still hopping towards a memory: that tail runs out, one
+            // instant at a time, and the background only as far as it
+            // does.
+            while self.transmissions.iter().flatten().any(|tr| !tr.background) {
+                let Some((next, ..)) = self.sched.events.peek() else { break };
+                self.sched.until = Some(SimTime(next));
                 self.drain(compiled)?;
             }
         }
@@ -1897,6 +1915,14 @@ impl<'c> Runtime<'c> {
             let Some(op) = compiled.programs[xi].ops(&compiled.ops).get(pc) else {
                 self.nodes[xi].status = Status::Done;
                 self.nodes[xi].finish = t;
+                if self.sched.until.is_some() {
+                    self.unfinished -= 1;
+                    if self.unfinished == 0 {
+                        // The finish time is settled: nothing past `t`
+                        // can change the result.
+                        self.sched.until = Some(t);
+                    }
+                }
                 return Ok(());
             };
             match op {
