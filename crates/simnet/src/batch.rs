@@ -278,9 +278,11 @@ pub fn run_cells<T: Send, U: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::message::Tag;
-    use crate::netcond::{Cable, NetCondition};
+    use crate::message::{MsgKind, Tag};
+    use crate::netcond::{BackgroundStream, Cable, LinkPolicy, NetCondition};
     use crate::program::Op;
+    use crate::time::SimTime;
+    use crate::traffic::{compose_memories, compose_programs, CwndAlg, FlowCtl, JobSpec};
     use mce_hypercube::NodeId;
 
     /// Node 0 sends `bytes` to the far corner of a d-cube; others idle.
@@ -517,39 +519,360 @@ mod tests {
         assert_eq!((agg.runs, agg.failures, agg.finish_us.n), (3, 1, 2));
     }
 
-    type MixedSpec = (SimConfig, Arc<Vec<Program>>, Arc<Vec<Vec<u8>>>);
+    /// Every node swaps `bytes` with its dimension-0 neighbour after a
+    /// barrier: the second phase's sends leave every higher address bit
+    /// free, so a run with shards opens windows there.
+    fn pairwise_after_barrier(d: u32, bytes: usize) -> (Vec<Program>, Vec<Vec<u8>>) {
+        let n = 1u32 << d;
+        let tag = Tag::data(0, 1);
+        let programs = (0..n)
+            .map(|x| {
+                let partner = NodeId(x ^ 1);
+                Program {
+                    ops: vec![
+                        Op::Barrier,
+                        Op::post_recv(partner, tag, bytes..2 * bytes),
+                        Op::send(partner, 0..bytes, tag),
+                        Op::wait_recv(partner, tag),
+                    ],
+                }
+            })
+            .collect();
+        let memories = (0..n).map(|x| vec![x as u8; 2 * bytes]).collect();
+        (programs, memories)
+    }
+
+    /// `senders` all send `bytes` to the far corner of a d-cube at
+    /// once; their routes share the corner's last links, so they wait
+    /// on each other.
+    fn converge(d: u32, bytes: usize, senders: &[u32]) -> (Vec<Program>, Vec<Vec<u8>>) {
+        let n = 1usize << d;
+        let dst = (n - 1) as u32;
+        let mut programs = vec![Program::empty(); n];
+        let mut sink = Vec::new();
+        for (k, &s) in senders.iter().enumerate() {
+            let tag = Tag::data(0, k as u32 + 1);
+            programs[s as usize] = Program { ops: vec![Op::send(NodeId(dst), 0..bytes, tag)] };
+            sink.push(Op::post_recv(NodeId(s), tag, k * bytes..(k + 1) * bytes));
+        }
+        for (k, &s) in senders.iter().enumerate() {
+            sink.push(Op::wait_recv(NodeId(s), Tag::data(0, k as u32 + 1)));
+        }
+        programs[dst as usize] = Program { ops: sink };
+        let mut memories = vec![vec![7u8; bytes * senders.len()]; n];
+        memories[dst as usize] = vec![0; bytes * senders.len()];
+        (programs, memories)
+    }
+
+    type Outcome = Result<Option<SimResult>, SimError>;
+
+    fn assert_same(a: &Outcome, b: &Outcome, case: &str) {
+        match (a, b) {
+            (Ok(Some(a)), Ok(Some(b))) => {
+                assert_eq!(a.finish_time, b.finish_time, "{case}: finish_time");
+                assert_eq!(a.node_finish, b.node_finish, "{case}: node_finish");
+                assert_eq!(a.memories, b.memories, "{case}: memories");
+                assert_eq!(a.stats, b.stats, "{case}: stats");
+                assert_eq!(a.trace, b.trace, "{case}: trace");
+            }
+            (Ok(None), Ok(None)) => {}
+            (Err(a), Err(b)) => assert_eq!(a, b, "{case}: error"),
+            _ => panic!("{case}: reused arena {:?}, fresh arena {:?}", kind(a), kind(b)),
+        }
+    }
+
+    fn kind(o: &Outcome) -> String {
+        match o {
+            Ok(Some(r)) => format!("finished at {}", r.finish_time),
+            Ok(None) => "cut".into(),
+            Err(e) => format!("{e}"),
+        }
+    }
+
+    /// `n` nodes whose programs are given per node (the rest idle),
+    /// every memory `bytes` long.
+    fn programs_of(
+        n: usize,
+        bytes: usize,
+        ops: Vec<(usize, Vec<Op>)>,
+    ) -> (Vec<Program>, Vec<Vec<u8>>) {
+        let mut programs = vec![Program::empty(); n];
+        for (x, ops) in ops {
+            programs[x] = Program { ops };
+        }
+        (programs, (0..n).map(|x| vec![x as u8; bytes]).collect())
+    }
 
     #[test]
     fn arena_reuse_matches_fresh_arenas_across_mixed_workloads() {
-        // One arena drives runs of different dimensions, program sets
-        // and switching modes back to back; every result must equal a
-        // fresh-arena run of the same spec.
-        let specs: Vec<MixedSpec> = vec![
-            {
-                let (p, m) = one_way(2, 100);
-                (SimConfig::ipsc860(2), p, m)
-            },
-            {
-                let (p, m) = one_way(4, 300);
-                (SimConfig::ipsc860(4).with_store_and_forward(), p, m)
-            },
-            {
-                let (p, m) = one_way(3, 50);
-                (SimConfig::ipsc860(3).with_jitter(0.05, 7), p, m)
-            },
-            {
-                let (p, m) = one_way(2, 100);
-                (SimConfig::ipsc860(2), p, m)
-            },
+        // One arena drives runs of different dimensions, program sets,
+        // switching modes, bounds, failures, tracing, tenancy and shard
+        // windows back to back, forwards, backwards and forwards again;
+        // every outcome must equal a fresh-arena run of the same case.
+        // The forward order leaves each run what a failed or windowed
+        // run before it could leak: link speeds on the cable its route
+        // crosses (6 → 7), a buffered UNFORCED payload (8 → 12's phase
+        // mode), same-instant events (10 → 11), a dirty transmission
+        // and a held link (11 → 12's window), NIC-lapse pushes of
+        // window runtimes (12 → 15).
+        type Case = (&'static str, Box<dyn Fn(&mut SimArena) -> Outcome>);
+        let shared = |cfg: SimConfig, (p, m): (Arc<Vec<Program>>, Arc<Vec<Vec<u8>>>)| {
+            Box::new(move |a: &mut SimArena| a.run_shared(&cfg, &p, Vec::clone(&m)).map(Some))
+                as Box<dyn Fn(&mut SimArena) -> Outcome>
+        };
+        let owned = |cfg: SimConfig, (p, m): (Vec<Program>, Vec<Vec<u8>>)| {
+            Box::new(move |a: &mut SimArena| a.run(&cfg, &p, m.clone()).map(Some))
+                as Box<dyn Fn(&mut SimArena) -> Outcome>
+        };
+        let bounded = |cfg: SimConfig, (p, m): (Vec<Program>, Vec<Vec<u8>>), until: SimTime| {
+            Box::new(move |a: &mut SimArena| a.run_until(&cfg, &p, m.clone(), until))
+                as Box<dyn Fn(&mut SimArena) -> Outcome>
+        };
+        let traced = {
+            let (p, m) = converge(3, 300, &[0, 3, 5]);
+            let cfg = SimConfig::ipsc860(3);
+            let trace = TraceConfig::default();
+            Box::new(move |a: &mut SimArena| {
+                a.run_one(&cfg, &p, None, m.clone(), Some(&trace)).map(Some)
+            }) as Box<dyn Fn(&mut SimArena) -> Outcome>
+        };
+        let tag = |k: u32| Tag::data(0, k);
+        // Two d2 jobs: job 0 holds the 0 -> 2 cable with a long
+        // transfer, job 1's flow-controlled 1 -> 2 (via 0) arrives 1 µs
+        // later and finds it busy.
+        let two_jobs = |queue_limit: u32| {
+            let hog = programs_of(
+                4,
+                20_000,
+                vec![
+                    (0, vec![Op::send(NodeId(2), 0..20_000, tag(1))]),
+                    (
+                        2,
+                        vec![
+                            Op::post_recv(NodeId(0), tag(1), 0..20_000),
+                            Op::wait_recv(NodeId(0), tag(1)),
+                        ],
+                    ),
+                ],
+            );
+            let late = programs_of(
+                4,
+                100,
+                vec![
+                    (1, vec![Op::send(NodeId(2), 0..100, tag(1))]),
+                    (
+                        2,
+                        vec![
+                            Op::post_recv(NodeId(1), tag(1), 0..100),
+                            Op::wait_recv(NodeId(1), tag(1)),
+                        ],
+                    ),
+                ],
+            );
+            let flow =
+                FlowCtl { rto_ns: 100_000, max_retries: 64, cwnd: CwndAlg::Aimd { window_max: 8 } };
+            let cfg = SimConfig::ipsc860(2)
+                .with_netcond(
+                    NetCondition::default().with_link_policy(LinkPolicy::DropTail { queue_limit }),
+                )
+                .with_jobs(vec![JobSpec::default(), JobSpec::at(1_000).with_flow(flow)]);
+            let programs = compose_programs(2, &[hog.0, late.0]);
+            (cfg, (programs, compose_memories(2, &[hog.1, late.1])))
+        };
+        let lossy = {
+            let starved =
+                FlowCtl { rto_ns: 5_000, max_retries: 2, cwnd: CwndAlg::Aimd { window_max: 4 } };
+            let policy = LinkPolicy::Lossy { loss_per_myriad: 10_000, seed: 3 };
+            SimConfig::ipsc860(3)
+                .with_netcond(NetCondition::default().with_link_policy(policy))
+                .with_jobs(vec![JobSpec::default().with_flow(starved)])
+        };
+        let background = SimConfig::ipsc860(3).with_netcond(
+            NetCondition::default()
+                .with_override(Cable { node: NodeId(1), dim: 1 }, 3.0)
+                .with_background(BackgroundStream {
+                    src: NodeId(1),
+                    dst: NodeId(7),
+                    bytes: 600,
+                    start_ns: 0,
+                    period_ns: 40_000,
+                    count: 12,
+                }),
+        );
+        let contended = || converge(3, 400, &[0, 1, 2, 4]);
+        let contended_finish = {
+            let (p, m) = contended();
+            let cfg = SimConfig::ipsc860(3);
+            let finish = SimArena::new().run(&cfg, &p, m).unwrap().finish_time;
+            assert!(crate::finish_floor(&cfg, &p).unwrap() < finish, "the contended case waits");
+            finish
+        };
+        // Node 0's UNFORCED message is buffered at node 1, which blocks
+        // for good on a message nobody sends before posting it.
+        let deadlock = programs_of(
+            4,
+            8,
+            vec![
+                (
+                    0,
+                    vec![Op::Send {
+                        dst: NodeId(1),
+                        from: 0..8,
+                        tag: tag(1),
+                        kind: MsgKind::Unforced,
+                    }],
+                ),
+                (
+                    1,
+                    vec![
+                        Op::post_recv(NodeId(2), tag(2), 0..8),
+                        Op::wait_recv(NodeId(2), tag(2)),
+                        Op::post_recv(NodeId(0), tag(1), 0..8),
+                        Op::wait_recv(NodeId(0), tag(1)),
+                    ],
+                ),
+            ],
+        );
+        // A swap whose second delivery (node 1 -> node 0, posted short)
+        // fails in the instant the first one queued its wake-ups.
+        let swap_mismatch = programs_of(
+            2,
+            100,
+            vec![
+                (
+                    0,
+                    vec![
+                        Op::post_recv(NodeId(1), tag(1), 0..50),
+                        Op::send(NodeId(1), 0..100, tag(1)),
+                        Op::wait_recv(NodeId(1), tag(1)),
+                    ],
+                ),
+                (
+                    1,
+                    vec![
+                        Op::post_recv(NodeId(0), tag(1), 0..100),
+                        Op::send(NodeId(0), 0..100, tag(1)),
+                        Op::wait_recv(NodeId(0), tag(1)),
+                    ],
+                ),
+            ],
+        );
+        // 3 -> 1 delivers short while 0 -> 2 still holds its cable,
+        // 1 -> 2 (via 0) waits on it, and 2 -> 1 (via 3), just woken by
+        // the release of 3 -> 1, waits in the dirty set.
+        let blocked_mismatch = programs_of(
+            4,
+            20_000,
+            vec![
+                (0, vec![Op::send(NodeId(2), 0..20_000, tag(1))]),
+                (
+                    1,
+                    vec![
+                        Op::post_recv(NodeId(3), tag(2), 0..50),
+                        Op::send(NodeId(2), 0..100, tag(3)),
+                        Op::wait_recv(NodeId(3), tag(2)),
+                    ],
+                ),
+                (
+                    2,
+                    vec![
+                        Op::post_recv(NodeId(0), tag(1), 0..20_000),
+                        Op::post_recv(NodeId(1), tag(3), 0..100),
+                        Op::Compute { ns: 1_000 },
+                        Op::send(NodeId(1), 0..100, tag(4)),
+                        Op::wait_recv(NodeId(0), tag(1)),
+                    ],
+                ),
+                (3, vec![Op::send(NodeId(1), 0..100, tag(2))]),
+            ],
+        );
+        // Pairs (0, 1) and (2, 3) swap after a barrier, the second of
+        // each 50 µs late: a window pushes a NIC-lapse wake-up, so the
+        // windowed attempt is discarded and rerun without windows.
+        let lapse = {
+            let pair = |other: u32, late: bool| {
+                let mut ops = vec![Op::post_recv(NodeId(other), tag(1), 0..500), Op::Barrier];
+                if late {
+                    ops.push(Op::Compute { ns: 50_000 });
+                }
+                ops.extend([
+                    Op::send(NodeId(other), 0..500, tag(1)),
+                    Op::wait_recv(NodeId(other), tag(1)),
+                ]);
+                ops
+            };
+            programs_of(
+                4,
+                500,
+                vec![
+                    (0, pair(1, false)),
+                    (1, pair(0, true)),
+                    (2, pair(3, false)),
+                    (3, pair(2, true)),
+                ],
+            )
+        };
+        let cases: Vec<Case> = vec![
+            ("d2 circuit", shared(SimConfig::ipsc860(2), one_way(2, 100))),
+            (
+                "d4 store-and-forward",
+                shared(SimConfig::ipsc860(4).with_store_and_forward(), one_way(4, 300)),
+            ),
+            ("d3 jitter", shared(SimConfig::ipsc860(3).with_jitter(0.05, 7), one_way(3, 50))),
+            ("d3 cut by its floor", bounded(SimConfig::ipsc860(3), contended(), SimTime(1))),
+            (
+                "d3 cut past until",
+                bounded(SimConfig::ipsc860(3), contended(), SimTime(contended_finish.as_ns() - 1)),
+            ),
+            (
+                "d3 bounded at its finish",
+                bounded(SimConfig::ipsc860(3), contended(), contended_finish),
+            ),
+            ("d3 background traffic", owned(background, converge(3, 200, &[0, 2]))),
+            ("d3 traced", traced),
+            ("d2 deadlock", owned(SimConfig::ipsc860(2), deadlock)),
+            ("d3 lossy retries exhausted", owned(lossy, converge(3, 64, &[0, 1, 2]))),
+            ("d1 size mismatch", owned(SimConfig::ipsc860(1), swap_mismatch)),
+            ("d2 size mismatch", owned(SimConfig::ipsc860(2), blocked_mismatch)),
+            ("d2 discarded windows", owned(SimConfig::ipsc860(2).with_shards(2), lapse)),
+            ("d2 two jobs, queue limit 1", {
+                let (c, pm) = two_jobs(1);
+                owned(c, pm)
+            }),
+            ("d2 two jobs, queue limit 0", {
+                let (c, pm) = two_jobs(0);
+                owned(c, pm)
+            }),
+            (
+                "d4 shard windows",
+                owned(SimConfig::ipsc860(4).with_shards(4), pairwise_after_barrier(4, 64)),
+            ),
+            ("d2 circuit again", shared(SimConfig::ipsc860(2), one_way(2, 100))),
         ];
-        let mut shared = SimArena::new();
-        for (cfg, programs, memories) in &specs {
-            let via_shared = shared.run_shared(cfg, programs, Vec::clone(memories)).unwrap();
-            let via_fresh =
-                SimArena::new().run_shared(cfg, programs, Vec::clone(memories)).unwrap();
-            assert_eq!(via_shared.finish_time, via_fresh.finish_time);
-            assert_eq!(via_shared.memories, via_fresh.memories);
-            assert_eq!(via_shared.stats, via_fresh.stats);
+        let fresh: Vec<Outcome> = cases.iter().map(|(_, run)| run(&mut SimArena::new())).collect();
+        let finished = |i: usize| fresh[i].as_ref().unwrap().as_ref().unwrap();
+        assert!(matches!(fresh[3], Ok(None)) && matches!(fresh[4], Ok(None)), "both bounds cut");
+        assert!(matches!(fresh[5], Ok(Some(_))), "a bound at the finish is no cut");
+        assert!(finished(6).stats.background_transmissions > 0, "background runs");
+        assert!(!finished(7).trace.is_empty(), "the traced case captures events");
+        assert!(matches!(fresh[8], Err(SimError::Deadlock { .. })), "{}", kind(&fresh[8]));
+        assert!(matches!(fresh[9], Err(SimError::RetriesExhausted { .. })), "{}", kind(&fresh[9]));
+        for i in [10, 11] {
+            assert!(matches!(fresh[i], Err(SimError::SizeMismatch { .. })), "{}", kind(&fresh[i]));
+        }
+        let discarded = &finished(12).stats;
+        assert!(
+            discarded.shard_windows == 0 && discarded.shard_barrier_stalls == 0,
+            "rerun sequentially"
+        );
+        assert_eq!(finished(13).stats.flow_drops, 0, "a queue limit of 1 admits one waiter");
+        assert!(finished(14).stats.flow_drops > 0, "a queue limit of 0 refuses");
+        assert!(finished(15).stats.shard_windows > 0, "the sharded case opens windows");
+        let mut arena = SimArena::new();
+        let order = (0..cases.len()).chain((0..cases.len()).rev()).chain(0..cases.len());
+        for i in order {
+            let (case, run) = &cases[i];
+            assert_same(&run(&mut arena), &fresh[i], case);
         }
     }
 }

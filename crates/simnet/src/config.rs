@@ -1,7 +1,7 @@
 //! Simulation configuration.
 
 use crate::netcond::NetCondition;
-use crate::time::{us_to_ns, SimTime};
+use crate::time::{round_ns, us_to_ns, SimTime};
 use crate::traffic::JobSpec;
 use mce_model::MachineParams;
 use serde::{Deserialize, Serialize};
@@ -269,15 +269,15 @@ impl SimConfig {
     ) -> u64 {
         let lambda = if bytes == 0 { self.params.lambda_zero } else { self.params.lambda };
         us_to_ns(lambda)
-            + (us_to_ns(self.params.tau) as f64 * bytes as f64 * max_factor).round() as u64
-            + (us_to_ns(self.params.delta) as f64 * sum_factor).round() as u64
+            + round_ns(us_to_ns(self.params.tau) as f64 * bytes as f64 * max_factor)
+            + round_ns(us_to_ns(self.params.delta) as f64 * sum_factor)
     }
 
     /// Conditioned-link version of [`SimConfig::reserve_ack_ns`]:
     /// `2·(λ₀ + δ·sum_factor)`.
     pub fn conditioned_reserve_ack_ns(&self, sum_factor: f64) -> u64 {
         2 * (us_to_ns(self.params.lambda_zero)
-            + (us_to_ns(self.params.delta) as f64 * sum_factor).round() as u64)
+            + round_ns(us_to_ns(self.params.delta) as f64 * sum_factor))
     }
 
     /// Duration in ns of a global barrier.

@@ -37,7 +37,7 @@ impl SimTime {
     #[inline]
     pub fn from_us(us: f64) -> SimTime {
         debug_assert!(us >= 0.0 && us.is_finite(), "invalid time {us}");
-        SimTime((us * 1000.0).round() as u64)
+        SimTime(round_ns(us * 1000.0))
     }
 
     /// The time in microseconds.
@@ -87,7 +87,21 @@ impl std::fmt::Display for SimTime {
 #[inline]
 pub fn us_to_ns(us: f64) -> u64 {
     debug_assert!(us >= 0.0 && us.is_finite(), "invalid duration {us}");
-    (us * 1000.0).round() as u64
+    round_ns(us * 1000.0)
+}
+
+/// `ns.round() as u64` without the libm call `f64::round` is on
+/// baseline x86-64: the saturating truncation, plus one when the
+/// dropped fraction (exact: `t` is `ns`'s integer part) is at least a
+/// half.
+#[inline]
+pub(crate) fn round_ns(ns: f64) -> u64 {
+    let t = ns as u64;
+    if ns - t as f64 >= 0.5 {
+        t.saturating_add(1)
+    } else {
+        t
+    }
 }
 
 #[cfg(test)]
@@ -108,6 +122,50 @@ mod tests {
         assert_eq!(us_to_ns(10.3), 10_300);
         assert_eq!(us_to_ns(82.5), 82_500);
         assert_eq!(us_to_ns(0.54), 540);
+    }
+
+    /// `round_ns` is `f64::round() as u64` bit for bit.
+    #[test]
+    fn round_ns_is_round_then_cast() {
+        let two52 = (1u64 << 52) as f64;
+        let two64 = 18_446_744_073_709_551_616.0f64;
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            1.4999999999999998,
+            4_503_599_627_370_495.5,
+            two52,
+            two52 + 1.0,
+            two52 * 2.0 - 1.0,
+            two52 * 2.0,
+            two64 - 2048.0,
+            two64,
+            two64 * 2.0,
+            f64::MAX,
+            -0.5,
+            -0.49999999999999994,
+            -1.5,
+            -1e300,
+            f64::MIN,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::EPSILON,
+        ];
+        for k in 0..2000u32 {
+            let x = f64::from(k) / 4.0;
+            cases.extend([x, x.next_up(), x.next_down(), x * 1e6 + 0.5]);
+        }
+        let mut rng = proptest::TestRng::from_name("round_ns");
+        cases.extend((0..10_000).map(|_| f64::from_bits(rng.next_u64())));
+        for x in cases {
+            assert_eq!(round_ns(x), x.round() as u64, "{x:e} ({:#x})", x.to_bits());
+        }
     }
 
     #[test]
