@@ -110,7 +110,7 @@ pub struct PlanReport {
     pub samples: Vec<PlanSample>,
 }
 
-/// The condition cast: pristine, two uniform slowdowns, heterogeneous
+/// The condition cast: nominal, two uniform slowdowns, heterogeneous
 /// per-link factors, and two dilute background-stream mixes — all
 /// inside the model's accuracy envelope, so both sides answer
 /// analytically and the comparison is pure query cost.

@@ -380,20 +380,20 @@ fn co_tenant_lossy_matches_snapshot() {
         assert_eq!(
             snapshot(&result),
             Snapshot {
-                finish_ns: 7309525,
-                transmissions: 694,
-                bytes_moved: 10112,
-                link_crossings: 1329,
-                edge_contention_events: 139,
-                edge_contention_wait_ns: 17740155,
-                nic_serialization_events: 153,
-                nic_serialization_wait_ns: 7507225,
+                finish_ns: 7447708,
+                transmissions: 696,
+                bytes_moved: 10160,
+                link_crossings: 1326,
+                edge_contention_events: 126,
+                edge_contention_wait_ns: 11502807,
+                nic_serialization_events: 99,
+                nic_serialization_wait_ns: 4024420,
                 forced_drops: 0,
                 reserve_handshakes: 0,
                 barriers: 3,
                 background_transmissions: 0,
-                retransmissions: 22,
-                flow_drops: 22,
+                retransmissions: 24,
+                flow_drops: 24,
                 memory_digest: 16245099395097047221,
             },
             "{door:?}"
@@ -401,8 +401,8 @@ fn co_tenant_lossy_matches_snapshot() {
         // Per-job split: the blocking tenant is policy-exempt; the lossy
         // link's drops all land on (and are recovered by) the reactive one.
         let [j0, j1] = &result.stats.jobs[..] else { panic!("two jobs") };
-        assert_eq!((j0.retransmissions, j0.drops, j0.finish_ns), (0, 0, 3904496));
-        assert_eq!((j1.retransmissions, j1.drops, j1.finish_ns), (22, 22, 7309525));
+        assert_eq!((j0.retransmissions, j0.drops, j0.finish_ns), (0, 0, 3355960));
+        assert_eq!((j1.retransmissions, j1.drops, j1.finish_ns), (24, 24, 7447708));
         assert_eq!(j1.start_ns, 200_000);
         // Loss never corrupts data: each tenant's 16-node slice is a
         // correct complete exchange on its own.

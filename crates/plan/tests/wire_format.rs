@@ -67,3 +67,20 @@ fn a_deserialized_fingerprint_does_not_trust_its_stored_digest() {
     assert_eq!(serde_json::from_str::<ConditionFingerprint>(&missing).unwrap(), fingerprint);
     assert_eq!(serde_json::to_string(&back).unwrap(), FINGERPRINT);
 }
+
+/// `SimConfig::declared_sync` is gone, but configs stored while it
+/// existed still carry the key: they read back as the config without
+/// it, whichever value they hold.
+#[test]
+fn a_stored_sim_config_with_declared_sync_reads_as_one_without() {
+    use mce_simnet::SimConfig;
+    let cfg = SimConfig::ipsc860(5).with_shards(4);
+    let json = serde_json::to_string(&cfg).unwrap();
+    assert!(!json.contains("declared_sync"), "{json}");
+    for value in [true, false] {
+        let stored =
+            json.replace("\"shards\":4,", &format!("\"shards\":4,\"declared_sync\":{value},"));
+        assert_ne!(stored, json, "the key must actually be spliced in");
+        assert_eq!(serde_json::from_str::<SimConfig>(&stored).unwrap(), cfg, "{stored}");
+    }
+}

@@ -514,7 +514,7 @@ mod tests {
         let mut batch = SimBatch::new(SimConfig::ipsc860(3));
         batch.seed_sweep(0.05, 1..=2, &programs, &memories);
         let mut results = batch.run();
-        results.push(Err(SimError::SyncDeclarationViolated));
+        results.push(Err(SimError::Deadlock { stuck: Vec::new(), forced_drops: 0 }));
         let agg = agg::aggregate(&results);
         assert_eq!((agg.runs, agg.failures, agg.finish_us.n), (3, 1, 2));
     }
@@ -613,7 +613,7 @@ mod tests {
         // run before it could leak: link speeds on the cable its route
         // crosses (6 → 7), a buffered UNFORCED payload (8 → 12's phase
         // mode), same-instant events (10 → 11), a dirty transmission
-        // and a held link (11 → 12's window), NIC-lapse pushes of
+        // and a held link (11 → 12's window), NIC-window blocks in
         // window runtimes (12 → 15).
         type Case = (&'static str, Box<dyn Fn(&mut SimArena) -> Outcome>);
         let shared = |cfg: SimConfig, (p, m): (Arc<Vec<Program>>, Arc<Vec<Vec<u8>>>)| {
@@ -787,9 +787,9 @@ mod tests {
             ],
         );
         // Pairs (0, 1) and (2, 3) swap after a barrier, the second of
-        // each 50 µs late: a window pushes a NIC-lapse wake-up, so the
-        // windowed attempt is discarded and rerun without windows.
-        let lapse = {
+        // each 50 µs late: inside the window, the late send blocks on
+        // the NIC concurrency window until the pair's receive ends.
+        let nic_blocked = {
             let pair = |other: u32, late: bool| {
                 let mut ops = vec![Op::post_recv(NodeId(other), tag(1), 0..500), Op::Barrier];
                 if late {
@@ -834,7 +834,7 @@ mod tests {
             ("d3 lossy retries exhausted", owned(lossy, converge(3, 64, &[0, 1, 2]))),
             ("d1 size mismatch", owned(SimConfig::ipsc860(1), swap_mismatch)),
             ("d2 size mismatch", owned(SimConfig::ipsc860(2), blocked_mismatch)),
-            ("d2 discarded windows", owned(SimConfig::ipsc860(2).with_shards(2), lapse)),
+            ("d2 NIC-blocked window", owned(SimConfig::ipsc860(2).with_shards(2), nic_blocked)),
             ("d2 two jobs, queue limit 1", {
                 let (c, pm) = two_jobs(1);
                 owned(c, pm)
@@ -860,10 +860,10 @@ mod tests {
         for i in [10, 11] {
             assert!(matches!(fresh[i], Err(SimError::SizeMismatch { .. })), "{}", kind(&fresh[i]));
         }
-        let discarded = &finished(12).stats;
+        let blocked = &finished(12).stats;
         assert!(
-            discarded.shard_windows == 0 && discarded.shard_barrier_stalls == 0,
-            "rerun sequentially"
+            blocked.shard_windows > 0 && blocked.nic_serialization_events > 0,
+            "a window opens and blocks on the NIC window"
         );
         assert_eq!(finished(13).stats.flow_drops, 0, "a queue limit of 1 admits one waiter");
         assert!(finished(14).stats.flow_drops > 0, "a queue limit of 0 refuses");

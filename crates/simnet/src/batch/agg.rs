@@ -258,7 +258,8 @@ mod tests {
                 },
             })
         };
-        let results = vec![mk(2, 1, 64), mk(4, 3, 192), Err(SimError::SyncDeclarationViolated)];
+        let failed = Err(SimError::Deadlock { stuck: Vec::new(), forced_drops: 0 });
+        let results = vec![mk(2, 1, 64), mk(4, 3, 192), failed];
         let agg = aggregate(&results);
         assert_eq!((agg.runs, agg.failures), (3, 1));
         assert_eq!(agg.shard_windows.n, 2);

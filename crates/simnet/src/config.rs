@@ -57,16 +57,6 @@ pub struct SimConfig {
     /// plain sequential engine; any value keeps results bit-identical
     /// to it — sharding is an execution strategy, not a model change.
     pub shards: u32,
-    /// Declares that the workload keeps every node's NIC usage inside
-    /// the concurrency window — true for FORCED-protocol exchanges
-    /// (pairwise-synchronized sends, as `mce-core`'s builder emits by
-    /// default), whose handshakes align transmission starts. The
-    /// driver then skips the pristine-input snapshot it otherwise
-    /// keeps for a rerun without windows; a *false* declaration
-    /// surfaces as [`crate::SimError::SyncDeclarationViolated`]
-    /// instead of silently wrong results. Ignored on runs that open no
-    /// windows.
-    pub declared_sync: bool,
     /// Concurrent tenant jobs sharing the cube (see
     /// [`crate::traffic`]). Empty (the default) is the single-tenant
     /// engine: the program list has one program per node. With `J`
@@ -92,7 +82,6 @@ impl SimConfig {
             switching: SwitchingMode::Circuit,
             netcond: None,
             shards: 1,
-            declared_sync: false,
             jobs: Vec::new(),
         }
     }
@@ -134,14 +123,13 @@ impl SimConfig {
         self
     }
 
-    /// Declare the workload pairwise-synchronized (FORCED protocol):
-    /// the driver skips its snapshot of the inputs, and a NIC
-    /// concurrency-window violation inside a shard window becomes
-    /// [`crate::SimError::SyncDeclarationViolated`] instead of a
-    /// transparent rerun without windows. Results of successful runs are
-    /// unchanged — bit-identical to the sequential engine.
-    pub fn with_declared_sync(mut self) -> Self {
-        self.declared_sync = true;
+    /// A no-op kept for callers that still declare their workload
+    /// pairwise-synchronized: returns the config unchanged. Shard
+    /// windows are exact for every workload (see [`crate::shard`]), so
+    /// there is no input snapshot left to waive. A stored config that
+    /// still carries a `declared_sync` key deserializes as if it had
+    /// none.
+    pub fn with_declared_sync(self) -> Self {
         self
     }
 

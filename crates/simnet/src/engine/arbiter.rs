@@ -32,11 +32,6 @@ pub(super) struct Arbiter {
     /// Queue sequence of the next pending stint: its position in global
     /// issue order.
     next_qseq: u64,
-    /// NIC-lapse wake-ups pushed by this runtime. A shard window that
-    /// pushed any is not provably bit-identical to the sequential
-    /// engine (see [`crate::shard`]), so the driver discards the whole
-    /// attempt and reruns the inputs without windows.
-    pub(super) lapse_pushes: u64,
     /// The run's λ, λ₀, τ and δ in integer nanoseconds, converted once
     /// per run: the unconditioned pricing path runs per transmission
     /// and must not pay four float-to-int rounds each time. Identical
@@ -53,7 +48,6 @@ impl Default for Arbiter {
             node_watch: Vec::new(),
             woken: Vec::new(),
             next_qseq: 0,
-            lapse_pushes: 0,
             rates: [0; 4],
         }
     }
@@ -88,7 +82,6 @@ impl Arbiter {
             self.links.clear_speeds();
         }
         self.next_qseq = 0;
-        self.lapse_pushes = 0;
     }
 
     /// Sorted-unique insert into the dirty list.
@@ -357,55 +350,58 @@ impl<'c> Runtime<'c> {
         }
     }
 
-    /// Close transmission `id`'s NIC intervals — the outgoing one at
-    /// context `src` and the incoming one at `dst`, each when given —
-    /// and wake the transmissions watching those NICs.
+    /// Close transmission `id`'s NIC intervals at `t` — the outgoing
+    /// one at context `src` and the incoming one at `dst`, each when
+    /// given — and wake the transmissions watching those NICs.
+    ///
+    /// This is the only place an interval closes, and it closes at the
+    /// interval's own end (asserted): a transmission blocked by the
+    /// concurrency window is retried by the handler that closes the
+    /// blocking interval, at the first instant it can start (see
+    /// [`crate::shard`]).
     pub(super) fn release_nic(
         &mut self,
         id: TransmissionId,
         src: Option<NodeId>,
         dst: Option<NodeId>,
+        t: SimTime,
     ) {
         if let Some(src) = src {
             let outgoing = &mut self.nodes[src.index()].outgoing;
-            debug_assert!(matches!(*outgoing, Some((oid, _, _)) if oid == id));
+            debug_assert!(matches!(*outgoing, Some((oid, _, end)) if oid == id && end == t));
             *outgoing = None;
             self.wake_node_watchers(self.phys(src));
         }
         if let Some(dst) = dst {
-            self.nodes[dst.index()].incoming.retain(|&(iid, _, _)| iid != id);
+            let incoming = &mut self.nodes[dst.index()].incoming;
+            debug_assert!(incoming.iter().any(|&(iid, _, end)| iid == id && end == t));
+            incoming.retain(|&(iid, _, _)| iid != id);
             self.wake_node_watchers(self.phys(dst));
         }
     }
 
     /// Retry dirty pending transmissions in global queue order at time
-    /// `t`. Equivalent to one pass of the old `try_start_pending`
-    /// rescan: candidates dirtied *during* the pass join it only at
-    /// positions after the current cursor (exactly the state a single
-    /// in-order sweep would observe); earlier ones stay dirty for the
-    /// next trigger.
+    /// `t`, in passes until none is dirty. Candidates dirtied *during* a
+    /// pass join it only at positions after the current cursor (the
+    /// state a single in-order sweep would observe); earlier ones — a
+    /// start that wakes a transmission queued before it — get the next
+    /// pass, by this same handler. So every wake is retried by the
+    /// handler that caused it, never by a later, unrelated one (see
+    /// [`crate::shard`]).
     pub(super) fn run_pending_scan(&mut self, t: SimTime) {
-        // Time-lapse wake-ups: NIC-window conditions expired by t.
-        while let Some((at, qseq, id)) = self.sched.lapse.peek() {
-            if at > t.as_ns() {
-                break;
-            }
-            self.sched.lapse.pop();
-            if self.slab.pending_as(id, qseq) {
-                self.arb.dirty_insert((qseq, id));
-            }
-        }
         let mut cursor: Option<(u64, TransmissionId)> = None;
         loop {
-            // First dirty key strictly beyond the cursor; entries
-            // dirtied mid-scan at earlier positions wait for the next
-            // trigger, exactly like the old one-pass rescan.
+            // First dirty key strictly beyond the cursor.
             let idx = match cursor {
                 None => 0,
                 Some(c) => self.arb.dirty.partition_point(|&k| k <= c),
             };
             if idx >= self.arb.dirty.len() {
-                break;
+                if self.arb.dirty.is_empty() {
+                    break;
+                }
+                cursor = None;
+                continue;
             }
             let key = self.arb.dirty.remove(idx);
             cursor = Some(key);
@@ -421,34 +417,26 @@ impl<'c> Runtime<'c> {
     /// starts are within the window; symmetrically for the receiver's
     /// active outgoing. The NIC is physical-node hardware, so on
     /// multi-job runs the intervals of every co-tenant context of the
-    /// node count. Returns when the earliest blocking interval lapses
-    /// by the passage of time alone — `None` when none blocks.
-    fn nic_lapse(
+    /// node count. Returns whether an interval still open at `t`
+    /// started more than the window before `t`.
+    fn nic_blocked(
         &self,
         src: NodeId,
         dst: NodeId,
         first_hop: bool,
         last_hop: bool,
         t: SimTime,
-    ) -> Option<SimTime> {
+    ) -> bool {
         let window = self.cfg.concurrency_window_ns;
-        let mut lapse: Option<SimTime> = None;
-        let mut block = |&(_, start, end): &(TransmissionId, SimTime, SimTime)| {
-            if end > t && t.since(start) > window {
-                lapse = Some(lapse.map_or(end, |l| l.min(end)));
-            }
+        let blocks = |&(_, start, end): &(TransmissionId, SimTime, SimTime)| {
+            end > t && t.since(start) > window
         };
         let (phys_src, phys_dst) = (self.phys(src).index(), self.phys(dst).index());
-        for j in 0..self.num_jobs {
+        (0..self.num_jobs).any(|j| {
             let base = self.job_contexts(j).start;
-            if first_hop {
-                self.nodes[base + phys_src].incoming.iter().for_each(&mut block);
-            }
-            if last_hop {
-                self.nodes[base + phys_dst].outgoing.iter().for_each(&mut block);
-            }
-        }
-        lapse
+            (first_hop && self.nodes[base + phys_src].incoming.iter().any(blocks))
+                || (last_hop && self.nodes[base + phys_dst].outgoing.iter().any(blocks))
+        })
     }
 
     /// Try to establish the next segment of transmission `id` at time
@@ -488,18 +476,15 @@ impl<'c> Runtime<'c> {
         }
         // Background traffic models pass-through circuits from other
         // partitions: it occupies links only and bypasses the NIC rule.
-        let lapse =
-            if background { None } else { self.nic_lapse(src, dst, first_hop, last_hop, t) };
-        if let Some(lapse) = lapse {
+        if !background && self.nic_blocked(src, dst, first_hop, last_hop, t) {
             let tr = self.slab.get_mut(id);
             if !tr.blocked_by_nic {
                 tr.blocked_by_nic = true;
                 self.stats.nic_serialization_events += 1;
             }
-            let qseq = tr.qseq;
-            // Wake when one of our links is touched, when the blocking
-            // endpoints' NIC intervals change, or when the earliest
-            // blocking interval lapses by the passage of time alone.
+            // Wake when one of our links is touched, or when the
+            // blocking endpoints' NIC intervals change — the blocking
+            // interval closes at its end, in `release_nic`.
             self.arb.links.watch(segment, id);
             for (end, node) in [(first_hop, src), (last_hop, dst)] {
                 let phys = self.phys(node).index();
@@ -508,8 +493,6 @@ impl<'c> Runtime<'c> {
                     watch.push(id);
                 }
             }
-            self.arb.lapse_pushes += 1;
-            self.sched.lapse.push(lapse.as_ns(), qseq, id);
             return false;
         }
         // Start: hold the segment for its duration.

@@ -123,9 +123,9 @@ fn build_conditioned(
 /// [`crate::shard`] admits holds each barrier to run the next phase
 /// either globally or in concurrent subcube windows. Any other run
 /// holds no barrier and leaves the loop after its first drain — the
-/// sequential engine is that loop with no windows. A window that
-/// breaks the determinism argument discards the attempt: the arena
-/// restores the inputs and runs the same loop again without windows.
+/// sequential engine is that loop with no windows. A windowed run is
+/// never rerun: each window's event order is fixed by its own shard's
+/// inputs (see [`crate::shard`]).
 ///
 /// Arena reuse is invisible in the results: every run starts from
 /// fully reset state, so outputs are bit-identical to a run on a fresh
@@ -270,25 +270,16 @@ impl SimArena {
         &mut self,
         cfg: &SimConfig,
         compiled: &Compiled,
-        mut memories: Vec<Vec<u8>>,
+        memories: Vec<Vec<u8>>,
         trace: Option<&TraceConfig>,
         until: Option<SimTime>,
     ) -> Result<Option<SimResult>, SimError> {
         check_horizon(cfg, compiled)?;
         check_jobs(cfg, compiled)?;
-        // A run `shard::eligible` admits holds every barrier, so the
-        // driver can run the next phase in subcube windows; any other
-        // run never holds one and is the plain sequential engine.
-        let mut windows = crate::shard::eligible(cfg, trace.is_some(), until.is_some());
-        // A `declared_sync` config waives the input snapshot — the
-        // declaration promises no NIC-window violation, and a broken
-        // promise surfaces as a typed error.
-        let retry = windows && !cfg.declared_sync;
-        self.windows.snapshot(retry.then_some(memories.as_slice()));
         // Resolve network conditions (fault-avoiding routes, injection
         // schedule) before any simulated time elapses; Unroutable
         // surfaces here.
-        let mut conditioned = match &cfg.netcond {
+        let conditioned = match &cfg.netcond {
             Some(nc) => Some(build_conditioned(cfg, compiled, nc)?),
             None => None,
         };
@@ -298,26 +289,20 @@ impl SimArena {
         // against. An unbounded release run prices nothing.
         let floor = (until.is_some() || cfg!(debug_assertions))
             .then(|| PriceFloor::new(cfg, speeds.as_deref()));
-        loop {
-            let state = std::mem::take(&mut self.state);
-            let mut rt = Runtime::new(cfg, compiled, memories, trace, state, None);
-            if let Some(speeds) = &speeds {
-                rt.arb.links.set_speeds(cfg.dimension, speeds);
-                rt.conditioned = conditioned.take();
-            }
-            rt.bound.floor = floor;
-            rt.barriers.hold = windows;
-            let out = rt.drive(compiled, until, &mut self.windows);
-            memories = std::mem::take(&mut rt.memories);
-            self.state = rt.reclaim();
-            match out {
-                Err(SimError::SyncDeclarationViolated) if retry && windows => {
-                    self.windows.restore(&mut memories);
-                    windows = false;
-                }
-                out => return out,
-            }
+        let state = std::mem::take(&mut self.state);
+        let mut rt = Runtime::new(cfg, compiled, memories, trace, state, None);
+        if let Some(speeds) = &speeds {
+            rt.arb.links.set_speeds(cfg.dimension, speeds);
+            rt.conditioned = conditioned;
         }
+        rt.bound.floor = floor;
+        // A run `shard::eligible` admits holds every barrier, so the
+        // driver can run the next phase in subcube windows; any other
+        // run never holds one and is the plain sequential engine.
+        rt.barriers.hold = crate::shard::eligible(cfg, trace.is_some(), until.is_some());
+        let out = rt.drive(compiled, until, &mut self.windows);
+        self.state = rt.reclaim();
+        out
     }
 }
 

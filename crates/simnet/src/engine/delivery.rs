@@ -151,7 +151,9 @@ impl<'c> Runtime<'c> {
             // sender's buffer is free once the message is stored at the
             // first intermediate node, so hop 0 releases (and wakes) the
             // sender; the last hop closes the receiver's interval.
-            self.release_nic(id, (hop == 0).then_some(src), (circuit || last_hop).then_some(dst));
+            let (src_nic, dst_nic) =
+                ((hop == 0).then_some(src), (circuit || last_hop).then_some(dst));
+            self.release_nic(id, src_nic, dst_nic, t);
             if !circuit && hop == 0 {
                 self.sched.push(t, Event::NodeReady(src));
             }

@@ -6,23 +6,19 @@
 use super::{Event, Recycled, Runtime, SimError, SimResult, Status};
 use crate::compile::{Compiled, CompiledOp};
 use crate::floor::PriceFloor;
-use crate::link::TransmissionId;
 use crate::sched::CalendarQueue;
 use crate::shard::{PhaseMode, ShardPlan};
 use crate::time::SimTime;
 use mce_hypercube::NodeId;
 use std::collections::VecDeque;
 
-/// The engine's event scheduler: the main [`CalendarQueue`] heap over
-/// `(time, seq, Event)`, the same-time FIFO (events scheduled for
+/// The engine's event scheduler: the [`CalendarQueue`] heap over
+/// `(time, seq, Event)` and the same-time FIFO (events scheduled for
 /// the instant currently being drained skip the heap entirely — they
-/// dominate the event mix), and the NIC-lapse heap of
-/// `(time_ns, qseq, tid)` wake-ups for concurrency-window conditions
-/// that expire by the passage of time alone.
+/// dominate the event mix).
 pub(super) struct Scheduler {
     pub(super) events: CalendarQueue<Event>,
     fifo: VecDeque<Event>,
-    pub(super) lapse: CalendarQueue<TransmissionId>,
     /// Sequence stamp of the last queued event; orders same-time
     /// entries by push order.
     seq: u64,
@@ -40,7 +36,6 @@ impl Default for Scheduler {
         Scheduler {
             events: CalendarQueue::default(),
             fifo: VecDeque::new(),
-            lapse: CalendarQueue::default(),
             seq: 0,
             cur_t: SimTime(u64::MAX),
             until: None,
@@ -54,7 +49,6 @@ impl Scheduler {
     /// telemetry and the bound, keep every allocation.
     pub(super) fn reset(&mut self) {
         self.events.clear();
-        self.lapse.clear();
         self.fifo.clear();
         self.seq = 0;
         self.cur_t = SimTime(u64::MAX);
@@ -122,44 +116,13 @@ pub(super) struct Bound {
 }
 
 /// What only a run that may open shard windows uses: the per-shard
-/// window arenas and the input snapshot a discarded attempt reruns.
-#[derive(Default)]
-pub(super) struct Windows {
-    /// Per-shard window arenas, recycled across windows and runs;
-    /// empty until a windowed phase runs.
-    arenas: Vec<WindowArena>,
-    /// Pooled flat copy of the run's initial memories, kept for runs
-    /// that may open windows so a window violation can rerun the
-    /// original inputs without windows, without allocating the backup
-    /// per run.
-    pristine: Vec<u8>,
-}
-
-impl Windows {
-    /// Keep a flat copy of `memories` (`None` keeps none): a windowed
-    /// attempt consumes the memories.
-    pub(super) fn snapshot(&mut self, memories: Option<&[Vec<u8>]>) {
-        self.pristine.clear();
-        for m in memories.into_iter().flatten() {
-            self.pristine.extend_from_slice(m);
-        }
-    }
-
-    /// Put the snapshot back. Node memory lengths never change during a
-    /// run, so the flat backup restores in place.
-    pub(super) fn restore(&self, memories: &mut [Vec<u8>]) {
-        let mut off = 0;
-        for m in memories {
-            let len = m.len();
-            m.copy_from_slice(&self.pristine[off..off + len]);
-            off += len;
-        }
-    }
-}
+/// window arenas, recycled across windows and runs; empty until a
+/// windowed phase runs.
+pub(super) type Windows = Vec<WindowArena>;
 
 /// One shard's recycled window runtime.
 #[derive(Default)]
-struct WindowArena {
+pub(super) struct WindowArena {
     state: Recycled,
     /// Full-size memory shell: one empty `Vec<u8>` per node, with the
     /// shard's own memories swapped in and out per window.
@@ -184,10 +147,7 @@ impl<'c> Runtime<'c> {
     /// A run that holds no barrier leaves the loop after its first
     /// drain: that is the sequential engine. Runs to the end or —
     /// bounded — to the first instant past `until`: `None` when that
-    /// leaves a program unfinished. A window that pushed a NIC-lapse
-    /// wake-up ends the attempt with
-    /// [`SimError::SyncDeclarationViolated`]; the caller reruns the
-    /// inputs without windows unless the config declared sync.
+    /// leaves a program unfinished.
     pub(super) fn drive(
         &mut self,
         compiled: &Compiled,
@@ -221,7 +181,7 @@ impl<'c> Runtime<'c> {
                     }
                     PhaseMode::Windowed(plan) => {
                         self.stats.shard_windows += 1;
-                        match self.run_window(compiled, release, plan, &mut windows.arenas)? {
+                        match self.run_window(compiled, release, plan, windows)? {
                             WindowEnd::Complete => break 'phases,
                             WindowEnd::Released(next) => release = next,
                         }
@@ -260,15 +220,13 @@ impl<'c> Runtime<'c> {
     /// shard-index order (every merge step is deterministic, and the
     /// shards' state is disjoint by the window invariant). The master
     /// queue stays empty throughout; the outcome says whether the next
-    /// barrier releases or the run ended. A shard that pushed a
-    /// NIC-lapse wake-up voids the attempt:
-    /// [`SimError::SyncDeclarationViolated`].
+    /// barrier releases or the run ended.
     fn run_window(
         &mut self,
         compiled: &Compiled,
         release: SimTime,
         plan: ShardPlan,
-        arenas: &mut Vec<WindowArena>,
+        arenas: &mut Windows,
     ) -> Result<WindowEnd, SimError> {
         let count = plan.count as usize;
         let d = self.cfg.dimension;
@@ -307,7 +265,6 @@ impl<'c> Runtime<'c> {
         });
         let mut entered = 0u64;
         let mut last_entry = SimTime::ZERO;
-        let mut violated = false;
         let mut first_err: Option<SimError> = None;
         for (s, (mut srt, list, res)) in results.into_iter().enumerate() {
             for &x in &list {
@@ -316,24 +273,20 @@ impl<'c> Runtime<'c> {
             // Cross-boundary UNFORCED buffering: carry early arrivals
             // into the master map, translating the shard's packed slot
             // indices back to global ones (shards own disjoint slots).
-            // The next phase then runs globally.
+            // The next phase then runs globally. `Delivery::lay_out`
+            // packs the shard's cells in `list` order, so `slot_base` is
+            // ascending along `list`, starts at 0, and `k` lies in the
+            // cells of the last listed node whose base is at most `k`
+            // (a node with no cells shares its base with the next one).
+            let base = &srt.del.slot_base;
             for (k, v) in srt.del.buffered.drain() {
-                let owner = list
-                    .iter()
-                    .map(|&x| x as usize)
-                    .find(|&xi| {
-                        let lb = srt.del.slot_base[xi];
-                        let ns = compiled.programs[xi].num_slots;
-                        (lb..lb + ns).contains(&k)
-                    })
-                    .expect("buffered key outside shard slots");
-                let gk = self.del.slot_base[owner] + (k - srt.del.slot_base[owner]);
+                let owner = list[list.partition_point(|&x| base[x as usize] <= k) - 1] as usize;
+                let gk = self.del.slot_base[owner] + (k - base[owner]);
                 self.del.buffered.insert(gk, v);
             }
             self.stats.absorb(&srt.stats);
             entered += srt.barriers.entered[0];
             last_entry = last_entry.max(srt.barriers.last_entry);
-            violated |= srt.arb.lapse_pushes > 0;
             let peak = srt.sched.events.peak_pending();
             self.stats.shard_peak_pending = self.stats.shard_peak_pending.max(peak);
             if first_err.is_none() {
@@ -344,9 +297,6 @@ impl<'c> Runtime<'c> {
         }
         if let Some(e) = first_err {
             return Err(e);
-        }
-        if violated {
-            return Err(SimError::SyncDeclarationViolated);
         }
         if entered == n as u64 {
             self.stats.barriers += 1;
@@ -397,6 +347,9 @@ impl<'c> Runtime<'c> {
     /// `barriers.hold`) reached a phase boundary.
     fn drain(&mut self, compiled: &Compiled) -> Result<(), SimError> {
         while let Some((t, ev)) = self.sched.pop_next() {
+            // Every handler that dirties a transmission scans until none
+            // is dirty: no handler retries another's wake-ups.
+            debug_assert!(self.arb.dirty.is_empty());
             match ev {
                 Event::NodeReady(x) => self.step_node(x, t, compiled)?,
                 Event::TransmissionEnd(id) => self.finish_transmission(id, t)?,

@@ -39,20 +39,19 @@
 //!   UNFORCED buffers copy through pooled buffers instead; background
 //!   injections carry their length only.
 //! * **Wait-queues** — a transmission that fails to start registers
-//!   watchers on the directed links of its segment, on the NIC state
-//!   of the affected endpoints, and (for the concurrency-window rule)
-//!   on the earliest future time its blocking condition can lapse.
-//!   A released link wakes only the transmissions actually blocked on
-//!   it. Woken candidates are retried in global issue order, exactly
-//!   reproducing the start order, one-shot blocking flags and wait
-//!   accounting of the previous full-rescan implementation (see the
-//!   determinism-snapshot suite in `mce-core`).
+//!   watchers on the directed links of its segment and on the NIC
+//!   state of the affected endpoints. A released link wakes only the
+//!   transmissions actually blocked on it, and a NIC interval that
+//!   blocks under the concurrency-window rule wakes its node's
+//!   watchers when it closes, at its end. The handler that woke them
+//!   retries the candidates in global issue order, in passes until none
+//!   is left (pinned by the determinism-snapshot suite in `mce-core`).
 //! * **Same-instant FIFO** — events scheduled for the instant being
 //!   drained (the bulk of the mix) append to a FIFO and never touch a
-//!   queue; later events (and NIC-lapse wake-ups) wait in binary
-//!   min-heaps ([`CalendarQueue`](crate::CalendarQueue)) keyed by
-//!   `(time, seq)`, so pops keep exact `(time, seq)` order (see the
-//!   [`crate::sched`] module docs).
+//!   queue; later events wait in a binary min-heap
+//!   ([`CalendarQueue`](crate::CalendarQueue)) keyed by `(time, seq)`,
+//!   so pops keep exact `(time, seq)` order (see the [`crate::sched`]
+//!   module docs).
 //! * **Block moves without `memcpy` calls** — a `Permute` scatters its
 //!   blocks through one kernel, `copy_block`: a block of 8..=64 bytes
 //!   moves as two fixed-width (8, 16 or 32 bytes), possibly
@@ -161,15 +160,6 @@ pub enum SimError {
         /// Attempts made (max_retries + 1).
         retries: u32,
     },
-    /// The config carried [`crate::SimConfig::declared_sync`] but a
-    /// shard window hit a NIC concurrency-window violation — the
-    /// workload is not the FORCED-protocol exchange it was declared to
-    /// be. Without the declaration the run would have transparently
-    /// been rerun without windows; with it, the driver skips the input
-    /// snapshot that rerun needs, so the violation is surfaced instead
-    /// of risking silent divergence. Rerun without
-    /// `with_declared_sync`.
-    SyncDeclarationViolated,
 }
 
 impl SimError {
@@ -220,12 +210,6 @@ impl std::fmt::Display for SimError {
                 f,
                 "retries exhausted: job {job} context {src} gave up sending to {dst} \
                  after {retries} dropped attempts"
-            ),
-            SimError::SyncDeclarationViolated => write!(
-                f,
-                "declared_sync violated: a shard window hit a NIC concurrency-window \
-                 conflict, so the workload is not pairwise-synchronized; rerun without \
-                 with_declared_sync"
             ),
         }
     }
@@ -580,9 +564,9 @@ impl<'c> Runtime<'c> {
     }
 
     /// Hand every recycled allocation back, each part emptied of
-    /// run-specific contents (stale wait-queue registrations, lapse
-    /// wake-ups and unfinished transmissions from error runs must not
-    /// leak into the next run).
+    /// run-specific contents (stale wait-queue registrations and
+    /// unfinished transmissions from error runs must not leak into the
+    /// next run).
     fn reclaim(self) -> Recycled {
         let Runtime { nodes, mut slab, mut arb, mut del, mut sched, .. } = self;
         slab.clear();

@@ -1,7 +1,6 @@
 //! Event scheduling: one binary min-heap.
 //!
-//! The engine's pending events (and the NIC-lapse wake-ups of the
-//! concurrency-window rule) wait in a [`CalendarQueue`]: a
+//! The engine's pending events wait in one [`CalendarQueue`]: a
 //! `BinaryHeap<Reverse<(time, seq, item)>>` that also records its
 //! high-water length. Same-instant events never reach it — the
 //! engine's FIFO takes them — so what the heap holds is the spread of

@@ -60,40 +60,46 @@
 //! # Determinism guarantee
 //!
 //! Sharded runs are **bit-identical** to `shards: 1` (pinned by the
-//! determinism-snapshot suite and `shard_differential.rs`). The
-//! argument, in outline:
+//! determinism-snapshot suite and `shard_differential.rs`), for every
+//! workload the gate admits, synchronized or not. Nothing is checked at
+//! run time and nothing is rerun: each shard's event order is fixed by
+//! its own inputs. The argument:
 //!
-//! * Within a windowed phase, events of different shards touch
-//!   disjoint state, and same-instant events of *one* shard keep their
-//!   relative `(time, seq)` order under the per-shard scheduler — so
-//!   the merged execution equals the sequential interleaving's
-//!   projection, instant by instant. The argument never uses
-//!   contiguity, so it covers interleaved-coset shards unchanged.
-//! * The one shared structure that could leak ordering across shards
-//!   is the NIC-lapse queue: a lapse wake-up drained by a *foreign*
-//!   handler in the sequential run can retry a blocked transmission at
-//!   an earlier within-instant position than the shard-local run
-//!   would. The start *time* is unchanged (every lapse expiry
-//!   coincides with a same-shard transmission end whose handler
-//!   re-scans), so divergence needs a same-instant seq-order collision
-//!   — possible only when the window actually pushed a lapse wake-up.
-//! * The engine therefore counts lapse pushes per window. Zero pushes
-//!   (the overwhelmingly common case: synchronized exchange phases
-//!   align NIC starts within the concurrency window) proves the
-//!   window exact. If any shard pushed one, the driver **discards the
-//!   entire attempt and reruns the run without windows** from a
-//!   pristine copy of the inputs — slower, never wrong.
+//! * Within a windowed phase every transmission stays inside one shard
+//!   (source, destination and every link of its e-cube route), so
+//!   events of different shards touch disjoint state: nodes, memories,
+//!   slots, links and their wait lists, NIC intervals and their
+//!   watchers. The argument never uses contiguity, so it covers
+//!   interleaved-coset shards unchanged.
+//! * Same-instant events of *one* shard keep their relative
+//!   `(time, seq)` order under the per-shard scheduler: sequence
+//!   numbers follow push order, and an event lands in the same-instant
+//!   FIFO exactly when its own shard's handler pushes it for the
+//!   instant being drained.
+//! * The pending scan is the one structure every handler shares. Each
+//!   handler that dirties a transmission (an issue, a requeue, a
+//!   release's wake-up) then scans in passes until nothing is dirty, a
+//!   wake-up caused by a start mid-pass included (debug builds assert
+//!   the set empty before every event). So a handler only ever retries
+//!   transmissions it woke itself, all of its own shard, in queue
+//!   order — and queue sequence numbers, like event ones, keep their
+//!   relative order within a shard.
+//! * No wake-up comes from the passage of time alone. The NIC window
+//!   blocks a start only on an interval still open at that instant
+//!   (`end > t`), and an interval closes in exactly one place —
+//!   `release_nic`, called by the `TransmissionEnd` its start queued for
+//!   `end`, at `end` (debug builds assert `end == t`) — which wakes the
+//!   watchers of that NIC and scans. So a transmission blocked by the
+//!   window is retried by the handler that closes the blocking
+//!   interval: an event of its own shard, at the first instant it can
+//!   start.
 //!
-//! The pristine copy is the fallback's insurance premium: one flat
-//! snapshot of all node memories per run (pooled, but still a full
-//! memcpy — tens of ms at d11+). A workload that *knows* it is
-//! pairwise-synchronized can waive it with
-//! [`SimConfig::with_declared_sync`](crate::SimConfig::with_declared_sync):
-//! the snapshot is skipped, and a window that does push a lapse
-//! wake-up surfaces as
-//! [`SimError::SyncDeclarationViolated`](crate::SimError::SyncDeclarationViolated)
-//! instead of falling back — a typed, reproducible error, never a
-//! silently divergent result.
+//! Both rules matter. A heap of time-lapse wake-ups for NIC-blocked
+//! transmissions, or a mid-pass wake left for whichever handler scans
+//! next, would let a *foreign* handler of the sequential run retry a
+//! shard's transmission earlier within an instant than the shard's own
+//! run does (`a_wake_is_retried_by_the_handler_that_caused_it` in
+//! `shard_differential.rs` fails with a single-pass scan).
 //!
 //! Sharding engages only where that argument holds (see `eligible`):
 //! circuit switching, zero jitter, no network conditions, a single

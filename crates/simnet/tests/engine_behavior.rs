@@ -333,7 +333,9 @@ fn deadlock_is_still_detected_under_background_traffic() {
 
 #[test]
 fn blocked_is_empty_for_non_deadlock_errors() {
-    assert!(SimError::SyncDeclarationViolated.blocked().is_empty());
+    let mismatch =
+        SimError::SizeMismatch { node: NodeId(1), tag: Tag::data(0, 1), posted: 4, sent: 8 };
+    assert!(mismatch.blocked().is_empty());
     assert!(SimError::Unroutable { src: NodeId(0), dst: NodeId(1) }.blocked().is_empty());
 }
 
